@@ -147,7 +147,12 @@ def _cmd_newton(args) -> int:
     weights = {}
     for v in sorted(summary.v0):
         wv = realizing_weights(f, v)
-        weights[v] = wv.weights if wv else None
+        if wv is None or not (
+            all(w > 0 for w in wv.weights)
+            and all(wv.functional(u) < wv.functional(v) for u in summary.support if u != v)
+        ):
+            raise InternalVerificationError(f"V0 point {list(v)} has no checked realizing weights")
+        weights[v] = wv.weights
     payload = {
         "command": "newton",
         "input": render_poly(f, order),

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 
 def _phase_one(rows: list, rhs: list, n: int) -> Optional[list]:
-    """Find x >= 0 with A x = b (A given as rows/rhs, n columns).
+    """Find x >= 0 with A x = b (A given as Fraction rows/rhs, n columns).
 
     Returns a feasible x of length n, or None when the system is infeasible.
     """
@@ -32,7 +32,7 @@ def _phase_one(rows: list, rhs: list, n: int) -> Optional[list]:
     for i in range(m):
         art = [Fraction(0)] * m
         art[i] = Fraction(1)
-        tableau.append([Fraction(x) for x in A[i]] + art + [Fraction(b[i])])
+        tableau.append(A[i] + art + [b[i]])
     basis = [n + i for i in range(m)]
     # objective: minimize the artificial sum; reduced costs with the
     # artificial basis priced out.
@@ -64,7 +64,7 @@ def _phase_one(rows: list, rhs: list, n: int) -> Optional[list]:
                 tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
         if obj[enter]:
             f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tableau[leave] + [])]
+            obj = [x - f * y for x, y in zip(obj, tableau[leave])]
         basis[leave] = enter
 
     if obj[total] != 0:

@@ -1,12 +1,11 @@
 """Newton-polytope support analysis: monomial multiplicities, the set of
 potential leading terms V0, divisor sequences, and realizing weight vectors.
 
-V0 is computed along two independent routes that must agree:
-
-* LP route: v is in V0 iff positive weights exist that make v the strict
-  argmax of the weight functional over the support.
-* combinatorial route: v is in V0 iff v is a vertex of the Newton polytope
-  and no other vertex dominates it coordinatewise.
+V0 is decided by one dominance LP per support point (Motzkin's transposition
+theorem): v is outside V0 iff some convex combination of the other points is
+coordinatewise >= v, and each such exclusion witness is checked exactly.
+`v0_lp` (strict weight argmax) and `v0_combinatorial` (hull vertices that the
+polytope does not dominate) are kept as test oracles; criterion 6 compares them.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Optional
 
 from .linprog import feasible_point
 from .orders import OrderSpec, leading_term
-from .poly import Monomial, MultiPoly, PolyError, mono_deg, mono_unit
+from .poly import Monomial, MultiPoly, PolyError, mono_unit
 
 
 class NotPotentialLeadingTerm(Exception):
@@ -103,17 +102,17 @@ def v0_lp(f: MultiPoly) -> set:
     return {v for v in f.support() if realizing_weights(f, v) is not None}
 
 
-def _dominating_combination_exists(v: Monomial, others: list) -> bool:
-    """Is there a convex combination of the other support points that is
-    coordinatewise >= v?  Equivalent to the shifted Newton polytope meeting
-    the nonnegative orthant away from the origin."""
+def _dominating_combination(v: Monomial, others: list) -> Optional[list]:
+    """Convex weights over the other support points whose combination is
+    coordinatewise >= v, or None.  Equivalent to the shifted Newton polytope
+    meeting the nonnegative orthant away from the origin."""
     if not others:
-        return False
+        return None
     A_eq = [[Fraction(1)] * len(others)]
     b_eq = [Fraction(1)]
     A_ge = [[Fraction(q[s]) for q in others] for s in range(len(v))]
     b_ge = [Fraction(e) for e in v]
-    return feasible_point(len(others), A_eq=A_eq, b_eq=b_eq, A_ge=A_ge, b_ge=b_ge) is not None
+    return feasible_point(len(others), A_eq=A_eq, b_eq=b_eq, A_ge=A_ge, b_ge=b_ge)
 
 
 def v0_combinatorial(f: MultiPoly) -> set:
@@ -130,34 +129,46 @@ def v0_combinatorial(f: MultiPoly) -> set:
     for v in vertices:
         if any(u != v and _dominated(v, by=u) for u in vertices):
             continue
-        if not _dominating_combination_exists(v, [q for q in points if q != v]):
+        if _dominating_combination(v, [q for q in points if q != v]) is None:
             out.add(v)
     return out
 
 
 def v0_set(f: MultiPoly) -> set:
-    """Support points that are the leading monomial for some monomial order."""
+    """Support points that are the leading monomial for some monomial order.
+    Raises RuntimeError when an exclusion witness fails its exact check."""
     if f.is_zero() or f.is_constant():
         raise PolyError("V0 requires a non-constant polynomial")
-    via_lp = v0_lp(f)
-    via_hull = v0_combinatorial(f)
-    if via_lp != via_hull:  # pragma: no cover - dual-route consistency guard
-        raise RuntimeError(
-            f"V0 routes disagree: LP {sorted(via_lp)} vs hull {sorted(via_hull)}"
-        )
-    return via_lp
+    points = sorted(f.support())
+    out = set()
+    for v in points:
+        others = [q for q in points if q != v]
+        lam = _dominating_combination(v, others)
+        if lam is None:
+            out.add(v)
+        elif not (
+            all(x >= 0 for x in lam)
+            and sum(lam) == 1
+            and all(sum(x * q[s] for x, q in zip(lam, others)) >= e for s, e in enumerate(v))
+        ):
+            raise RuntimeError(f"dominance witness excluding {v} from V0 failed its check")
+    return out
 
 
 def _descending_divisors(d: int) -> tuple:
     return tuple(k for k in range(d, 1, -1) if d % k == 0)
 
 
-def d1_multiplicity(f: MultiPoly) -> int:
-    """GCD of d(m_v) over all potential leading terms v in V0."""
-    mults = [multiplicity(v) for v in v0_set(f) if any(v)]
+def _gcd_multiplicity(v0: set) -> int:
+    mults = [multiplicity(v) for v in v0 if any(v)]
     if not mults:
         raise PolyError("no non-unit potential leading terms")
-    return gcd(*mults) if len(mults) > 1 else mults[0]
+    return gcd(*mults)
+
+
+def d1_multiplicity(f: MultiPoly) -> int:
+    """GCD of d(m_v) over all potential leading terms v in V0."""
+    return _gcd_multiplicity(v0_set(f))
 
 
 def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tuple:
@@ -182,7 +193,7 @@ def newton_summary(f: MultiPoly, order: OrderSpec) -> NewtonSummary:
         raise PolyError("newton summary requires a non-constant polynomial")
     v0 = v0_set(f)
     d_leading = multiplicity(lm)
-    d1 = d1_multiplicity(f)
+    d1 = _gcd_multiplicity(v0)
     return NewtonSummary(
         support=frozenset(f.support()),
         v0=frozenset(v0),

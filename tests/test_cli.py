@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from closedpoly.cli import main
+from closedpoly.newton import WeightVector
 
 EX1 = "x1^4 + 2*x1^2*x2 + x2^2\n"
 DEG6 = (
@@ -221,6 +223,17 @@ class TestExitCodes:
             capsys, "stein", "--data", poly_file(STEIN_F, "d.txt"), "--mode", "f"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "fake",
+        [None, WeightVector(weights=(Fraction(1), Fraction(1)))],
+        ids=["missing", "not-argmax"],
+    )
+    def test_newton_unchecked_weights(self, capsys, monkeypatch, poly_file, fake):
+        monkeypatch.setattr("closedpoly.cli.realizing_weights", lambda f, v: fake)
+        code, _, err = run(capsys, "newton", "--poly", poly_file(EX1))
+        assert code == 3
+        assert "internal error" in err
 
     def test_bad_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

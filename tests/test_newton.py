@@ -75,6 +75,26 @@ class TestV0:
     def test_degree_six(self, deg6):
         assert v0_set(deg6) == {(2, 4)}
 
+    def test_one_lp_per_support_point(self, monkeypatch, deg6):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return feasible_point(*args, **kwargs)
+
+        monkeypatch.setattr("closedpoly.newton.feasible_point", counting)
+        v0_set(deg6)
+        assert 0 < len(calls) <= len(deg6.support())
+
+    def test_bogus_exclusion_witness_raises(self, monkeypatch, ex1):
+        # all weight on the first other point, which never dominates v in ex1
+        def bogus(n, **kwargs):
+            return [Fraction(1)] + [Fraction(0)] * (n - 1)
+
+        monkeypatch.setattr("closedpoly.newton.feasible_point", bogus)
+        with pytest.raises(RuntimeError, match="dominance witness"):
+            v0_set(ex1)
+
 
 class TestDivisorSequence:
     def test_plain(self, ex1):
@@ -123,6 +143,17 @@ class TestNewtonSummary:
         assert s.divisors_plain == (4, 2)
         assert s.divisors_pruned == (2,)
 
+    def test_computes_v0_once(self, monkeypatch, ex1):
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return v0_set(f)
+
+        monkeypatch.setattr("closedpoly.newton.v0_set", counting)
+        assert newton_summary(ex1, GL).d1 == 2
+        assert len(calls) == 1
+
     def test_invariants(self):
         rng = random.Random(21)
         for _ in range(20):
@@ -152,7 +183,9 @@ class TestDualCharacterization:
         rng = random.Random(33)
         for _ in range(60):
             f = random_support_poly(rng, rng.randint(1, 4))
-            assert v0_lp(f) == v0_combinatorial(f)
+            lp = v0_lp(f)
+            assert lp == v0_combinatorial(f)
+            assert v0_set(f) == lp
 
     def test_sampled_argmax_lands_in_v0(self):
         rng = random.Random(34)
