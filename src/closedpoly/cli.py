@@ -28,8 +28,8 @@ from .family import (
 from .monoid import MonoidError, MonoidGens, is_saturated, saturation_generators
 from .newton import newton_summary, realizing_weights
 from .orders import GREVLEX, GRLEX, MonomialCapExceeded, OrderError, OrderSpec
-from .parsing import ParseError, parse_poly, render_poly
-from .poly import MultiPoly, PolyError, UniPoly
+from .parsing import ParseError, parse_poly, render_poly, render_uni
+from .poly import MultiPoly, PolyError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -54,27 +54,6 @@ def _load_poly(path: str) -> MultiPoly:
 
 def _rat(x: Fraction) -> str:
     return str(x)
-
-
-def render_uni(F: UniPoly, var: str = "t") -> str:
-    if F.is_zero():
-        return "0"
-    parts = []
-    for i in range(len(F.coeffs) - 1, -1, -1):
-        c = F.coeffs[i]
-        if not c:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            power = var if i == 1 else f"{var}^{i}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
 
 
 def _emit(args, payload: dict, human_lines: list):

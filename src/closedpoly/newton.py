@@ -20,10 +20,6 @@ from .orders import OrderSpec, leading_term
 from .poly import Monomial, MultiPoly, PolyError, mono_unit
 
 
-class NotPotentialLeadingTerm(Exception):
-    """The requested support point is never a leading term (v not in V0)."""
-
-
 @dataclass(frozen=True)
 class WeightVector:
     weights: tuple  # positive Fractions, one per variable

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .orders import OrderSpec, sort_key
-from .poly import MAX_EXPONENT, MultiPoly, mono_unit
+from .poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, UniPoly, mono_unit
 
 
 class ParseError(ValueError):
@@ -38,163 +38,135 @@ class ParsedInput:
     source: str
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<var>x(?P<varidx>\d+))
-  | (?P<num>\d+)
-  | (?P<op>[-+*/^])
-    """,
-    re.VERBOSE,
-)
+_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x\d+)|(?P<num>\d+)|(?P<op>[-+*/^])")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'var' | 'num' | one of '+-*/^' | 'end'
-    text: str
-    line: int
-    column: int
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at ``offset``; line and column are computed only here."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def _tokenize(text: str) -> list:
+    """Tokens are (kind, text, offset); kind is 'var', 'num', the operator
+    character itself, or 'end'."""
     tokens = []
     pos = 0
-    line = 1
-    line_start = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        column = pos - line_start + 1
-        if m.group("var"):
-            tokens.append(_Token("var", m.group(0), line, column))
-        elif m.group("num"):
-            tokens.append(_Token("num", m.group(0), line, column))
-        elif m.group("op"):
-            tokens.append(_Token(m.group("op"), m.group(0), line, column))
-        newlines = m.group(0).count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + m.group(0).rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
+            raise _error(text, pos, f"unexpected character {text[pos]!r}")
+        kind = m.lastgroup
+        end = m.end()
+        if kind != "ws":
+            tok = text[pos:end]
+            tokens.append((tok if kind == "op" else kind, tok, pos))
+        pos = end
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+    def fail(self, message: str, tok: tuple | None = None):
+        """Raise at ``tok``, by default the next unread token."""
+        raise _error(self.text, (tok or self.peek())[2], message)
 
     def parse(self) -> dict:
         """Returns a map {exponent tuple (ragged): coefficient}."""
         terms: dict = {}
         sign = 1
-        tok = self.peek()
-        if tok.kind in "+-":
+        kind = self.peek()[0]
+        if kind in "+-":
             self.advance()
-            sign = -1 if tok.kind == "-" else 1
+            sign = -1 if kind == "-" else 1
         self.term(terms, sign)
-        while self.peek().kind != "end":
+        while self.peek()[0] != "end":
             tok = self.advance()
-            if tok.kind == "+":
+            if tok[0] == "+":
                 self.term(terms, 1)
-            elif tok.kind == "-":
+            elif tok[0] == "-":
                 self.term(terms, -1)
             else:
-                raise ParseError(
-                    f"expected '+' or '-', got {tok.text!r}", tok.line, tok.column
-                )
+                self.fail(f"expected '+' or '-', got {tok[1]!r}", tok)
         return terms
 
     def term(self, terms: dict, sign: int):
-        tok = self.peek()
-        if tok.kind == "num":
+        kind, text, _ = self.peek()
+        exps = {}
+        if kind == "num":
             coeff = sign * self.coeff()
-            if self.peek().kind == "*":
+            if self.peek()[0] == "*":
                 self.advance()
-                exps = self.mono()
-            else:
-                exps = {}
-        elif tok.kind == "var":
+                self.mono(exps)
+        elif kind == "var":
             coeff = Fraction(sign)
-            exps = self.mono()
+            self.mono(exps)
         else:
-            self.fail(f"expected a coefficient or variable, got {tok.text or 'end of input'!r}")
+            self.fail(f"expected a coefficient or variable, got {text or 'end of input'!r}")
         key = tuple(sorted(exps.items()))
         terms[key] = terms.get(key, Fraction(0)) + coeff
 
     def coeff(self) -> Fraction:
-        num = int(self.advance().text)
-        if self.peek().kind == "/":
+        num = int(self.advance()[1])
+        if self.peek()[0] == "/":
             self.advance()
             tok = self.peek()
-            if tok.kind != "num":
+            if tok[0] != "num":
                 self.fail("expected a denominator after '/'")
-            den = int(self.advance().text)
+            den = int(self.advance()[1])
             if den == 0:
-                raise ParseError("denominator must be positive", tok.line, tok.column)
+                self.fail("denominator must be positive", tok)
             return Fraction(num, den)
         return Fraction(num)
 
-    def mono(self) -> dict:
-        exps = self.factor({})
-        while self.peek().kind == "*":
+    def mono(self, exps: dict):
+        self.factor(exps)
+        while self.peek()[0] == "*":
             save = self.pos
             self.advance()
-            if self.peek().kind != "var":
+            if self.peek()[0] != "var":
                 self.pos = save  # the '*' belongs to an outer context or is an error
                 break
-            exps = self.factor(exps)
-        return exps
+            self.factor(exps)
 
-    def factor(self, exps: dict) -> dict:
+    def factor(self, exps: dict):
+        """Read one x<i>[^e] and add e to exps[i] in place."""
         tok = self.peek()
-        if tok.kind != "var":
-            self.fail(f"expected a variable, got {tok.text or 'end of input'!r}")
+        if tok[0] != "var":
+            self.fail(f"expected a variable, got {tok[1] or 'end of input'!r}")
         self.advance()
-        index = int(tok.text[1:])
+        index = int(tok[1][1:])
         if index == 0:
-            raise ParseError("variable index 0 is not allowed", tok.line, tok.column)
+            self.fail("variable index 0 is not allowed", tok)
+        if index > MAX_VARIABLES:
+            self.fail(f"variable index {index} exceeds the supported bound {MAX_VARIABLES}", tok)
         power = 1
-        if self.peek().kind == "^":
+        if self.peek()[0] == "^":
             self.advance()
             ptok = self.peek()
-            if ptok.kind != "num":
+            if ptok[0] != "num":
                 self.fail("expected an exponent after '^'")
             self.advance()
-            power = int(ptok.text)
+            power = int(ptok[1])
             if power > MAX_EXPONENT:
-                raise ParseError(
-                    f"exponent {power} exceeds the supported bound",
-                    ptok.line,
-                    ptok.column,
-                )
-        new = dict(exps)
-        total = new.get(index, 0) + power
+                self.fail(f"exponent {power} exceeds the supported bound", ptok)
+        total = exps.get(index, 0) + power
         if total > MAX_EXPONENT:
-            raise ParseError(
-                f"accumulated exponent for x{index} exceeds the supported bound",
-                tok.line,
-                tok.column,
-            )
-        new[index] = total
-        return new
+            self.fail(f"accumulated exponent for x{index} exceeds the supported bound", tok)
+        exps[index] = total
 
 
 def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
@@ -243,3 +215,25 @@ def render_poly(f: MultiPoly, order: OrderSpec = OrderSpec()) -> str:
         else:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(pieces)
+
+
+def render_uni(F: UniPoly, var: str = "t") -> str:
+    """Rendering of F in descending powers of ``var``; "0" for the zero polynomial."""
+    if F.is_zero():
+        return "0"
+    parts = []
+    for i in range(len(F.coeffs) - 1, -1, -1):
+        c = F.coeffs[i]
+        if not c:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            power = var if i == 1 else f"{var}^{i}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)

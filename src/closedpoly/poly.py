@@ -3,6 +3,14 @@
 Coefficients are `fractions.Fraction` throughout; no floating point enters
 the core.  Monomials are plain tuples of nonnegative ints (one entry per
 variable), so they can key dicts directly.
+
+Validation happens once, at the boundary: the public `MultiPoly(nvars, terms)`
+constructor (and the parser, which builds through it) checks the variable
+count against `MAX_VARIABLES`, every monomial's length, sign and exponent
+bound, and converts every coefficient to `Fraction`.  Arithmetic on operands
+that are already checked builds its result without re-checking it; only the
+exponent bound is kept there (`mono_mul`, `mono_pow`), since a product can
+overflow it.
 """
 
 from __future__ import annotations
@@ -14,8 +22,10 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple  # exponent vector; length == nvars
 
-# Desk-scale tool: exponents beyond 2^31 are rejected outright.
+# Desk-scale tool: exponents beyond 2^31 and more than 2^16 variables are
+# rejected outright (a monomial is a dense tuple of nvars exponents).
 MAX_EXPONENT = 2**31 - 1
+MAX_VARIABLES = 2**16
 
 Scalar = Union[int, Fraction]
 
@@ -50,12 +60,6 @@ def mono_pow(m: Monomial, k: int) -> Monomial:
     return tuple(_check_exponent(e * k) for e in m)
 
 
-def _canonical_key(m: Monomial):
-    # degree, then reverse-colex: a deterministic order for iteration/repr,
-    # independent of the per-call monomial order.
-    return (mono_deg(m), tuple(reversed(m)))
-
-
 class MultiPoly:
     """Immutable sparse polynomial in ``nvars`` variables over ℚ."""
 
@@ -64,6 +68,8 @@ class MultiPoly:
     def __init__(self, nvars: int, terms: Mapping[Monomial, Scalar] | None = None):
         if nvars < 1:
             raise PolyError("nvars must be positive")
+        if nvars > MAX_VARIABLES:
+            raise PolyError(f"{nvars} variables exceed the supported bound {MAX_VARIABLES}")
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
@@ -83,6 +89,15 @@ class MultiPoly:
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
+
+    @classmethod
+    def _checked(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Wrap an arithmetic result of checked operands: its monomials are
+        valid and its coefficients are Fractions, so only zeros are dropped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", {m: c for m, c in terms.items() if c})
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -131,10 +146,6 @@ class MultiPoly:
             raise PolyError("the zero polynomial has no degree")
         return max(mono_deg(m) for m in self.terms)
 
-    def sorted_terms(self) -> list:
-        """Terms in canonical descending (degree, reverse-colex) order."""
-        return sorted(self.terms.items(), key=lambda t: _canonical_key(t[0]), reverse=True)
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_ring(self, other: "MultiPoly"):
@@ -152,12 +163,12 @@ class MultiPoly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, Fraction(0)) + c
-        return MultiPoly(self.nvars, terms)
+        return MultiPoly._checked(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._checked(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -172,7 +183,7 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return MultiPoly(self.nvars, {m: a * c for m, a in self.terms.items()})
+            return MultiPoly._checked(self.nvars, {m: a * c for m, a in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_ring(other)
@@ -181,7 +192,7 @@ class MultiPoly:
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
                 terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, terms)
+        return MultiPoly._checked(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -234,7 +245,7 @@ class MultiPoly:
                 dm[i - 1] = e - 1
                 dm = tuple(dm)
                 terms[dm] = terms.get(dm, Fraction(0)) + c * e
-        return MultiPoly(self.nvars, terms)
+        return MultiPoly._checked(self.nvars, terms)
 
     def __repr__(self):
         from .parsing import render_poly
@@ -352,20 +363,9 @@ class UniPoly:
         return UniPoly(out)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "UniPoly('0')"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("t" if c == 1 else f"{c}*t")
-            else:
-                parts.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
-        return "UniPoly({!r})".format(" + ".join(parts).replace("+ -", "- "))
+        from .parsing import render_uni
+
+        return f"UniPoly({render_uni(self)!r})"
 
 
 def compose_uni(F: UniPoly, h: MultiPoly) -> MultiPoly:

@@ -197,6 +197,12 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("index", ["65537", "99999999999"])
+    def test_variable_index_out_of_bound(self, capsys, poly_file, index):
+        code, _, err = run(capsys, "decompose", "--poly", poly_file(f"x1 + x{index}\n"))
+        assert code == 1
+        assert "line 1, column 6" in err and "supported bound" in err
+
     def test_data_format_error(self, capsys, poly_file):
         code, _, err = run(
             capsys, "stein", "--data", poly_file("garbage\n", "d.txt"), "--mode", "h"

@@ -5,7 +5,7 @@ import pytest
 
 from closedpoly.orders import GREVLEX, OrderSpec
 from closedpoly.parsing import ParseError, parse_poly, render_poly
-from closedpoly.poly import MultiPoly
+from closedpoly.poly import MAX_VARIABLES, MultiPoly
 
 from conftest import P, random_poly
 
@@ -45,33 +45,44 @@ class TestParse:
         assert parse_poly("x1", min_nvars=3).poly.nvars == 3
 
 
+REJECTED = [  # (text, line, column of the offending token)
+    ("", 1, 1),
+    ("x0", 1, 1),
+    ("x1 +", 1, 5),
+    ("* x1", 1, 1),
+    ("x1 ^", 1, 5),
+    ("x1 ^ x2", 1, 6),
+    ("1/0", 1, 3),
+    ("x1 @ x2", 1, 4),
+    ("2 ** x1", 1, 4),
+    ("x1 x2", 1, 4),
+    ("3/", 1, 3),
+    ("^2", 1, 1),
+    ("x1 +\n\n  x0", 3, 3),
+    ("x1\n@", 2, 1),
+]
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "x0",
-            "x1 +",
-            "* x1",
-            "x1 ^",
-            "x1 ^ x2",
-            "1/0",
-            "x1 @ x2",
-            "2 ** x1",
-            "x1 x2",
-            "3/",
-            "^2",
-        ],
+        "text, line, column", REJECTED, ids=[text for text, _, _ in REJECTED]
     )
-    def test_rejected_with_position(self, text):
+    def test_rejected_with_position(self, text, line, column):
         with pytest.raises(ParseError) as exc:
             parse_poly(text)
-        assert exc.value.line >= 1
-        assert exc.value.column >= 1
+        assert (exc.value.line, exc.value.column) == (line, column)
 
     def test_exponent_overflow(self):
         with pytest.raises(ParseError):
             parse_poly(f"x1^{2**31}")
+
+    @pytest.mark.parametrize("index", [MAX_VARIABLES + 1, 10**8, 99999999999])
+    def test_variable_index_bound(self, index):
+        text = f"x1 +\n 2*x{index}^3"
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert (exc.value.line, exc.value.column) == (2, 4)
+        assert "supported bound" in exc.value.message
 
     def test_position_points_at_offender(self):
         with pytest.raises(ParseError) as exc:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from closedpoly.orders import OrderSpec, normalize
 from closedpoly.poly import (
+    MAX_VARIABLES,
     MultiPoly,
     PolyError,
     UniPoly,
@@ -183,6 +184,40 @@ def test_exponent_overflow_rejected():
         mono_pow((2**30,), 4)
     with pytest.raises(PolyError):
         mono_mul((2**31 - 1,), (1,))
+    with pytest.raises(PolyError):
+        MultiPoly.from_term(1, (2**31 - 1,)) * MultiPoly.variable(1, 1)
+    with pytest.raises(PolyError):
+        MultiPoly.from_term(1, (2**30,)) ** 2
+
+
+def test_variable_count_bound():
+    assert MultiPoly(MAX_VARIABLES).is_zero()
+    with pytest.raises(PolyError):
+        MultiPoly(MAX_VARIABLES + 1)
+    with pytest.raises(PolyError):
+        MultiPoly.zero(10**8)
+
+
+def test_arithmetic_results_are_validated_form():
+    """Results built without re-validation store exactly what the public
+    constructor would: nonzero Fraction coefficients, nothing else."""
+    rng = random.Random(23)
+
+    def assert_valid(r):
+        assert all(type(c) is Fraction and c for c in r.terms.values())
+        assert r == MultiPoly(r.nvars, r.terms)
+
+    for _ in range(150):
+        nvars = rng.randint(1, 3)
+        p = random_poly(rng, nvars, 4, 5, allow_constant=True)
+        q = random_poly(rng, nvars, 4, 5, allow_constant=True)
+        q = rng.choice([q, -p, p, q - p])  # include sums that cancel
+        c = rng.choice([0, 1, -3, Fraction(2, 7)])
+        results = [p + q, p - q, p - p, p * q, p * (q - q), c * p, p * c,
+                   p ** rng.randint(0, 3), (p - q) ** 2, p + c, c - p]
+        results += [p.partial(i) for i in range(1, nvars + 1)]
+        for r in results:
+            assert_valid(r)
 
 
 def test_monomial_enumeration_count():
