@@ -1,78 +1,78 @@
 """Exact rational LP feasibility via phase-1 simplex with Bland's rule.
 
 The instances this package generates are tiny (a few dozen constraints), so
-a dense tableau over `Fraction` is both simple and fast enough.  Bland's
-anticycling rule guarantees termination.
+a dense tableau is simple and fast enough; Bland's anticycling rule
+guarantees termination.  Only this module knows how LP numbers are held:
+callers pass ints or `Fraction`s and get `Fraction`s back.
+
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): integers over one
+common denominator d.  A pivot on (r, e) with p = T[r][e] sets every other
+row to (p*T[i] - T[i][e]*T[r]) // d, then d = p.  Each division is exact,
+because every entry (objective row included) stays a minor of the initial
+integer matrix [A | I | b] and d is the determinant of the current basis.
+`feasible_point` makes the rows integer by one common denominator, not one
+per row: a common scale multiplies the phase-1 objective uniformly, so
+Bland's rule makes the same pivots and returns the same vertex as on the
+rational rows, while per-row scales reweight the artificial variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 
-def _phase_one(rows: list, rhs: list, n: int) -> Optional[list]:
-    """Find x >= 0 with A x = b (A given as Fraction rows/rhs, n columns).
+def _phase_one(rows: list, n: int) -> Optional[list]:
+    """Find x >= 0 with A x = b, given integer rows [a_1, ..., a_n, b].
 
     Returns a feasible x of length n, or None when the system is infeasible.
     """
     m = len(rows)
-    # b must be nonnegative for the artificial start.
-    A = []
-    b = []
-    for row, r in zip(rows, rhs):
-        if r < 0:
-            A.append([-x for x in row])
-            b.append(-r)
-        else:
-            A.append(list(row))
-            b.append(r)
     total = n + m  # real columns then one artificial per row
     tableau = []
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tableau.append(A[i] + art + [b[i]])
-    basis = [n + i for i in range(m)]
+    for i, row in enumerate(rows):
+        sign = -1 if row[-1] < 0 else 1  # b must be nonnegative for the artificial start
+        unit = [int(k == i) for k in range(m)]
+        tableau.append([sign * x for x in row[:-1]] + unit + [sign * row[-1]])
+    basis = list(range(n, total))
     # objective: minimize the artificial sum; reduced costs with the
     # artificial basis priced out.
-    obj = [Fraction(0)] * (total + 1)
-    for j in range(n):
-        obj[j] = -sum(tableau[i][j] for i in range(m))
-    obj[total] = -sum(tableau[i][total] for i in range(m))
+    obj = [-sum(t[j] for t in tableau) for j in range(n)] + [0] * m
+    obj.append(-sum(t[total] for t in tableau))
+    d = 1  # the common denominator of tableau and obj
 
     while True:
         enter = next((j for j in range(total) if obj[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][total] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, t in enumerate(tableau):
+            if t[enter] <= 0:
+                continue
+            if leave is not None:  # t[total] / t[enter] against the best ratio, cross-multiplied
+                diff = t[total] * tableau[leave][enter] - tableau[leave][total] * t[enter]
+            if leave is None or diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                leave = i
         if leave is None:  # pragma: no cover - phase 1 is bounded below
             raise RuntimeError("phase-1 simplex reported an unbounded direction")
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter]:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tableau[leave])]
+        prow = tableau[leave]
+        p = prow[enter]
+        for i, t in enumerate(tableau):
+            if i != leave:
+                f = t[enter]
+                tableau[i] = [(p * x - f * y) // d for x, y in zip(t, prow)]
+        f = obj[enter]
+        obj = [(p * x - f * y) // d for x, y in zip(obj, prow)]
         basis[leave] = enter
+        d = p
 
     if obj[total] != 0:
         return None
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tableau[i][total]
+            x[var] = Fraction(tableau[i][total], d)
     return x
 
 
@@ -85,21 +85,14 @@ def feasible_point(
 ) -> Optional[list]:
     """Find x >= 0 (length n) with A_eq x = b_eq and A_ge x >= b_ge, or None.
 
-    Inequalities get surplus variables; everything is solved by one phase-1
-    run.
+    Entries are ints or Fractions.  Inequalities get surplus variables;
+    everything is solved by one phase-1 run.
     """
-    rows = []
-    rhs = []
     n_ge = len(A_ge)
-    for row, r in zip(A_eq, b_eq):
-        rows.append([Fraction(x) for x in row] + [Fraction(0)] * n_ge)
-        rhs.append(Fraction(r))
+    rows = [[*row, *[0] * n_ge, r] for row, r in zip(A_eq, b_eq)]
     for i, (row, r) in enumerate(zip(A_ge, b_ge)):
-        surplus = [Fraction(0)] * n_ge
-        surplus[i] = Fraction(-1)
-        rows.append([Fraction(x) for x in row] + surplus)
-        rhs.append(Fraction(r))
-    sol = _phase_one(rows, rhs, n + n_ge)
-    if sol is None:
-        return None
-    return sol[:n]
+        rows.append([*row, *(-int(k == i) for k in range(n_ge)), r])
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    sol = _phase_one([[x.numerator * (scale // x.denominator) for x in row] for row in rows],
+                     n + n_ge)
+    return None if sol is None else sol[:n]

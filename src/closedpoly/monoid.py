@@ -10,7 +10,6 @@ generated by A.  Exact for two variables; a documented heuristic beyond.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .linprog import feasible_point
@@ -67,9 +66,8 @@ def cone_member(v, gens: MonoidGens) -> bool:
     if not any(v):
         return True
     gen_list = sorted(gens.gens)
-    A_eq = [[Fraction(g[s]) for g in gen_list] for s in range(gens.nvars)]
-    b_eq = [Fraction(e) for e in v]
-    return feasible_point(len(gen_list), A_eq=A_eq, b_eq=b_eq) is not None
+    A_eq = [[g[s] for g in gen_list] for s in range(gens.nvars)]
+    return feasible_point(len(gen_list), A_eq=A_eq, b_eq=v) is not None
 
 
 def _cone_points(gens: MonoidGens, cap: int) -> list:

@@ -61,13 +61,8 @@ def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[WeightVector]:
         return WeightVector(weights=(Fraction(1),) * n)
     # substitute w = 1 + y with y >= 0 so the LP variables are nonnegative:
     # <w, v-u> >= 1  becomes  <y, v-u> >= 1 - <1, v-u>.
-    A_ge = []
-    b_ge = []
-    for u in others:
-        diff = [Fraction(a - b) for a, b in zip(v, u)]
-        A_ge.append(diff)
-        b_ge.append(Fraction(1) - sum(diff))
-    y = feasible_point(n, A_ge=A_ge, b_ge=b_ge)
+    A_ge = [[a - b for a, b in zip(v, u)] for u in others]
+    y = feasible_point(n, A_ge=A_ge, b_ge=[1 - sum(diff) for diff in A_ge])
     if y is None:
         return None
     return WeightVector(weights=tuple(Fraction(1) + yi for yi in y))
@@ -79,15 +74,8 @@ def _is_hull_vertex(p: Monomial, points: list) -> bool:
     others = [q for q in points if q != p]
     if not others:
         return True
-    dim = len(p)
-    A_eq = []
-    b_eq = []
-    for s in range(dim):
-        A_eq.append([Fraction(q[s]) for q in others])
-        b_eq.append(Fraction(p[s]))
-    A_eq.append([Fraction(1)] * len(others))
-    b_eq.append(Fraction(1))
-    return feasible_point(len(others), A_eq=A_eq, b_eq=b_eq) is None
+    A_eq = [[q[s] for q in others] for s in range(len(p))] + [[1] * len(others)]
+    return feasible_point(len(others), A_eq=A_eq, b_eq=[*p, 1]) is None
 
 
 def _dominated(v: Monomial, by: Monomial) -> bool:
@@ -104,11 +92,8 @@ def _dominating_combination(v: Monomial, others: list) -> Optional[list]:
     meeting the nonnegative orthant away from the origin."""
     if not others:
         return None
-    A_eq = [[Fraction(1)] * len(others)]
-    b_eq = [Fraction(1)]
-    A_ge = [[Fraction(q[s]) for q in others] for s in range(len(v))]
-    b_ge = [Fraction(e) for e in v]
-    return feasible_point(len(others), A_eq=A_eq, b_eq=b_eq, A_ge=A_ge, b_ge=b_ge)
+    A_ge = [[q[s] for q in others] for s in range(len(v))]
+    return feasible_point(len(others), A_eq=[[1] * len(others)], b_eq=[1], A_ge=A_ge, b_ge=v)
 
 
 def v0_combinatorial(f: MultiPoly) -> set:

@@ -16,11 +16,12 @@ requested monomial order and is always re-parseable.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .orders import OrderSpec, sort_key
-from .poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, UniPoly, mono_unit
+from .poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, UniPoly, check_nvars, mono_unit
 
 
 class ParseError(ValueError):
@@ -39,6 +40,7 @@ class ParsedInput:
 
 
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x\d+)|(?P<num>\d+)|(?P<op>[-+*/^])")
+_BOUND_DIGITS = len(str(max(MAX_EXPONENT, MAX_VARIABLES)))
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -119,14 +121,33 @@ class _Parser:
         key = tuple(sorted(exps.items()))
         terms[key] = terms.get(key, Fraction(0)) + coeff
 
+    def integer(self) -> int:
+        """Read a number token (coefficients have no bound of their own)."""
+        tok = self.advance()
+        try:
+            return int(tok[1])
+        except ValueError:  # past Python's int-string conversion limit
+            limit = sys.get_int_max_str_digits()
+            self.fail(f"a number of {len(tok[1])} digits exceeds the limit of {limit} digits", tok)
+
+    def bounded(self, tok: tuple, digits: str, bound: int, message: str) -> int:
+        """int(digits), or a ParseError at tok above bound; a run longer than every
+        bound, leading zeros aside, is rejected by its length before int()."""
+        if len(digits) > _BOUND_DIGITS:
+            digits = digits.lstrip("0") or "0"
+        value = int(digits) if len(digits) <= _BOUND_DIGITS else bound + 1
+        if value > bound:
+            self.fail(message.format(digits.lstrip("0"), bound), tok)
+        return value
+
     def coeff(self) -> Fraction:
-        num = int(self.advance()[1])
+        num = self.integer()
         if self.peek()[0] == "/":
             self.advance()
             tok = self.peek()
             if tok[0] != "num":
                 self.fail("expected a denominator after '/'")
-            den = int(self.advance()[1])
+            den = self.integer()
             if den == 0:
                 self.fail("denominator must be positive", tok)
             return Fraction(num, den)
@@ -148,11 +169,10 @@ class _Parser:
         if tok[0] != "var":
             self.fail(f"expected a variable, got {tok[1] or 'end of input'!r}")
         self.advance()
-        index = int(tok[1][1:])
+        index = self.bounded(tok, tok[1][1:], MAX_VARIABLES,
+                             "variable index {0} exceeds the supported bound {1}")
         if index == 0:
             self.fail("variable index 0 is not allowed", tok)
-        if index > MAX_VARIABLES:
-            self.fail(f"variable index {index} exceeds the supported bound {MAX_VARIABLES}", tok)
         power = 1
         if self.peek()[0] == "^":
             self.advance()
@@ -160,9 +180,8 @@ class _Parser:
             if ptok[0] != "num":
                 self.fail("expected an exponent after '^'")
             self.advance()
-            power = int(ptok[1])
-            if power > MAX_EXPONENT:
-                self.fail(f"exponent {power} exceeds the supported bound", ptok)
+            power = self.bounded(ptok, ptok[1], MAX_EXPONENT,
+                                 "exponent {0} exceeds the supported bound")
         total = exps.get(index, 0) + power
         if total > MAX_EXPONENT:
             self.fail(f"accumulated exponent for x{index} exceeds the supported bound", tok)
@@ -173,9 +192,7 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
     """Parse a polynomial expression; nvars is the largest variable index
     seen (at least ``min_nvars``)."""
     terms = _Parser(text).parse()
-    nvars = max(
-        [min_nvars] + [idx for key in terms for idx, _ in key]
-    )
+    nvars = check_nvars(max([min_nvars] + [idx for key in terms for idx, _ in key]))
     full = {}
     for key, coeff in terms.items():
         exps = [0] * nvars

@@ -48,6 +48,15 @@ def _check_exponent(e: int) -> int:
     return e
 
 
+def check_nvars(nvars: int) -> int:
+    """Reject nvars outside 1..MAX_VARIABLES, before anything nvars long is built."""
+    if nvars < 1:
+        raise PolyError("nvars must be positive")
+    if nvars > MAX_VARIABLES:
+        raise PolyError(f"{nvars} variables exceed the supported bound {MAX_VARIABLES}")
+    return nvars
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if len(a) != len(b):
         raise PolyError("monomial length mismatch")
@@ -66,10 +75,7 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Scalar] | None = None):
-        if nvars < 1:
-            raise PolyError("nvars must be positive")
-        if nvars > MAX_VARIABLES:
-            raise PolyError(f"{nvars} variables exceed the supported bound {MAX_VARIABLES}")
+        check_nvars(nvars)
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
@@ -107,14 +113,14 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, c: Scalar) -> "MultiPoly":
-        return cls(nvars, {mono_unit(nvars): Fraction(c)})
+        return cls(nvars, {mono_unit(check_nvars(nvars)): Fraction(c)})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
         """The variable x_i (1-based)."""
         if not 1 <= i <= nvars:
             raise PolyError(f"variable index {i} out of range 1..{nvars}")
-        exps = [0] * nvars
+        exps = [0] * check_nvars(nvars)
         exps[i - 1] = 1
         return cls(nvars, {tuple(exps): Fraction(1)})
 

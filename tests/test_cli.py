@@ -203,6 +203,16 @@ class TestExitCodes:
         assert code == 1
         assert "line 1, column 6" in err and "supported bound" in err
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("x1^" + "9" * 5000, 4), ("x1 + " + "9" * 5000, 6)],
+        ids=["exponent", "coefficient"],
+    )
+    def test_over_long_digit_run(self, capsys, poly_file, text, column):
+        code, _, err = run(capsys, "decompose", "--poly", poly_file(text + "\n"))
+        assert code == 1
+        assert f"line 1, column {column}" in err
+
     def test_data_format_error(self, capsys, poly_file):
         code, _, err = run(
             capsys, "stein", "--data", poly_file("garbage\n", "d.txt"), "--mode", "h"

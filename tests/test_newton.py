@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +21,41 @@ from closedpoly.poly import MultiPoly, PolyError
 from conftest import P, random_poly
 
 GL = OrderSpec()
+
+
+def _independent_solution(columns, rhs):
+    """z with sum_j z_j * columns[j] == rhs, when the columns are linearly
+    independent and the system is consistent; else None (Fraction Gaussian
+    elimination)."""
+    k = len(columns)
+    M = [[Fraction(col[i]) for col in columns] + [Fraction(b)] for i, b in enumerate(rhs)]
+    for c in range(k):
+        r = next((r for r in range(c, len(M)) if M[r][c]), None)
+        if r is None:
+            return None
+        M[c], M[r] = M[r], M[c]
+        M[c] = [x / M[c][c] for x in M[c]]
+        for i, row in enumerate(M):
+            if i != c and row[c]:
+                M[i] = [x - row[c] * y for x, y in zip(row, M[c])]
+    if any(row[k] for row in M[k:]):
+        return None
+    return [row[k] for row in M[:k]]
+
+
+def _feasible_by_enumeration(n, A_eq, b_eq, A_ge, b_ge):
+    """Whether some basic solution of [A_eq 0; A_ge -I] (x, s) = b is >= 0.
+    A nonempty {z >= 0 : M z = b} has such a vertex, with independent columns."""
+    rows = [list(r) + [0] * len(A_ge) for r in A_eq]
+    rows += [list(r) + [-(i == j) for j in range(len(A_ge))] for i, r in enumerate(A_ge)]
+    rhs = list(b_eq) + list(b_ge)
+    columns = [[row[j] for row in rows] for j in range(n + len(A_ge))]
+    for size in range(len(rhs) + 1):
+        for support in combinations(columns, size):
+            z = _independent_solution(support, rhs)
+            if z is not None and all(v >= 0 for v in z):
+                return True
+    return False
 
 
 class TestLinprog:
@@ -45,6 +81,49 @@ class TestLinprog:
     def test_infeasible_inequalities(self):
         # x <= 1 and x >= 2 cannot both hold
         assert feasible_point(1, A_ge=[[-1], [1]], b_ge=[-1, 2]) is None
+
+    def test_agrees_with_basic_solution_enumeration(self):
+        rng = random.Random(404)
+
+        def entry():
+            k = rng.random()
+            if k < 0.25:
+                return 0
+            if k < 0.6:
+                return rng.randint(-5, 5)
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+        feasible = 0
+        for _ in range(600):
+            n = rng.randint(1, 4)
+            A_eq = [[entry() for _ in range(n)] for _ in range(rng.randint(0, 3))]
+            A_ge = [[entry() for _ in range(n)] for _ in range(rng.randint(0, 3))]
+            b_eq = [entry() for _ in A_eq]
+            b_ge = [entry() for _ in A_ge]
+            x = feasible_point(n, A_eq=A_eq, b_eq=b_eq, A_ge=A_ge, b_ge=b_ge)
+            assert (x is not None) == _feasible_by_enumeration(n, A_eq, b_eq, A_ge, b_ge)
+            if x is None:
+                continue
+            feasible += 1
+            assert len(x) == n and all(type(v) is Fraction and v >= 0 for v in x)
+            for row, b in zip(A_eq, b_eq):
+                assert sum(a * v for a, v in zip(row, x)) == b
+            for row, b in zip(A_ge, b_ge):
+                assert sum(a * v for a, v in zip(row, x)) >= b
+        assert 150 < feasible < 450
+
+    def test_returned_vertex_is_pinned(self):
+        # Bland's rule on rows scaled by one common denominator ends at the
+        # vertex of the unscaled LP; scaling each row by its own denominator
+        # would end at [19, 43/3, 0, 0, 0, 0].
+        x = feasible_point(
+            6,
+            A_eq=[[7, -9, -2, 5, -5, 2]],
+            b_eq=[4],
+            A_ge=[[-2, 3, -2, -3, -6, Fraction(-1, 7)], [1, 6, -2, -6, 9, 4]],
+            b_ge=[5, Fraction(7, 3)],
+        )
+        assert x == [0, Fraction(74, 33), 0, 0, 0, Fraction(133, 11)]
 
 
 class TestMultiplicity:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -60,12 +61,17 @@ REJECTED = [  # (text, line, column of the offending token)
     ("^2", 1, 1),
     ("x1 +\n\n  x0", 3, 3),
     ("x1\n@", 2, 1),
+    # digit runs past Python's 4,300-digit int-string conversion limit
+    ("x1 + x1^" + "9" * 5000, 1, 9),
+    ("x1 +\n x" + "9" * 5000, 2, 2),
+    ("x1 - " + "9" * 5000 + "*x1", 1, 6),
+    ("x1 + 1/" + "7" * 5000, 1, 8),
 ]
 
 
 class TestParseErrors:
     @pytest.mark.parametrize(
-        "text, line, column", REJECTED, ids=[text for text, _, _ in REJECTED]
+        "text, line, column", REJECTED, ids=[text[:40] for text, _, _ in REJECTED]
     )
     def test_rejected_with_position(self, text, line, column):
         with pytest.raises(ParseError) as exc:
@@ -83,6 +89,16 @@ class TestParseErrors:
             parse_poly(text)
         assert (exc.value.line, exc.value.column) == (2, 4)
         assert "supported bound" in exc.value.message
+
+    def test_over_long_coefficient_names_the_limit(self):
+        with pytest.raises(ParseError) as exc:
+            parse_poly("9" * 5000 + "*x1")
+        limit = sys.get_int_max_str_digits()
+        assert exc.value.message == f"a number of 5000 digits exceeds the limit of {limit} digits"
+
+    def test_leading_zeros_do_not_count(self):
+        zeros = "0" * 5000
+        assert parse_poly(f"x{zeros}2^{zeros}3").poly == P("x2^3")
 
     def test_position_points_at_offender(self):
         with pytest.raises(ParseError) as exc:

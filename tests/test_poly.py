@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,26 @@ def test_variable_count_bound():
         MultiPoly(MAX_VARIABLES + 1)
     with pytest.raises(PolyError):
         MultiPoly.zero(10**8)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: P("x1 + x2", min_nvars=10**6),
+        lambda: MultiPoly.constant(10**6, 1),
+        lambda: MultiPoly.variable(10**6, 1),
+    ],
+    ids=["parse_poly", "constant", "variable"],
+)
+def test_variable_count_rejected_before_allocation(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(PolyError, match="supported bound"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_arithmetic_results_are_validated_form():
