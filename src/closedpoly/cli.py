@@ -56,6 +56,22 @@ def _rat(x: Fraction) -> str:
     return str(x)
 
 
+def _rational_arg(flag: str, text: str) -> Fraction:
+    """Convert one rational option value; a bad value is a domain error that
+    names the option."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag}: zero denominator in {text!r}") from None
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if len(text) > limit:
+            raise ValueError(
+                f"{flag}: a value of {len(text)} characters exceeds the limit of {limit} digits"
+            ) from None
+        raise ValueError(f"{flag}: {text!r} is not a rational number") from None
+
+
 def _emit(args, payload: dict, human_lines: list):
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -189,7 +205,7 @@ def _shift_str(lam: Fraction, mult: int) -> str:
 def _cmd_family(args) -> int:
     f = _load_poly(args.poly)
     order = _order_from_args(args)
-    mu = Fraction(args.mu)
+    mu = _rational_arg("--mu", args.mu)
     result = generative(f, order)
     fam = factor_shift(result, mu)
     if not fam.verified:
@@ -216,7 +232,7 @@ def _cmd_family(args) -> int:
         f"verified: {fam.verified}",
     ]
     if args.eh is not None:
-        e_h = [Fraction(s) for s in args.eh.split(",") if s.strip()]
+        e_h = [_rational_arg("--eh", s) for s in args.eh.split(",") if s.strip()]
         image = sorted(exceptional_image(result.F, e_h))
         payload["E_h"] = [_rat(x) for x in e_h]
         payload["E_f"] = [_rat(x) for x in image]

@@ -1,10 +1,13 @@
 """Saturation of monomial subalgebras at the exponent-monoid level.
 
 The saturated semigroup of a generator set A is the set of lattice points
-in the rational cone spanned by A.  Up to a coordinate-sum bound we
-enumerate those points, reduce to the irreducible ones (the Hilbert-basis
-elements within the bound), and compare against the monoid actually
-generated by A.  Exact for two variables; a documented heuristic beyond.
+in the rational cone spanned by A.  Up to a coordinate-sum bound, its
+minimal generators come from one sieve over the lattice points: a point
+is reducible iff it is a lower-degree basis element plus a cone point,
+and only the other points need a cone-membership LP.  An irreducible
+element of the monoid generated by A is an element of A, so A is
+saturated iff that basis lies in A.  Exact for two variables; a
+documented heuristic beyond.
 """
 
 from __future__ import annotations
@@ -70,37 +73,28 @@ def cone_member(v, gens: MonoidGens) -> bool:
     return feasible_point(len(gen_list), A_eq=A_eq, b_eq=v) is not None
 
 
-def _cone_points(gens: MonoidGens, cap: int) -> list:
-    if comb(gens.bound + gens.nvars, gens.nvars) > cap:
-        raise EnumerationCapExceeded(
-            f"lattice-point scan up to degree {gens.bound} exceeds the cap of {cap}"
-        )
-    return [
-        p
-        for p in monomials_of_degree_at_most(gens.nvars, gens.bound)
-        if any(p) and cone_member(p, gens)
-    ]
-
-
-def saturation_generators(gens: MonoidGens, cap: int = DEFAULT_POINT_CAP) -> set:
+def saturation_generators(gens: MonoidGens) -> set:
     """Minimal generators of the saturated semigroup, up to the bound.
 
-    A cone lattice point is kept iff it is not the sum of two nonzero cone
-    lattice points; any decomposition has both parts under the bound, so
-    the irreducibility test is exact for the points returned.
+    The lattice points are visited in lexicographic order, so every point
+    componentwise below p, all of lower degree, comes before p.  A nonzero
+    point p is reducible, and so in the cone, iff p - b is a cone point
+    already seen for some basis element b found so far: a sum of nonzero
+    cone points is also a basis element plus a nonzero cone point, both
+    below p.  Only the other points go to the cone-membership LP, and those
+    inside the cone are exactly the basis.  Raises EnumerationCapExceeded
+    before any point is visited when the scan would exceed DEFAULT_POINT_CAP.
     """
-    points = _cone_points(gens, cap)
-    point_set = set(points)
+    if comb(gens.bound + gens.nvars, gens.nvars) > DEFAULT_POINT_CAP:
+        raise EnumerationCapExceeded(f"lattice-point scan up to degree {gens.bound} "
+                                     f"exceeds the cap of {DEFAULT_POINT_CAP}")
+    seen = set()  # nonzero cone points visited so far
     basis = set()
-    for p in points:
-        reducible = False
-        for q in points:
-            if all(a <= b for a, b in zip(q, p)) and q != p:
-                remainder = tuple(b - a for a, b in zip(q, p))
-                if any(remainder) and remainder in point_set:
-                    reducible = True
-                    break
-        if not reducible:
+    for p in monomials_of_degree_at_most(gens.nvars, gens.bound):
+        if any(tuple(a - c for a, c in zip(p, b)) in seen for b in basis):
+            seen.add(p)
+        elif any(p) and cone_member(p, gens):
+            seen.add(p)
             basis.add(p)
     return basis
 
@@ -122,8 +116,11 @@ def monoid_members(gens: MonoidGens) -> set:
     return reached
 
 
-def is_saturated(gens: MonoidGens, cap: int = DEFAULT_POINT_CAP) -> bool:
-    """True iff every saturation generator already lies in the monoid
-    generated by gens."""
-    members = monoid_members(gens)
-    return all(v in members for v in saturation_generators(gens, cap))
+def is_saturated(gens: MonoidGens) -> bool:
+    """True iff the monoid generated by gens is saturated up to the bound.
+
+    Every generator is a cone point under the bound, so a saturation
+    generator that lies in the generated monoid is irreducible there and
+    must be a single generator.
+    """
+    return saturation_generators(gens) <= gens.gens

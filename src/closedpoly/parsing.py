@@ -8,9 +8,10 @@ Grammar (whitespace-insensitive):
     mono   := factor ( '*' factor )*
     factor := 'x' posint [ '^' nonneg-int ]
 
-Variables are x1, x2, ...; the variable count is inferred as the largest
-index that appears.  Rendered output sorts terms descending under the
-requested monomial order and is always re-parseable.
+Integers are runs of the ASCII digits 0-9.  Variables are x1, x2, ...;
+the variable count is inferred as the largest index that appears.
+Rendered output sorts terms descending under the requested monomial
+order and is always re-parseable.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class ParsedInput:
     source: str
 
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x\d+)|(?P<num>\d+)|(?P<op>[-+*/^])")
+_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x[0-9]+)|(?P<num>[0-9]+)|(?P<op>[-+*/^])")
 _BOUND_DIGITS = len(str(max(MAX_EXPONENT, MAX_VARIABLES)))
 
 

@@ -383,7 +383,8 @@ def compose_uni(F: UniPoly, h: MultiPoly) -> MultiPoly:
 
 
 def monomials_of_degree_at_most(nvars: int, bound: int) -> Iterator[Monomial]:
-    """All exponent vectors in nvars variables with coordinate sum ≤ bound."""
+    """All exponent vectors in nvars variables with coordinate sum ≤ bound,
+    in ascending lexicographic order (monoid's sieve relies on it)."""
     if nvars == 1:
         for d in range(bound + 1):
             yield (d,)

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,29 @@ class TestExitCodes:
         code, _, err = run(capsys, "decompose", "--poly", poly_file("7\n"))
         assert code == 2
         assert "error:" in err
+
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--mu", "1/0"], "error: --mu: zero denominator in '1/0'"),
+            (["--mu", "1/4", "--eh", "0,-1/0"], "error: --eh: zero denominator in '-1/0'"),
+            (["--mu", "abc"], "error: --mu: 'abc' is not a rational number"),
+            (["--mu", "1", "--eh", "0,x1"], "error: --eh: 'x1' is not a rational number"),
+            (["--mu", "9" * 5000],
+             f"error: --mu: a value of 5000 characters exceeds the limit of {LIMIT} digits"),
+            (["--mu", "1", "--eh", "1/" + "7" * 5000],
+             f"error: --eh: a value of 5002 characters exceeds the limit of {LIMIT} digits"),
+        ],
+        ids=["mu-zero-denominator", "eh-zero-denominator", "mu-malformed", "eh-malformed",
+             "mu-over-long", "eh-over-long"],
+    )
+    def test_bad_rational_argument(self, capsys, poly_file, args, message):
+        code, out, err = run(capsys, "family", "--poly", poly_file(EX1), *args)
+        assert code == 2
+        assert out == ""
+        assert err == message + "\n"
 
     def test_bad_gens(self, capsys):
         code, _, err = run(capsys, "saturate", "--gens", "1,0;1")

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
+import closedpoly.monoid
 from closedpoly.monoid import (
+    DEFAULT_POINT_CAP,
     EnumerationCapExceeded,
     MonoidError,
     MonoidGens,
@@ -9,10 +13,42 @@ from closedpoly.monoid import (
     monoid_members,
     saturation_generators,
 )
+from closedpoly.poly import monomials_of_degree_at_most
 
 
 def gens2(*vectors, bound=0):
     return MonoidGens(nvars=2, gens=frozenset(vectors), bound=bound)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts the cone_member calls made through the monoid module."""
+    calls = []
+    real = closedpoly.monoid.cone_member
+
+    def counting(v, gens):
+        calls.append(tuple(v))
+        return real(v, gens)
+
+    monkeypatch.setattr(closedpoly.monoid, "cone_member", counting)
+    return calls
+
+
+def pointwise_saturation(g):
+    """The bounded definition point by point: one LP per lattice point, a cone
+    point is kept iff it is not the sum of two nonzero cone points, and g is
+    saturated iff every kept point lies in the generated monoid."""
+    points = [
+        p for p in monomials_of_degree_at_most(g.nvars, g.bound) if any(p) and cone_member(p, g)
+    ]
+    point_set = set(points)
+    basis = {
+        p
+        for p in points
+        if not any(tuple(a - b for a, b in zip(p, q)) in point_set for q in points)
+    }
+    members = monoid_members(g)
+    return basis, all(v in members for v in basis)
 
 
 class TestConeMember:
@@ -58,10 +94,36 @@ class TestSaturationGenerators:
         assert saturation_generators(g) == {(1, 0), (0, 1)}
         assert not is_saturated(g)
 
-    def test_cap(self):
-        g = MonoidGens(nvars=4, gens=frozenset({(30, 0, 0, 0), (0, 30, 0, 0)}))
-        with pytest.raises(EnumerationCapExceeded):
-            saturation_generators(g, cap=100)
+    def test_cap(self, lp_calls):
+        g = MonoidGens(nvars=4, gens=frozenset({(100, 0, 0, 0), (0, 100, 0, 0)}))
+        with pytest.raises(EnumerationCapExceeded, match=f"cap of {DEFAULT_POINT_CAP}"):
+            saturation_generators(g)
+        assert lp_calls == []
+
+    @pytest.mark.parametrize("m", [5, 20, 80])
+    def test_lp_only_where_reduction_fails(self, lp_calls, m):
+        # The m + 1 points (0, j) outside the cone and the m + 1 basis points
+        # (1, j) need an LP; every other cone point reduces against the basis.
+        assert saturation_generators(gens2((1, 0), (1, m))) == {(1, j) for j in range(m + 1)}
+        assert len(lp_calls) == 2 * (m + 1)
+
+    def test_agrees_with_pointwise_definition(self):
+        rng = random.Random(2026)
+        max_entry = {2: 4, 3: 2, 4: 2}
+        for _ in range(300):
+            nvars = rng.randint(2, 4)
+            count = rng.randint(1, 4)
+            vectors = set()
+            while len(vectors) < count:
+                v = tuple(rng.randint(0, max_entry[nvars]) for _ in range(nvars))
+                if 0 < sum(v) <= 5:
+                    vectors.add(v)
+            degree = max(sum(v) for v in vectors)
+            bound = rng.choice([0, degree + rng.randint(0, 2)])
+            g = MonoidGens(nvars=nvars, gens=frozenset(vectors), bound=bound)
+            basis, saturated = pointwise_saturation(g)
+            assert saturation_generators(g) == basis, g
+            assert is_saturated(g) is saturated, g
 
 
 class TestInvariants:

@@ -61,6 +61,7 @@ REJECTED = [  # (text, line, column of the offending token)
     ("^2", 1, 1),
     ("x1 +\n\n  x0", 3, 3),
     ("x1\n@", 2, 1),
+    ("x1 + \u0661\u0662", 1, 6),  # Arabic-Indic digits are outside the grammar
     # digit runs past Python's 4,300-digit int-string conversion limit
     ("x1 + x1^" + "9" * 5000, 1, 9),
     ("x1 +\n x" + "9" * 5000, 2, 2),
@@ -95,6 +96,11 @@ class TestParseErrors:
             parse_poly("9" * 5000 + "*x1")
         limit = sys.get_int_max_str_digits()
         assert exc.value.message == f"a number of 5000 digits exceeds the limit of {limit} digits"
+
+    def test_non_ascii_digit_is_unexpected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_poly("x1 + \u0661\u0662")
+        assert exc.value.message == "unexpected character '\u0661'"
 
     def test_leading_zeros_do_not_count(self):
         zeros = "0" * 5000
