@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .decompose import generative, has_fast_path
+from .decompose import generative
 from .depend import jacobian_minors
 from .family import (
     DataFormatError,
@@ -26,8 +26,8 @@ from .family import (
     stein_check,
 )
 from .monoid import MonoidError, MonoidGens, is_saturated, saturation_generators
-from .newton import newton_summary, realizing_weights
-from .orders import GREVLEX, GRLEX, MonomialCapExceeded, OrderError, OrderSpec
+from .newton import divisor_sequence, newton_summary, realizing_weights
+from .orders import GREVLEX, GRLEX, MonomialCapExceeded, OrderError, OrderSpec, normalize
 from .parsing import ParseError, parse_poly, render_poly, render_uni
 from .poly import MultiPoly, PolyError
 
@@ -119,8 +119,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_is_closed(args) -> int:
     f = _load_poly(args.poly)
     order = _order_from_args(args)
-    fast = has_fast_path(f, order)
-    closed = True if fast else generative(f, order).closed
+    fast = not divisor_sequence(normalize(f, order).core, order)
+    closed = fast or generative(f, order).closed
     payload = {
         "command": "is-closed",
         "input": render_poly(f, order),

@@ -143,10 +143,3 @@ def generative(
 def is_closed(f: MultiPoly, order: OrderSpec = OrderSpec()) -> bool:
     """True iff f admits no representation F(g) with deg F > 1."""
     return generative(f, order).closed
-
-
-def has_fast_path(f: MultiPoly, order: OrderSpec = OrderSpec()) -> bool:
-    """True when closedness follows from the leading multiplicity alone."""
-    nf = normalize(f, order)
-    lm, _ = leading_term(nf.core, order)
-    return multiplicity(lm) == 1

@@ -8,6 +8,7 @@ image of the (user-supplied) exceptional set of h.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,52 +34,56 @@ class FamilyFactorization:
         return sum(mult for _, mult in self.shifts)
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+def _horner(c: list, x: int) -> int:
+    """c(x) for integer coefficients c, lowest degree first."""
+    acc = 0
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
+
+
+def _brackets(g: list, bound: int) -> list:
+    """Sorted integers in [-bound, bound] holding the floor and ceiling of each real
+    root of g, if g and its derivatives have all real roots inside the bound (by
+    Gauss-Lucas, true of g's Cauchy bound).  Between brackets of g^(k+1) more than
+    1 apart, g^(k) is monotone, so one integer bisection finds its root there."""
+    edges, binom = [-bound, bound], []
+    for k in reversed(range(len(g))):
+        binom = [1] + [b * (k + 1) // (j + 1) for j, b in enumerate(binom)]  # comb(k + j, k)
+        c = [b * a for b, a in zip(binom, g[k:])]  # g^(k) / k!
+        for lo, hi in list(zip(edges, edges[1:])):
+            at_lo = _horner(c, lo)
+            while hi - lo > 1 and at_lo * _horner(c, hi) < 0:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if at_lo * _horner(c, mid) > 0 else (lo, mid)
+            edges += (lo, hi)
+        edges = sorted(set(edges))
+    return edges
 
 
 def rational_roots(G: UniPoly) -> list:
-    """All rational roots of G with multiplicities, sorted descending."""
+    """All rational roots of G with multiplicities, sorted descending.
+
+    With G scaled to primitive integers a_i, a_n > 0, they are the u / a_n for
+    the integer roots u of the monic g_i = a_i a_n^(n-1-i)."""
     if G.is_zero():
         raise PolyError("the zero polynomial has every root")
     if G.degree() == 0:
         return []
     denominator_lcm = lcm(*(c.denominator for c in G.coeffs))
     ints = [int(c * denominator_lcm) for c in G.coeffs]
-    # factor out t^m first: the root 0 with multiplicity m
-    zero_mult = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        zero_mult += 1
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    lead, n = ints[-1] // content, len(ints) - 1
+    g = [a // content * lead ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
+    reduced = UniPoly(g)
     roots = []
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if len(ints) > 1:
-        a0, an = ints[0], ints[-1]
-        candidates = set()
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                if gcd(p, q) == 1:
-                    candidates.add(Fraction(p, q))
-                    candidates.add(Fraction(-p, q))
-        reduced = UniPoly(ints)
-        for cand in candidates:
-            mult = 0
-            while not reduced.is_zero() and reduced.degree() >= 1 and reduced.evaluate(cand) == 0:
-                reduced = reduced.deflate(cand)
-                mult += 1
-            if mult:
-                roots.append((cand, mult))
-    roots.sort(key=lambda rm: rm[0], reverse=True)
+    for u in reversed(_brackets(g, 1 + max(map(abs, g)))):
+        mult = 0
+        while reduced.evaluate(u) == 0:
+            reduced = reduced.deflate(u)
+            mult += 1
+        if mult:
+            roots.append((Fraction(u, lead), mult))
     return roots
 
 
@@ -91,14 +96,12 @@ def factor_shift(result: DecompositionResult, mu) -> FamilyFactorization:
     if G.is_zero() or G.degree() == 0:
         raise PolyError("F + mu must be non-constant")
     alpha = G.leading_coefficient()
-    monic = (1 / alpha) * G
-    residual = monic
+    residual = (1 / alpha) * G
     shifts = []
-    for root, mult in rational_roots(monic):
+    for root, mult in reversed(rational_roots(residual)):  # so the shifts -root descend
         for _ in range(mult):
             residual = residual.deflate(root)
         shifts.append((-root, mult))
-    shifts.sort(key=lambda sm: sm[0], reverse=True)
     product = MultiPoly.constant(h.nvars, alpha)
     for lam, mult in shifts:
         product = product * (h + lam) ** mult
@@ -219,9 +222,11 @@ def parse_decomposition_data(text: str, d: Optional[int] = None) -> Decompositio
             try:
                 shift = Fraction(shift_text)
             except (ValueError, ZeroDivisionError):
-                raise DataFormatError(
-                    f"line {lineno}: bad shift value {shift_text!r}"
-                ) from None
+                limit = sys.get_int_max_str_digits()
+                if len(shift_text) > limit:
+                    raise DataFormatError(f"line {lineno}: a shift value of {len(shift_text)} "
+                                          f"characters exceeds the limit of {limit} digits") from None
+                raise DataFormatError(f"line {lineno}: bad shift value {shift_text!r}") from None
         factors = []
         for piece in factors_text.split(","):
             piece = piece.strip()

@@ -6,8 +6,8 @@ minimal generators come from one sieve over the lattice points: a point
 is reducible iff it is a lower-degree basis element plus a cone point,
 and only the other points need a cone-membership LP.  An irreducible
 element of the monoid generated by A is an element of A, so A is
-saturated iff that basis lies in A.  Exact for two variables; a
-documented heuristic beyond.
+saturated iff that basis lies in A.  The default bound makes this exact;
+a lower explicit bound is a documented heuristic beyond two variables.
 """
 
 from __future__ import annotations
@@ -48,15 +48,22 @@ class MonoidGens:
             if not any(g):
                 raise MonoidError("the zero vector is not a valid generator")
         object.__setattr__(self, "gens", gens)
-        bound = self.bound or max(sum(g) for g in gens)
-        if bound < max(sum(g) for g in gens):
+        largest = max(sum(g) for g in gens)
+        bound = self.bound or (largest if self.nvars <= 2 else max(largest, self._complete_bound))
+        if bound < largest:
             raise MonoidError("bound is below the largest generator degree")
         object.__setattr__(self, "bound", bound)
 
     @property
+    def _complete_bound(self) -> int:
+        """By Carathéodory, a Hilbert-basis element that is not a generator is a
+        sum of lambda_i g_i with lambda_i < 1 over linearly independent g_i."""
+        return sum(sorted(sum(g) for g in self.gens)[-self.nvars:]) - 1
+
+    @property
     def exact(self) -> bool:
-        """Whether the bounded computation is provably complete (nvars == 2)."""
-        return self.nvars == 2
+        """Whether the bound provably covers the whole basis (always for nvars == 2)."""
+        return self.nvars == 2 or (self.nvars > 2 and self.bound >= self._complete_bound)
 
 
 def cone_member(v, gens: MonoidGens) -> bool:

@@ -186,6 +186,16 @@ class TestSaturate:
         payload = run_json(capsys, "saturate", "--gens", "1,0;0,1")
         assert payload["is_saturated"] is True
 
+    def test_three_variables_default_bound_is_complete(self, capsys):
+        # (1,3,1) is half the sum of the generators: in the cone, not in the monoid
+        code, out, _ = run(capsys, "saturate", "--gens", "0,1,1;1,2,1;1,3,0")
+        assert code == 0
+        assert out == (
+            "bound:                 9\n"
+            "saturation generators: [(0, 1, 1), (1, 2, 1), (1, 3, 0), (1, 3, 1)]\n"
+            "is saturated:          False\n"
+        )
+
     def test_explicit_bound(self, capsys):
         payload = run_json(capsys, "saturate", "--gens", "1,0;1,2", "--bound", "8")
         assert payload["bound"] == 8
@@ -253,6 +263,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == message + "\n"
+
+    def test_over_long_shift(self, capsys, poly_file):
+        data = poly_file("*: 1\n" + "9" * 5000 + ": 1\n", "d.txt")
+        code, out, err = run(capsys, "stein", "--data", data, "--mode", "h")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: line 2: a shift value of 5000 characters exceeds the limit of {self.LIMIT} digits\n"
+        )
 
     def test_bad_gens(self, capsys):
         code, _, err = run(capsys, "saturate", "--gens", "1,0;1")

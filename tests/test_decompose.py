@@ -6,9 +6,9 @@ import pytest
 from closedpoly.decompose import (
     attempt_divisor,
     generative,
-    has_fast_path,
     is_closed,
 )
+from closedpoly.newton import divisor_sequence
 from closedpoly.orders import GREVLEX, OrderSpec, leading_term, normalize
 from closedpoly.poly import MultiPoly, PolyError, UniPoly, compose_uni
 
@@ -84,7 +84,7 @@ class TestGenerative:
 class TestIsClosed:
     def test_fast_path(self):
         f = P("x1*x2 + x1")
-        assert has_fast_path(f)
+        assert divisor_sequence(normalize(f, GL).core, GL) == ()
         assert is_closed(f)
 
     def test_quartic_not_closed(self, ex1):
@@ -93,7 +93,7 @@ class TestIsClosed:
     def test_closed_despite_divisible_leading(self):
         # d(leading) = 2 but the k=2 attempt mismatches
         f = P("x1^2 + x2")
-        assert not has_fast_path(f)
+        assert divisor_sequence(normalize(f, GL).core, GL) == (2,)
         assert is_closed(f)
 
 

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -48,6 +50,51 @@ class TestRationalRoots:
         with pytest.raises(PolyError):
             rational_roots(UniPoly.zero())
 
+    def test_agrees_with_divisor_enumeration(self):
+        rng = random.Random(1983)
+        for _ in range(600):
+            scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+            G = UniPoly([scalar])
+            for _ in range(rng.randint(1, 6)):  # repeated roots, and often 0
+                G = G * UniPoly([-Fraction(rng.randint(-9, 9), rng.randint(1, 4)), 1])
+            if rng.random() < 0.4:  # a quadratic, often without rational roots
+                G = G * UniPoly([rng.randint(-9, 9), rng.randint(-4, 4), rng.randint(1, 3)])
+            assert rational_roots(G) == divisor_enumeration_roots(G), G
+
+    def test_planted_large_roots(self):
+        big = 10**29 + 7  # 30 digits
+        planted = [(Fraction(big), 2), (Fraction(2 * 10**15, 3), 1), (Fraction(-big - 2), 1)]
+        G = UniPoly([Fraction(-5, 7)]) * UniPoly([1, 1, 1])  # t^2 + t + 1 is irreducible
+        for root, mult in planted:
+            for _ in range(mult):
+                G = G * UniPoly([-root, 1])
+        assert rational_roots(G) == planted
+
+
+def divisors(n):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+def divisor_enumeration_roots(G):
+    """Oracle: every 0 or +-p/q with p | a_0 and q | a_n (after the factor t^m
+    is taken out), with multiplicity the number of derivatives vanishing there."""
+    scale = lcm(*(c.denominator for c in G.coeffs))
+    ints = [int(c * scale) for c in G.coeffs]
+    m = next(i for i, a in enumerate(ints) if a)
+    a0, an = abs(ints[m]), abs(ints[-1])
+    candidates = {Fraction(s * p, q) for s in (1, -1) for p in divisors(a0)
+                  for q in divisors(an)} | ({Fraction(0)} if m else set())
+    roots = []
+    for r in sorted(candidates, reverse=True):
+        c, mult = ints, 0
+        p, q = r.numerator, r.denominator
+        while sum(a * p**i * q ** (len(c) - 1 - i) for i, a in enumerate(c)) == 0:
+            c, mult = [i * a for i, a in enumerate(c)][1:], mult + 1
+        if mult:
+            roots.append((r, mult))
+    return roots
+
 
 class TestFactorShift:
     @pytest.fixture
@@ -91,6 +138,20 @@ class TestFactorShift:
             assert fam.verified
             assert fam.shift_count() + fam.residual.degree() == r.F.degree()
             count += 1
+
+    @pytest.mark.parametrize(
+        "mu, shifts",
+        [(-3 * (10**9 + 7) ** 2, ()),
+         (-((10**30 + 57) ** 2), ((Fraction(10**30 + 57), 1), (Fraction(-(10**30) - 57), 1)))],
+        ids=["no-rational-root", "30-digit-root"],
+    )
+    def test_huge_mu_is_fast(self, mu, shifts):
+        r = generative(P("x1^2 + 2*x1*x2 + x2^2"))
+        start = time.perf_counter()
+        fam = factor_shift(r, mu)
+        assert time.perf_counter() - start < 1.0
+        assert fam.shifts == shifts
+        assert fam.verified
 
     def test_distinct_mu_disjoint_shifts(self, result):
         seen = {}

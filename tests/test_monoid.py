@@ -197,4 +197,9 @@ class TestValidation:
 
     def test_exactness_flag(self):
         assert gens2((1, 0)).exact
-        assert not MonoidGens(nvars=3, gens=frozenset({(1, 0, 0)})).exact
+        assert not MonoidGens(nvars=1, gens=frozenset({(1,)})).exact
+        # n >= 3: exact once the bound reaches the Carathéodory degree 2 + 4 + 4 - 1
+        three = frozenset({(0, 1, 1), (1, 2, 1), (1, 3, 0)})
+        assert MonoidGens(nvars=3, gens=three).bound == 9
+        assert MonoidGens(nvars=3, gens=three).exact
+        assert not MonoidGens(nvars=3, gens=three, bound=8).exact
