@@ -45,8 +45,8 @@ def _horner(c: list, x: int) -> int:
 def _brackets(g: list, bound: int) -> list:
     """Sorted integers in [-bound, bound] holding the floor and ceiling of each real
     root of g, if g and its derivatives have all real roots inside the bound (by
-    Gauss-Lucas, true of g's Cauchy bound).  Between brackets of g^(k+1) more than
-    1 apart, g^(k) is monotone, so one integer bisection finds its root there."""
+    Gauss-Lucas, true of any bound on the roots of g).  Between brackets of g^(k+1)
+    more than 1 apart, g^(k) is monotone, so one integer bisection finds its root."""
     edges, binom = [-bound, bound], []
     for k in reversed(range(len(g))):
         binom = [1] + [b * (k + 1) // (j + 1) for j, b in enumerate(binom)]  # comb(k + j, k)
@@ -75,9 +75,11 @@ def rational_roots(G: UniPoly) -> list:
     content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     lead, n = ints[-1] // content, len(ints) - 1
     g = [a // content * lead ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
+    # Fujiwara: every root has |u| <= 2 max |g_(n-i)|^(1/i) < 2 max 2^ceil(bitlen(g_(n-i)) / i)
+    bound = 2 * max(1 << -(-abs(a).bit_length() // i) for i, a in enumerate(reversed(g[:-1]), 1))
     reduced = UniPoly(g)
     roots = []
-    for u in reversed(_brackets(g, 1 + max(map(abs, g)))):
+    for u in reversed(_brackets(g, bound)):
         mult = 0
         while reduced.evaluate(u) == 0:
             reduced = reduced.deflate(u)

@@ -1,9 +1,19 @@
 """Newton-polytope support analysis: monomial multiplicities, the set of
 potential leading terms V0, divisor sequences, and realizing weight vectors.
 
-V0 is decided by one dominance LP per support point (Motzkin's transposition
-theorem): v is outside V0 iff some convex combination of the other points is
+V0 is decided in two steps.  One scan in descending lexicographic order keeps
+the Pareto front of the support (Kung, Luccio, Preparata, JACM 1975): a point
+is dropped when a front point dominates it coordinatewise, and in this order a
+dominating point always comes first.  Then one dominance LP per front point,
+with the other front points as columns, decides it (Motzkin's transposition
+theorem): v is outside V0 iff some convex combination of them is
 coordinatewise >= v, and each such exclusion witness is checked exactly.
+This gives the V0 of the LP over all support points:
+- a dropped point v is excluded by a point u >= v, u != v, exact integer data;
+- a dominating convex combination over all points moves onto the front by
+  replacing each point with a front point above it; the weight that lands on
+  v itself is below 1, since points <= v other than v cannot average to v, so
+  it divides out.
 `v0_lp` (strict weight argmax) and `v0_combinatorial` (hull vertices that the
 polytope does not dominate) are kept as test oracles; criterion 6 compares them.
 """
@@ -87,7 +97,7 @@ def v0_lp(f: MultiPoly) -> set:
 
 
 def _dominating_combination(v: Monomial, others: list) -> Optional[list]:
-    """Convex weights over the other support points whose combination is
+    """Convex weights over the points `others` whose combination is
     coordinatewise >= v, or None.  Equivalent to the shifted Newton polytope
     meeting the nonnegative orthant away from the origin."""
     if not others:
@@ -120,10 +130,13 @@ def v0_set(f: MultiPoly) -> set:
     Raises RuntimeError when an exclusion witness fails its exact check."""
     if f.is_zero() or f.is_constant():
         raise PolyError("V0 requires a non-constant polynomial")
-    points = sorted(f.support())
+    front = []  # the Pareto front: a point above v comes before v in this order
+    for v in sorted(f.support(), reverse=True):
+        if not any(_dominated(v, by=u) for u in front):
+            front.append(v)
     out = set()
-    for v in points:
-        others = [q for q in points if q != v]
+    for v in front:
+        others = [q for q in front if q != v]
         lam = _dominating_combination(v, others)
         if lam is None:
             out.add(v)

@@ -153,6 +153,13 @@ class TestFactorShift:
         assert fam.shifts == shifts
         assert fam.verified
 
+    def test_high_degree_with_small_roots_is_fast(self):
+        # the Cauchy bound 1 + 2^300 would put the brackets at x ~ 2^300
+        start = time.perf_counter()
+        roots = rational_roots(UniPoly([-(2**300)] + [0] * 299 + [1]))
+        assert time.perf_counter() - start < 1.0
+        assert roots == [(Fraction(2), 1), (Fraction(-2), 1)]
+
     def test_distinct_mu_disjoint_shifts(self, result):
         seen = {}
         for mu in (Fraction(-1), Fraction(-2), Fraction(0), Fraction(3, 2)):

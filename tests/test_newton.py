@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -154,7 +155,8 @@ class TestV0:
     def test_degree_six(self, deg6):
         assert v0_set(deg6) == {(2, 4)}
 
-    def test_one_lp_per_support_point(self, monkeypatch, deg6):
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -162,8 +164,34 @@ class TestV0:
             return feasible_point(*args, **kwargs)
 
         monkeypatch.setattr("closedpoly.newton.feasible_point", counting)
-        v0_set(deg6)
-        assert 0 < len(calls) <= len(deg6.support())
+        return calls
+
+    def test_one_lp_per_front_point(self, lp_calls):
+        # front (4,0), (2,2), (0,4); (2,0), (1,1) and the origin are dominated
+        f = P("x1^4 + x1^2*x2^2 + x2^4 + x1^2 + x1*x2 + 1")
+        assert v0_set(f) == {(4, 0), (0, 4)}
+        assert [args[0] for args in lp_calls] == [2, 2, 2]  # front size - 1 columns each
+
+    def test_one_variable_makes_no_lp(self, lp_calls):
+        assert v0_set(P("x1^5 + 3*x1^2 + x1")) == {(5,)}
+        assert lp_calls == []
+
+    def test_planted_pure_powers(self):
+        # every monomial of degree 1..14 in 3 variables: 679 points, a front of 120
+        terms = {m: Fraction(1) for m in product(range(15), repeat=3) if 0 < sum(m) <= 14}
+        assert len(terms) == 679
+        assert v0_set(MultiPoly(3, terms)) == {(14, 0, 0), (0, 14, 0), (0, 0, 14)}
+
+    def test_640_random_points_are_fast(self):
+        rng = random.Random(36)
+        points = set()
+        while len(points) < 640:
+            points.add(tuple(rng.randint(0, 20) for _ in range(3)))
+        f = MultiPoly(3, {m: Fraction(1) for m in points})
+        start = time.perf_counter()
+        v0 = v0_set(f)
+        assert time.perf_counter() - start < 1.0  # the target is 0.1 s
+        assert_sampled_argmax_in(v0, f, rng)
 
     def test_bogus_exclusion_witness_raises(self, monkeypatch, ex1):
         # all weight on the first other point, which never dominates v in ex1
@@ -257,11 +285,41 @@ def random_support_poly(rng, nvars, max_points=12, max_deg=8):
     return p
 
 
+def dominated_support_poly(rng, nvars, max_points=40, max_deg=8):
+    """Up to four random top points, up to two floor-midpoints of them (which
+    only a combination may dominate), and random points below the tops."""
+    tops = [tuple(rng.randint(0, max_deg) for _ in range(nvars)) for _ in range(rng.randint(1, 4))]
+    tops += [
+        tuple((a + b) // 2 for a, b in zip(rng.choice(tops), rng.choice(tops)))
+        for _ in range(rng.randint(0, 2))
+    ]
+    terms = {m: Fraction(1) for m in tops}
+    for _ in range(rng.randint(0, max_points - len(tops))):
+        terms[tuple(rng.randint(0, e) for e in rng.choice(tops))] = Fraction(rng.randint(1, 5))
+    p = MultiPoly(nvars, terms)
+    if p.is_constant():
+        p = p + MultiPoly.from_term(nvars, (1,) + (0,) * (nvars - 1), 1)
+    return p
+
+
+def assert_sampled_argmax_in(v0, f, rng, samples=100):
+    """The strict argmax of random positive weights over the support is in v0."""
+    support = sorted(f.support())
+    for _ in range(samples):
+        w = [rng.randint(1, 1000) for _ in range(f.nvars)]
+        vals = [sum(wi * e for wi, e in zip(w, m)) for m in support]
+        top = max(vals)
+        if vals.count(top) > 1:
+            continue  # ties are skipped
+        assert support[vals.index(top)] in v0
+
+
 class TestDualCharacterization:
     def test_lp_equals_combinatorial(self):
         rng = random.Random(33)
-        for _ in range(60):
-            f = random_support_poly(rng, rng.randint(1, 4))
+        cases = [random_support_poly(rng, rng.randint(1, 4)) for _ in range(60)]
+        cases += [dominated_support_poly(rng, rng.randint(1, 5)) for _ in range(30)]
+        for f in cases:
             lp = v0_lp(f)
             assert lp == v0_combinatorial(f)
             assert v0_set(f) == lp
@@ -270,15 +328,7 @@ class TestDualCharacterization:
         rng = random.Random(34)
         for _ in range(20):
             f = random_support_poly(rng, rng.randint(2, 4))
-            v0 = v0_set(f)
-            support = sorted(f.support())
-            for _ in range(100):
-                w = [rng.randint(1, 1000) for _ in range(f.nvars)]
-                vals = [sum(wi * e for wi, e in zip(w, m)) for m in support]
-                top = max(vals)
-                if vals.count(top) > 1:
-                    continue  # ties are skipped
-                assert support[vals.index(top)] in v0
+            assert_sampled_argmax_in(v0_set(f), f, rng)
 
     def test_d1_divides_leading_multiplicity_for_all_orders(self):
         rng = random.Random(35)
