@@ -176,8 +176,10 @@ def _cmd_newton(args) -> int:
 
 
 def _cmd_depend(args) -> int:
-    f = _load_poly(args.f)
-    g = _load_poly(args.g)
+    # f and g are read in one ring: the larger of their inferred variable counts
+    parsed = [parse_poly(_read_source(path)) for path in (args.f, args.g)]
+    n = max(p.nvars for p in parsed)
+    f, g = (parse_poly(p.source, min_nvars=n).poly for p in parsed)
     grid = jacobian_minors(f, g)
     nonzero = grid.nonzero()
     payload = {

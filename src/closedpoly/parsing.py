@@ -10,6 +10,13 @@ Grammar (whitespace-insensitive):
 
 Integers are runs of the ASCII digits 0-9.  Variables are x1, x2, ...;
 the variable count is inferred as the largest index that appears.
+
+The parser is one scan.  One regex search finds the first character no
+token can start with, so an unexpected character is reported before any
+syntax error earlier in the text (``x1 x2 @`` fails at the ``@``).  The
+tokens are plain strings from one ``findall``, read by index in one loop;
+a token's line and column are computed only when an error is raised.
+
 Rendered output sorts terms descending under the requested monomial
 order and is always re-parseable.
 """
@@ -20,9 +27,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .orders import OrderSpec, sort_key
-from .poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, UniPoly, check_nvars, mono_unit
+from .poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, UniPoly, check_nvars
 
 
 class ParseError(ValueError):
@@ -40,7 +48,8 @@ class ParsedInput:
     source: str
 
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x[0-9]+)|(?P<num>[0-9]+)|(?P<op>[-+*/^])")
+_BAD_CHAR_RE = re.compile(r"x(?![0-9])|[^\sx0-9+\-*/^]")
+_TOKEN_RE = re.compile(r"x[0-9]+|[0-9]+|[-+*/^]")
 _BOUND_DIGITS = len(str(max(MAX_EXPONENT, MAX_VARIABLES)))
 
 
@@ -50,149 +59,99 @@ def _error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _tokenize(text: str) -> list:
-    """Tokens are (kind, text, offset); kind is 'var', 'num', the operator
-    character itself, or 'end'."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise _error(text, pos, f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        end = m.end()
-        if kind != "ws":
-            tok = text[pos:end]
-            tokens.append((tok if kind == "op" else kind, tok, pos))
-        pos = end
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _fail(text: str, i: int, message: str) -> ParseError:
+    """A ParseError at token ``i``; its offset is found by scanning the tokens
+    again (past the last token is the end of the text)."""
+    m = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    return _error(text, m.start() if m else len(text), message)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _integer(text: str, i: int, digits: str) -> int:
+    """int(digits) for token i (coefficients have no bound of their own)."""
+    try:
+        return int(digits)
+    except ValueError:  # past Python's int-string conversion limit
+        limit = sys.get_int_max_str_digits()
+        raise _fail(text, i, f"a number of {len(digits)} digits exceeds the limit of {limit} digits")
 
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
 
-    def advance(self) -> tuple:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: tuple | None = None):
-        """Raise at ``tok``, by default the next unread token."""
-        raise _error(self.text, (tok or self.peek())[2], message)
-
-    def parse(self) -> dict:
-        """Returns a map {exponent tuple (ragged): coefficient}."""
-        terms: dict = {}
-        sign = 1
-        kind = self.peek()[0]
-        if kind in "+-":
-            self.advance()
-            sign = -1 if kind == "-" else 1
-        self.term(terms, sign)
-        while self.peek()[0] != "end":
-            tok = self.advance()
-            if tok[0] == "+":
-                self.term(terms, 1)
-            elif tok[0] == "-":
-                self.term(terms, -1)
-            else:
-                self.fail(f"expected '+' or '-', got {tok[1]!r}", tok)
-        return terms
-
-    def term(self, terms: dict, sign: int):
-        kind, text, _ = self.peek()
-        exps = {}
-        if kind == "num":
-            coeff = sign * self.coeff()
-            if self.peek()[0] == "*":
-                self.advance()
-                self.mono(exps)
-        elif kind == "var":
-            coeff = Fraction(sign)
-            self.mono(exps)
-        else:
-            self.fail(f"expected a coefficient or variable, got {text or 'end of input'!r}")
-        key = tuple(sorted(exps.items()))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-
-    def integer(self) -> int:
-        """Read a number token (coefficients have no bound of their own)."""
-        tok = self.advance()
-        try:
-            return int(tok[1])
-        except ValueError:  # past Python's int-string conversion limit
-            limit = sys.get_int_max_str_digits()
-            self.fail(f"a number of {len(tok[1])} digits exceeds the limit of {limit} digits", tok)
-
-    def bounded(self, tok: tuple, digits: str, bound: int, message: str) -> int:
-        """int(digits), or a ParseError at tok above bound; a run longer than every
-        bound, leading zeros aside, is rejected by its length before int()."""
-        if len(digits) > _BOUND_DIGITS:
-            digits = digits.lstrip("0") or "0"
-        value = int(digits) if len(digits) <= _BOUND_DIGITS else bound + 1
-        if value > bound:
-            self.fail(message.format(digits.lstrip("0"), bound), tok)
-        return value
-
-    def coeff(self) -> Fraction:
-        num = self.integer()
-        if self.peek()[0] == "/":
-            self.advance()
-            tok = self.peek()
-            if tok[0] != "num":
-                self.fail("expected a denominator after '/'")
-            den = self.integer()
-            if den == 0:
-                self.fail("denominator must be positive", tok)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def mono(self, exps: dict):
-        self.factor(exps)
-        while self.peek()[0] == "*":
-            save = self.pos
-            self.advance()
-            if self.peek()[0] != "var":
-                self.pos = save  # the '*' belongs to an outer context or is an error
-                break
-            self.factor(exps)
-
-    def factor(self, exps: dict):
-        """Read one x<i>[^e] and add e to exps[i] in place."""
-        tok = self.peek()
-        if tok[0] != "var":
-            self.fail(f"expected a variable, got {tok[1] or 'end of input'!r}")
-        self.advance()
-        index = self.bounded(tok, tok[1][1:], MAX_VARIABLES,
-                             "variable index {0} exceeds the supported bound {1}")
-        if index == 0:
-            self.fail("variable index 0 is not allowed", tok)
-        power = 1
-        if self.peek()[0] == "^":
-            self.advance()
-            ptok = self.peek()
-            if ptok[0] != "num":
-                self.fail("expected an exponent after '^'")
-            self.advance()
-            power = self.bounded(ptok, ptok[1], MAX_EXPONENT,
-                                 "exponent {0} exceeds the supported bound")
-        total = exps.get(index, 0) + power
-        if total > MAX_EXPONENT:
-            self.fail(f"accumulated exponent for x{index} exceeds the supported bound", tok)
-        exps[index] = total
+def _bounded(text: str, i: int, digits: str, bound: int, message: str) -> int:
+    """int(digits), or a ParseError at token i above bound; a run longer than
+    every bound, leading zeros aside, is rejected by its length before int()."""
+    if len(digits) > _BOUND_DIGITS:
+        digits = digits.lstrip("0") or "0"
+    value = int(digits) if len(digits) <= _BOUND_DIGITS else bound + 1
+    if value > bound:
+        raise _fail(text, i, message.format(digits.lstrip("0"), bound))
+    return value
 
 
 def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
     """Parse a polynomial expression; nvars is the largest variable index
     seen (at least ``min_nvars``)."""
-    terms = _Parser(text).parse()
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise _error(text, bad.start(), f"unexpected character {bad.group()!r}")
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # end of input
+    terms: dict = {}  # {sorted ((index, exponent), ...): coefficient}
+    sign = -1 if tokens[0] == "-" else 1
+    i = 1 if tokens[0] in ("+", "-") else 0
+    while True:
+        tok = tokens[i]
+        exps: dict = {}
+        if tok[:1].isdigit():
+            coeff = sign * _integer(text, i, tok)
+            i += 1
+            if tokens[i] == "/":
+                i += 1
+                if not tokens[i][:1].isdigit():
+                    raise _fail(text, i, "expected a denominator after '/'")
+                den = _integer(text, i, tokens[i])
+                if den == 0:
+                    raise _fail(text, i, "denominator must be positive")
+                coeff = Fraction(coeff, den)
+                i += 1
+            factors = tokens[i] == "*"
+            i += factors  # past the '*'
+        elif tok[:1] == "x":
+            coeff = sign
+            factors = True
+        else:
+            raise _fail(text, i, f"expected a coefficient or variable, got {tok or 'end of input'!r}")
+        while factors:  # x<index>[^<power>], then a '*' only if a variable follows it
+            tok = tokens[i]
+            if tok[:1] != "x":
+                raise _fail(text, i, f"expected a variable, got {tok or 'end of input'!r}")
+            index = _bounded(text, i, tok[1:], MAX_VARIABLES,
+                             "variable index {0} exceeds the supported bound {1}")
+            if index == 0:
+                raise _fail(text, i, "variable index 0 is not allowed")
+            var_i = i
+            i += 1
+            power = 1
+            if tokens[i] == "^":
+                i += 1
+                if not tokens[i][:1].isdigit():
+                    raise _fail(text, i, "expected an exponent after '^'")
+                power = _bounded(text, i, tokens[i], MAX_EXPONENT,
+                                 "exponent {0} exceeds the supported bound")
+                i += 1
+            power += exps.get(index, 0)
+            if power > MAX_EXPONENT:
+                raise _fail(text, var_i, f"accumulated exponent for x{index} exceeds the supported bound")
+            exps[index] = power
+            factors = tokens[i] == "*" and tokens[i + 1][:1] == "x"
+            i += factors  # past the '*'
+        key = tuple(sorted(exps.items()))
+        terms[key] = terms[key] + coeff if key in terms else coeff
+        tok = tokens[i]
+        if not tok:
+            break
+        if tok != "+" and tok != "-":
+            raise _fail(text, i, f"expected '+' or '-', got {tok!r}")
+        sign = -1 if tok == "-" else 1
+        i += 1
     nvars = check_nvars(max([min_nvars] + [idx for key in terms for idx, _ in key]))
     full = {}
     for key, coeff in terms.items():
@@ -213,14 +172,22 @@ def _render_mono(m) -> str:
     return "*".join(parts)
 
 
+def _join_signed(signed) -> str:
+    """Join (coefficient, body) pairs as "-a + b - c"; "0" when there are none."""
+    pieces = []
+    for c, body in signed:
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) or "0"
+
+
 def render_poly(f: MultiPoly, order: OrderSpec = OrderSpec()) -> str:
     """Canonical rendering, descending under the order; re-parseable."""
-    if f.is_zero():
-        return "0"
-    pieces = []
-    ordered = sorted(f.terms.items(), key=lambda t: sort_key(t[0], order), reverse=True)
-    for m, c in ordered:
-        mono = _render_mono(m) if m != mono_unit(f.nvars) else ""
+    signed = []
+    for m, c in sorted(f.terms.items(), key=lambda t: sort_key(t[0], order), reverse=True):
+        mono = _render_mono(m)  # "" for the unit monomial
         mag = abs(c)
         if not mono:
             body = str(mag)
@@ -228,18 +195,13 @@ def render_poly(f: MultiPoly, order: OrderSpec = OrderSpec()) -> str:
             body = mono
         else:
             body = f"{mag}*{mono}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+        signed.append((c, body))
+    return _join_signed(signed)
 
 
 def render_uni(F: UniPoly, var: str = "t") -> str:
     """Rendering of F in descending powers of ``var``; "0" for the zero polynomial."""
-    if F.is_zero():
-        return "0"
-    parts = []
+    signed = []
     for i in range(len(F.coeffs) - 1, -1, -1):
         c = F.coeffs[i]
         if not c:
@@ -250,8 +212,5 @@ def render_uni(F: UniPoly, var: str = "t") -> str:
         else:
             power = var if i == 1 else f"{var}^{i}"
             body = power if mag == 1 else f"{mag}*{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        signed.append((c, body))
+    return _join_signed(signed)

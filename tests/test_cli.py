@@ -126,6 +126,18 @@ class TestDepend:
         assert payload["dependent"] is False
         assert payload["nonzero_minors"] == {"(1,2)": "-1"}
 
+    def test_inputs_with_different_variable_counts(self, capsys, poly_file):
+        payload = run_json(
+            capsys,
+            "depend",
+            "--f",
+            poly_file("x1^2\n", "f.txt"),
+            "--g",
+            poly_file("x1*x2 + x2\n", "g.txt"),
+        )
+        assert payload["dependent"] is False
+        assert payload["nonzero_minors"] == {"(1,2)": "2*x1^2 + 2*x1"}
+
 
 class TestFamily:
     def test_split_case(self, capsys, poly_file):

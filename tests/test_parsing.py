@@ -6,7 +6,7 @@ import pytest
 
 from closedpoly.orders import GREVLEX, OrderSpec
 from closedpoly.parsing import ParseError, parse_poly, render_poly
-from closedpoly.poly import MAX_VARIABLES, MultiPoly
+from closedpoly.poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly
 
 from conftest import P, random_poly
 
@@ -45,39 +45,58 @@ class TestParse:
     def test_min_nvars(self):
         assert parse_poly("x1", min_nvars=3).poly.nvars == 3
 
+    def test_coefficients_are_fractions(self):
+        p = parse_poly("2*x1^2 + 1/2*x2 - x2 + 3 + x1 + 1/2*x1 - 3/2*x1").poly
+        assert p.terms == {(2, 0): 2, (0, 1): Fraction(-1, 2), (0, 0): 3}
+        assert all(type(c) is Fraction for c in p.terms.values())
 
-REJECTED = [  # (text, line, column of the offending token)
-    ("", 1, 1),
-    ("x0", 1, 1),
-    ("x1 +", 1, 5),
-    ("* x1", 1, 1),
-    ("x1 ^", 1, 5),
-    ("x1 ^ x2", 1, 6),
-    ("1/0", 1, 3),
-    ("x1 @ x2", 1, 4),
-    ("2 ** x1", 1, 4),
-    ("x1 x2", 1, 4),
-    ("3/", 1, 3),
-    ("^2", 1, 1),
-    ("x1 +\n\n  x0", 3, 3),
-    ("x1\n@", 2, 1),
-    ("x1 + \u0661\u0662", 1, 6),  # Arabic-Indic digits are outside the grammar
+
+_LIMIT = sys.get_int_max_str_digits()
+
+REJECTED = [  # (text, line, column of the offending token, message)
+    ("", 1, 1, "expected a coefficient or variable, got 'end of input'"),
+    ("x0", 1, 1, "variable index 0 is not allowed"),
+    ("x1 +", 1, 5, "expected a coefficient or variable, got 'end of input'"),
+    ("* x1", 1, 1, "expected a coefficient or variable, got '*'"),
+    ("x1 ^", 1, 5, "expected an exponent after '^'"),
+    ("x1 ^ x2", 1, 6, "expected an exponent after '^'"),
+    ("1/0", 1, 3, "denominator must be positive"),
+    ("x1 @ x2", 1, 4, "unexpected character '@'"),
+    ("2 ** x1", 1, 4, "expected a variable, got '*'"),
+    ("x1 x2", 1, 4, "expected '+' or '-', got 'x2'"),
+    ("3/", 1, 3, "expected a denominator after '/'"),
+    ("^2", 1, 1, "expected a coefficient or variable, got '^'"),
+    ("x1 +\n\n  x0", 3, 3, "variable index 0 is not allowed"),
+    ("x1\n@", 2, 1, "unexpected character '@'"),
+    # Arabic-Indic digits are outside the grammar
+    ("x1 + \u0661\u0662", 1, 6, "unexpected character '\u0661'"),
+    # an unexpected character anywhere wins over a syntax error before it
+    ("x1 x2 @", 1, 7, "unexpected character '@'"),
+    # a '*' not followed by a variable ends a monomial, but not a coefficient
+    ("x1*3", 1, 3, "expected '+' or '-', got '*'"),
+    ("2*3", 1, 3, "expected a variable, got '3'"),
+    (f"x{MAX_VARIABLES + 1}", 1, 1,
+     f"variable index {MAX_VARIABLES + 1} exceeds the supported bound {MAX_VARIABLES}"),
+    (f"x1^{MAX_EXPONENT + 1}", 1, 4, f"exponent {MAX_EXPONENT + 1} exceeds the supported bound"),
+    (f"x1*x1^{MAX_EXPONENT}", 1, 4, "accumulated exponent for x1 exceeds the supported bound"),
     # digit runs past Python's 4,300-digit int-string conversion limit
-    ("x1 + x1^" + "9" * 5000, 1, 9),
-    ("x1 +\n x" + "9" * 5000, 2, 2),
-    ("x1 - " + "9" * 5000 + "*x1", 1, 6),
-    ("x1 + 1/" + "7" * 5000, 1, 8),
+    ("x1 + x1^" + "9" * 5000, 1, 9, "exponent " + "9" * 5000 + " exceeds the supported bound"),
+    ("x1 +\n x" + "9" * 5000, 2, 2,
+     "variable index " + "9" * 5000 + f" exceeds the supported bound {MAX_VARIABLES}"),
+    ("x1 - " + "9" * 5000 + "*x1", 1, 6,
+     f"a number of 5000 digits exceeds the limit of {_LIMIT} digits"),
+    ("x1 + 1/" + "7" * 5000, 1, 8, f"a number of 5000 digits exceeds the limit of {_LIMIT} digits"),
 ]
 
 
 class TestParseErrors:
     @pytest.mark.parametrize(
-        "text, line, column", REJECTED, ids=[text[:40] for text, _, _ in REJECTED]
+        "text, line, column, message", REJECTED, ids=[case[0][:40] for case in REJECTED]
     )
-    def test_rejected_with_position(self, text, line, column):
+    def test_rejected_with_position(self, text, line, column, message):
         with pytest.raises(ParseError) as exc:
             parse_poly(text)
-        assert (exc.value.line, exc.value.column) == (line, column)
+        assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
 
     def test_exponent_overflow(self):
         with pytest.raises(ParseError):
