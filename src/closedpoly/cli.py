@@ -52,10 +52,6 @@ def _load_poly(path: str) -> MultiPoly:
     return parse_poly(_read_source(path)).poly
 
 
-def _rat(x: Fraction) -> str:
-    return str(x)
-
-
 def _rational_arg(flag: str, text: str) -> Fraction:
     """Convert one rational option value; a bad value is a domain error that
     names the option."""
@@ -158,7 +154,7 @@ def _cmd_newton(args) -> int:
         "divisors_plain": list(summary.divisors_plain),
         "divisors_pruned": list(summary.divisors_pruned),
         "realizing_weights": {
-            str(list(v)): [_rat(w) for w in ws] for v, ws in weights.items()
+            str(list(v)): [str(w) for w in ws] for v, ws in weights.items()
         },
     }
     human = [
@@ -170,7 +166,7 @@ def _cmd_newton(args) -> int:
         f"D1(f):     {list(summary.divisors_pruned)}",
     ]
     for v, ws in weights.items():
-        human.append(f"weights for {v}: {[_rat(w) for w in ws]}")
+        human.append(f"weights for {v}: {[str(w) for w in ws]}")
     _emit(args, payload, human)
     return EXIT_OK
 
@@ -197,10 +193,7 @@ def _cmd_depend(args) -> int:
 
 
 def _shift_str(lam: Fraction, mult: int) -> str:
-    if lam >= 0:
-        base = f"(h + {_rat(lam)})"
-    else:
-        base = f"(h - {_rat(-lam)})"
+    base = f"(h + {lam!s})" if lam >= 0 else f"(h - {-lam!s})"
     return base if mult == 1 else f"{base}^{mult}"
 
 
@@ -216,19 +209,19 @@ def _cmd_family(args) -> int:
         )
     payload = {
         "command": "family",
-        "mu": _rat(fam.mu),
+        "mu": str(fam.mu),
         "h": render_poly(result.h, order),
         "F": render_uni(result.F),
-        "alpha": _rat(fam.alpha),
-        "shifts": [[_rat(lam), mult] for lam, mult in fam.shifts],
+        "alpha": str(fam.alpha),
+        "shifts": [[str(lam), mult] for lam, mult in fam.shifts],
         "residual": render_uni(fam.residual),
         "verified": fam.verified,
     }
     human = [
         f"h:        {render_poly(result.h, order)}",
         f"F(t):     {render_uni(result.F)}",
-        f"mu:       {_rat(fam.mu)}",
-        f"alpha:    {_rat(fam.alpha)}",
+        f"mu:       {fam.mu!s}",
+        f"alpha:    {fam.alpha!s}",
         "shifts:   " + (", ".join(_shift_str(lam, mult) for lam, mult in fam.shifts) or "(none)"),
         f"residual: {render_uni(fam.residual)}",
         f"verified: {fam.verified}",
@@ -236,9 +229,9 @@ def _cmd_family(args) -> int:
     if args.eh is not None:
         e_h = [_rational_arg("--eh", s) for s in args.eh.split(",") if s.strip()]
         image = sorted(exceptional_image(result.F, e_h))
-        payload["E_h"] = [_rat(x) for x in e_h]
-        payload["E_f"] = [_rat(x) for x in image]
-        human.append(f"E(f):     {{{', '.join(_rat(x) for x in image)}}}")
+        payload["E_h"] = [str(x) for x in e_h]
+        payload["E_f"] = [str(x) for x in image]
+        human.append(f"E(f):     {{{', '.join(str(x) for x in image)}}}")
     _emit(args, payload, human)
     return EXIT_OK
 
@@ -268,9 +261,15 @@ def _parse_gens(text: str) -> list:
         chunk = chunk.strip()
         if not chunk:
             continue
+        entries = [p.strip() for p in chunk.split(",")]
         try:
-            gens.append(tuple(int(p.strip()) for p in chunk.split(",")))
+            gens.append(tuple(int(p) for p in entries))
         except ValueError:
+            limit = sys.get_int_max_str_digits()
+            longest = max(map(len, entries))
+            if 0 < limit < longest:  # a limit of 0 means none
+                raise MonoidError(f"bad generator tuple: an entry of {longest} characters "
+                                  f"exceeds the limit of {limit} digits") from None
             raise MonoidError(f"bad generator tuple {chunk!r}") from None
     if not gens:
         raise MonoidError("no generators supplied")

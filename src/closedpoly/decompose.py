@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Optional
 
 from .newton import divisor_sequence, multiplicity
 from .orders import OrderSpec, leading_term, monomials_below, normalize
-from .poly import MultiPoly, PolyError, UniPoly, compose_uni, mono_mul, mono_pow
+from .poly import MultiPoly, PolyError, UniPoly, compose_uni, mono_pow
 
 VERIFIED = "verified"
 MISMATCH = "mismatch"
@@ -76,11 +77,11 @@ def attempt_divisor(
     powers = [MultiPoly.from_term(nvars, m1, 1) ** p for p in range(k + 1)]
     h = MultiPoly.from_term(nvars, m1, 1)
     for mj in monomials_below(m1, order, nvars):
-        target = mono_mul(m1_pows[k - 1], mj)
-        bj = f_norm.coefficient(target)
-        kj = powers[k].coefficient(target)
-        alpha = (bj - kj) / k
-        if alpha:
+        target = tuple(map(add, m1_pows[k - 1], mj))
+        bj = f_norm.terms.get(target, 0)
+        kj = powers[k].terms.get(target, 0)
+        if bj != kj:
+            alpha = (bj - kj) / k
             powers = _powers_with_term(powers, mj, alpha, k)
             h = h + MultiPoly.from_term(nvars, mj, alpha)
 

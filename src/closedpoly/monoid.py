@@ -62,8 +62,8 @@ class MonoidGens:
 
     @property
     def exact(self) -> bool:
-        """Whether the bound provably covers the whole basis (always for nvars == 2)."""
-        return self.nvars == 2 or (self.nvars > 2 and self.bound >= self._complete_bound)
+        """Whether the bound provably covers the whole basis (always for nvars <= 2)."""
+        return self.nvars == 2 or self.bound >= self._complete_bound
 
 
 def cone_member(v, gens: MonoidGens) -> bool:

@@ -158,8 +158,10 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
         exps = [0] * nvars
         for idx, power in key:
             exps[idx - 1] = power
-        full[tuple(exps)] = coeff
-    return ParsedInput(poly=MultiPoly(nvars, full), nvars=nvars, source=text)
+        m = tuple(exps)  # keys that differ only in x_i^0 factors share m
+        full[m] = full[m] + coeff if m in full else Fraction(coeff)
+    # every check of the MultiPoly constructor is made above, so build unchecked
+    return ParsedInput(poly=MultiPoly._checked(nvars, full), nvars=nvars, source=text)
 
 
 def _render_mono(m) -> str:

@@ -4,20 +4,21 @@ Coefficients are `fractions.Fraction` throughout; no floating point enters
 the core.  Monomials are plain tuples of nonnegative ints (one entry per
 variable), so they can key dicts directly.
 
-Validation happens once, at the boundary: the public `MultiPoly(nvars, terms)`
-constructor (and the parser, which builds through it) checks the variable
-count against `MAX_VARIABLES`, every monomial's length, sign and exponent
-bound, and converts every coefficient to `Fraction`.  Arithmetic on operands
-that are already checked builds its result without re-checking it; only the
-exponent bound is kept there (`mono_mul`, `mono_pow`), since a product can
-overflow it.
+Validation happens once, at the boundary.  The public `MultiPoly(nvars,
+terms)` constructor checks the variable count against `MAX_VARIABLES`,
+every monomial's length, sign and exponent bound, and converts every
+coefficient to `Fraction`; the parser enforces the same checks as it reads
+and builds its result without repeating them.  Arithmetic on checked
+operands builds its result unchecked, except for the exponent bound, which
+a product can overflow: one check per product bounds the sum of the two
+operands' largest exponents in each variable (`mono_pow` checks its result).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple  # exponent vector; length == nvars
@@ -57,12 +58,6 @@ def check_nvars(nvars: int) -> int:
     return nvars
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) != len(b):
-        raise PolyError("monomial length mismatch")
-    return tuple(_check_exponent(x + y) for x, y in zip(a, b))
-
-
 def mono_pow(m: Monomial, k: int) -> Monomial:
     if k < 0:
         raise PolyError("negative monomial power")
@@ -98,8 +93,9 @@ class MultiPoly:
 
     @classmethod
     def _checked(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Wrap an arithmetic result of checked operands: its monomials are
-        valid and its coefficients are Fractions, so only zeros are dropped."""
+        """Wrap terms already known valid (an arithmetic result of checked
+        operands, or the parser's output) whose coefficients are Fractions;
+        only zeros are dropped."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "terms", {m: c for m, c in terms.items() if c})
@@ -193,11 +189,14 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_ring(other)
+        # a term pair overflows in x_i iff the two largest exponents of x_i do
+        for top1, top2 in zip(map(max, zip(*self.terms)), map(max, zip(*other.terms))):
+            _check_exponent(top1 + top2)
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                m = tuple(map(add, m1, m2))
+                terms[m] = terms[m] + c1 * c2 if m in terms else c1 * c2
         return MultiPoly._checked(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -210,10 +209,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 result = result * base
-            base_needed = k >> 1
-            if base_needed:
+            k >>= 1
+            if k:
                 base = base * base
-            k = base_needed
         return result
 
     def __eq__(self, other):
@@ -243,14 +241,9 @@ class MultiPoly:
         """Formal partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.nvars:
             raise PolyError(f"variable index {i} out of range 1..{self.nvars}")
-        terms: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[i - 1]
-            if e:
-                dm = list(m)
-                dm[i - 1] = e - 1
-                dm = tuple(dm)
-                terms[dm] = terms.get(dm, Fraction(0)) + c * e
+        # lowering the exponent of x_i is one-to-one on the terms that have x_i
+        terms = {m[:i - 1] + (m[i - 1] - 1,) + m[i:]: c * m[i - 1]
+                 for m, c in self.terms.items() if m[i - 1]}
         return MultiPoly._checked(self.nvars, terms)
 
     def __repr__(self):

@@ -162,6 +162,22 @@ class TestFamily:
         )
         assert payload["E_f"] == ["-2", "-1"]
 
+    def test_text_output(self, capsys, poly_file):
+        code, out, _ = run(capsys, "family", "--poly", poly_file(EX1), "--mu=-1/4", "--eh=1/3,-2")
+        assert code == 0
+        assert out == (
+            "h:        x1^2 + x2\n"
+            "F(t):     t^2\n"
+            "mu:       -1/4\n"
+            "alpha:    1\n"
+            "shifts:   (h + 1/2), (h - 1/2)\n"
+            "residual: 1\n"
+            "verified: True\n"
+            "E(f):     {-4, -1/9}\n"
+        )
+        code, out, _ = run(capsys, "family", "--poly", poly_file(EX1), "--mu", "0")
+        assert "shifts:   (h + 0)^2\n" in out
+
     def test_rational_mu(self, capsys, poly_file):
         payload = run_json(
             capsys, "family", "--poly", poly_file(EX1), "--mu", "1/4"
@@ -207,6 +223,16 @@ class TestSaturate:
             "saturation generators: [(0, 1, 1), (1, 2, 1), (1, 3, 0), (1, 3, 1)]\n"
             "is saturated:          False\n"
         )
+
+    def test_one_variable_is_exact(self, capsys):
+        code, out, err = run(capsys, "saturate", "--gens", "2")
+        assert (code, err) == (0, "")
+        assert out == (
+            "bound:                 2\n"
+            "saturation generators: [(1,)]\n"
+            "is saturated:          False\n"
+        )
+        assert run_json(capsys, "saturate", "--gens", "2;3")["exact"] is True
 
     def test_explicit_bound(self, capsys):
         payload = run_json(capsys, "saturate", "--gens", "1,0;1,2", "--bound", "8")
@@ -288,6 +314,23 @@ class TestExitCodes:
     def test_bad_gens(self, capsys):
         code, _, err = run(capsys, "saturate", "--gens", "1,0;1")
         assert code == 2
+
+    def test_over_long_generator_entry(self, capsys):
+        code, out, err = run(capsys, "saturate", "--gens", "1,0;1," + "9" * 5000)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: bad generator tuple: an entry of 5000 characters exceeds the limit of "
+            f"{self.LIMIT} digits\n"
+        )
+
+    def test_malformed_generator_entry_is_echoed(self, capsys):
+        code, _, err = run(capsys, "saturate", "--gens", "1,0;1,a")
+        assert (code, err) == (2, "error: bad generator tuple '1,a'\n")
+        sys.set_int_max_str_digits(0)  # no limit: no entry can exceed it
+        try:
+            assert run(capsys, "saturate", "--gens", "1,a")[2] == "error: bad generator tuple '1,a'\n"
+        finally:
+            sys.set_int_max_str_digits(self.LIMIT)
 
     def test_stein_f_without_d(self, capsys, poly_file):
         code, _, _ = run(

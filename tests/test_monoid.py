@@ -197,7 +197,9 @@ class TestValidation:
 
     def test_exactness_flag(self):
         assert gens2((1, 0)).exact
-        assert not MonoidGens(nvars=1, gens=frozenset({(1,)})).exact
+        # n = 1: every bound is at least the largest degree, and the basis is {(1,)}
+        assert MonoidGens(nvars=1, gens=frozenset({(1,)})).exact
+        assert MonoidGens(nvars=1, gens=frozenset({(2,), (3,)})).exact
         # n >= 3: exact once the bound reaches the Carathéodory degree 2 + 4 + 4 - 1
         three = frozenset({(0, 1, 1), (1, 2, 1), (1, 3, 0)})
         assert MonoidGens(nvars=3, gens=three).bound == 9

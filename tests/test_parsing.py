@@ -42,6 +42,13 @@ class TestParse:
     def test_constant(self):
         assert parse_poly("7/3").poly == MultiPoly.constant(1, Fraction(7, 3))
 
+    def test_zero_power_factors_combine(self):
+        # x2^0*x1 and x1 are one monomial although they are written differently
+        assert parse_poly("x1^0 + 1").poly == MultiPoly.constant(1, 2)
+        assert parse_poly("x1*x2^0 + x1").poly == MultiPoly(2, {(1, 0): 2})
+        assert parse_poly("x2^0*x1 - x1").poly.is_zero()
+        assert parse_poly("2 + x3^0").nvars == 3
+
     def test_min_nvars(self):
         assert parse_poly("x1", min_nvars=3).poly.nvars == 3
 
@@ -160,6 +167,9 @@ class TestRoundTrip:
             text = render_poly(f)
             reparsed = parse_poly(text, min_nvars=f.nvars).poly
             assert reparsed == f
+            # built unchecked, yet the same as the validating constructor's result
+            assert reparsed == MultiPoly(reparsed.nvars, reparsed.terms)
+            assert all(type(c) is Fraction and c for c in reparsed.terms.values())
             # render∘parse∘render is a fixed point
             assert render_poly(reparsed) == text
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from closedpoly.orders import OrderSpec, normalize
 from closedpoly.poly import (
+    MAX_EXPONENT,
     MAX_VARIABLES,
     MultiPoly,
     PolyError,
     UniPoly,
     compose_uni,
-    mono_mul,
     mono_pow,
     monomials_of_degree_at_most,
 )
@@ -184,11 +184,55 @@ def test_exponent_overflow_rejected():
     with pytest.raises(PolyError):
         mono_pow((2**30,), 4)
     with pytest.raises(PolyError):
-        mono_mul((2**31 - 1,), (1,))
-    with pytest.raises(PolyError):
         MultiPoly.from_term(1, (2**31 - 1,)) * MultiPoly.variable(1, 1)
     with pytest.raises(PolyError):
         MultiPoly.from_term(1, (2**30,)) ** 2
+
+
+def test_product_matches_naive_product_at_the_exponent_bound():
+    """The product checks the bound once, on the largest exponents; it must
+    agree with a term-by-term product that checks every monomial."""
+    rng = random.Random(29)
+    near = [0, 1, 2, 3, MAX_EXPONENT // 2, MAX_EXPONENT // 2 + 1, MAX_EXPONENT - 1, MAX_EXPONENT]
+
+    def operand(nvars):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            m = tuple(rng.choice(near) if rng.random() < 0.3 else rng.randint(0, 3)
+                      for _ in range(nvars))
+            terms[m] = rng.choice([1, -2, Fraction(3, 5)])
+        return MultiPoly(nvars, terms)
+
+    def naive(p, q):
+        terms = {}
+        for m1, c1 in p.terms.items():
+            for m2, c2 in q.terms.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                if max(m) > MAX_EXPONENT:
+                    return None
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return MultiPoly(p.nvars, terms)
+
+    sums = set()
+    for _ in range(3000):
+        nvars = rng.randint(1, 3)
+        p, q = operand(nvars), operand(nvars)
+        if p.terms and q.terms:
+            sums.add(max(max(a + b for a, b in zip(m1, m2)) for m1 in p.terms for m2 in q.terms))
+        expected = naive(p, q)
+        if expected is None:
+            with pytest.raises(PolyError, match="exceeds the supported bound"):
+                p * q
+        else:
+            assert p * q == expected
+    # both sides of the bound are exercised
+    assert {MAX_EXPONENT, MAX_EXPONENT + 1} <= sums
+    # the largest exponents of x1 come from different terms, and only their pair overflows
+    p = MultiPoly(2, {(MAX_EXPONENT - 1, 0): 1, (0, 5): 1})
+    assert p * MultiPoly(2, {(1, 0): 1, (0, 7): 1}) == MultiPoly(
+        2, {(MAX_EXPONENT, 0): 1, (MAX_EXPONENT - 1, 7): 1, (1, 5): 1, (0, 12): 1})
+    with pytest.raises(PolyError):
+        p * MultiPoly(2, {(2, 0): 1, (0, 7): 1})
 
 
 def test_variable_count_bound():
