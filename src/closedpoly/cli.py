@@ -26,10 +26,10 @@ from .family import (
     stein_check,
 )
 from .monoid import MonoidError, MonoidGens, is_saturated, saturation_generators
-from .newton import divisor_sequence, newton_summary, realizing_weights
-from .orders import GREVLEX, GRLEX, MonomialCapExceeded, OrderError, OrderSpec, normalize
-from .parsing import ParseError, parse_poly, render_poly, render_uni
-from .poly import MultiPoly, PolyError
+from .newton import multiplicity, newton_summary, realizing_weights
+from .orders import GREVLEX, GRLEX, OrderSpec, leading_term
+from .parsing import ParseError, over_limit, parse_poly, render_poly, render_uni
+from .poly import MultiPoly
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -52,20 +52,17 @@ def _load_poly(path: str) -> MultiPoly:
     return parse_poly(_read_source(path)).poly
 
 
-def _rational_arg(flag: str, text: str) -> Fraction:
-    """Convert one rational option value; a bad value is a domain error that
-    names the option."""
+def _number_arg(flag: str, text: str, kind=Fraction):
+    """Convert one option value to kind (Fraction or int); a bad value is a
+    domain error that names the option."""
     try:
-        return Fraction(text)
+        return kind(text)
     except ZeroDivisionError:
         raise ValueError(f"{flag}: zero denominator in {text!r}") from None
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if len(text) > limit:
-            raise ValueError(
-                f"{flag}: a value of {len(text)} characters exceeds the limit of {limit} digits"
-            ) from None
-        raise ValueError(f"{flag}: {text!r} is not a rational number") from None
+        noun = "a rational number" if kind is Fraction else "an integer"
+        message = over_limit(text, "a value") or f"{text!r} is not {noun}"
+        raise ValueError(f"{flag}: {message}") from None
 
 
 def _emit(args, payload: dict, human_lines: list):
@@ -115,8 +112,9 @@ def _cmd_decompose(args) -> int:
 def _cmd_is_closed(args) -> int:
     f = _load_poly(args.poly)
     order = _order_from_args(args)
-    fast = not divisor_sequence(normalize(f, order).core, order)
-    closed = fast or generative(f, order).closed
+    closed = generative(f, order).closed
+    # normalizing f keeps its leading monomial, so this is the multiplicity generative sees
+    fast = multiplicity(leading_term(f, order)[0]) == 1
     payload = {
         "command": "is-closed",
         "input": render_poly(f, order),
@@ -200,7 +198,7 @@ def _shift_str(lam: Fraction, mult: int) -> str:
 def _cmd_family(args) -> int:
     f = _load_poly(args.poly)
     order = _order_from_args(args)
-    mu = _rational_arg("--mu", args.mu)
+    mu = _number_arg("--mu", args.mu)
     result = generative(f, order)
     fam = factor_shift(result, mu)
     if not fam.verified:
@@ -227,7 +225,7 @@ def _cmd_family(args) -> int:
         f"verified: {fam.verified}",
     ]
     if args.eh is not None:
-        e_h = [_rational_arg("--eh", s) for s in args.eh.split(",") if s.strip()]
+        e_h = [_number_arg("--eh", s) for s in args.eh.split(",") if s.strip()]
         image = sorted(exceptional_image(result.F, e_h))
         payload["E_h"] = [str(x) for x in e_h]
         payload["E_f"] = [str(x) for x in image]
@@ -237,7 +235,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_stein(args) -> int:
-    data = parse_decomposition_data(_read_source(args.data), d=args.d)
+    d = None if args.d is None else _number_arg("--d", args.d, int)
+    data = parse_decomposition_data(_read_source(args.data), d=d)
     report = stein_check(data, args.mode)
     payload = {
         "command": "stein",
@@ -265,12 +264,8 @@ def _parse_gens(text: str) -> list:
         try:
             gens.append(tuple(int(p) for p in entries))
         except ValueError:
-            limit = sys.get_int_max_str_digits()
-            longest = max(map(len, entries))
-            if 0 < limit < longest:  # a limit of 0 means none
-                raise MonoidError(f"bad generator tuple: an entry of {longest} characters "
-                                  f"exceeds the limit of {limit} digits") from None
-            raise MonoidError(f"bad generator tuple {chunk!r}") from None
+            message = over_limit(max(entries, key=len), "bad generator tuple: an entry")
+            raise MonoidError(message or f"bad generator tuple {chunk!r}") from None
     if not gens:
         raise MonoidError("no generators supplied")
     dims = {len(g) for g in gens}
@@ -281,7 +276,8 @@ def _parse_gens(text: str) -> list:
 
 def _cmd_saturate(args) -> int:
     vectors = _parse_gens(args.gens)
-    gens = MonoidGens(nvars=len(vectors[0]), gens=frozenset(vectors), bound=args.bound or 0)
+    bound = 0 if args.bound is None else _number_arg("--bound", args.bound, int)
+    gens = MonoidGens(nvars=len(vectors[0]), gens=frozenset(vectors), bound=bound)
     sat = sorted(saturation_generators(gens))
     saturated = is_saturated(gens)
     payload = {
@@ -358,13 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stein", help="Stein-Lorenzini-Najib inequality on supplied data")
     p.add_argument("--data", required=True, metavar="FILE")
     p.add_argument("--mode", required=True, choices=["h", "f"])
-    p.add_argument("--d", type=int, help="generic factor degree (f mode)")
+    p.add_argument("--d", help="generic factor degree (f mode)")
     add_json(p)
     p.set_defaults(func=_cmd_stein)
 
     p = sub.add_parser("saturate", help="saturation of a monomial exponent monoid")
     p.add_argument("--gens", required=True, help='generators, e.g. "1,0;1,2"')
-    p.add_argument("--bound", type=int, help="max coordinate sum for enumeration")
+    p.add_argument("--bound", help="max coordinate sum for enumeration")
     add_json(p)
     p.set_defaults(func=_cmd_saturate)
 
@@ -379,10 +375,10 @@ def main(argv=None) -> int:
     except (ParseError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (PolyError, OrderError, MonoidError, MonomialCapExceeded, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (InternalVerificationError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -8,13 +8,13 @@ image of the (user-supplied) exceptional set of h.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .decompose import DecompositionResult
+from .parsing import over_limit
 from .poly import MultiPoly, PolyError, UniPoly, compose_uni
 
 
@@ -224,26 +224,19 @@ def parse_decomposition_data(text: str, d: Optional[int] = None) -> Decompositio
             try:
                 shift = Fraction(shift_text)
             except (ValueError, ZeroDivisionError):
-                limit = sys.get_int_max_str_digits()
-                if len(shift_text) > limit:
-                    raise DataFormatError(f"line {lineno}: a shift value of {len(shift_text)} "
-                                          f"characters exceeds the limit of {limit} digits") from None
-                raise DataFormatError(f"line {lineno}: bad shift value {shift_text!r}") from None
+                message = over_limit(shift_text, "a shift value") or f"bad shift value {shift_text!r}"
+                raise DataFormatError(f"line {lineno}: {message}") from None
         factors = []
         for piece in factors_text.split(","):
             piece = piece.strip()
             if not piece:
                 raise DataFormatError(f"line {lineno}: empty factor")
-            if "^" in piece:
-                deg_text, mult_text = piece.split("^", 1)
-            else:
-                deg_text, mult_text = piece, "1"
+            deg_text, caret, mult_text = piece.partition("^")
             try:
-                deg, mult = int(deg_text), int(mult_text)
+                deg, mult = int(deg_text), int(mult_text) if caret else 1
             except ValueError:
-                raise DataFormatError(
-                    f"line {lineno}: bad factor {piece!r}"
-                ) from None
+                message = over_limit(piece, "a factor") or f"bad factor {piece!r}"
+                raise DataFormatError(f"line {lineno}: {message}") from None
             factors.append((deg, mult))
         entries.append(ShiftEntry(shift=shift, factors=tuple(factors)))
     return DecompositionData(entries=tuple(entries), d=d)

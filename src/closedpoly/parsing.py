@@ -66,13 +66,23 @@ def _fail(text: str, i: int, message: str) -> ParseError:
     return _error(text, m.start() if m else len(text), message)
 
 
+def over_limit(text: str, what: str, unit: str = "characters") -> str:
+    """Why int(text) or Fraction(text) failed on text from outside the program,
+    if Python's int-string conversion limit is to blame: only when the limit is
+    set (not 0) and text is longer than it.  The message gives the length, not
+    the text; "" means the caller words the error."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(text):
+        return f"{what} of {len(text)} {unit} exceeds the limit of {limit} digits"
+    return ""
+
+
 def _integer(text: str, i: int, digits: str) -> int:
     """int(digits) for token i (coefficients have no bound of their own)."""
     try:
         return int(digits)
-    except ValueError:  # past Python's int-string conversion limit
-        limit = sys.get_int_max_str_digits()
-        raise _fail(text, i, f"a number of {len(digits)} digits exceeds the limit of {limit} digits")
+    except ValueError:  # a run of ASCII digits fails only past the limit
+        raise _fail(text, i, over_limit(digits, "a number", "digits"))
 
 
 def _bounded(text: str, i: int, digits: str, bound: int, message: str) -> int:

@@ -282,25 +282,64 @@ class TestExitCodes:
     LIMIT = sys.get_int_max_str_digits()
 
     @pytest.mark.parametrize(
-        "args, message",
+        "args, message, limit",
         [
-            (["--mu", "1/0"], "error: --mu: zero denominator in '1/0'"),
-            (["--mu", "1/4", "--eh", "0,-1/0"], "error: --eh: zero denominator in '-1/0'"),
-            (["--mu", "abc"], "error: --mu: 'abc' is not a rational number"),
-            (["--mu", "1", "--eh", "0,x1"], "error: --eh: 'x1' is not a rational number"),
+            (["--mu", "1/0"], "error: --mu: zero denominator in '1/0'", LIMIT),
+            (["--mu", "1/4", "--eh", "0,-1/0"], "error: --eh: zero denominator in '-1/0'", LIMIT),
+            (["--mu", "abc"], "error: --mu: 'abc' is not a rational number", LIMIT),
+            (["--mu", "1", "--eh", "0,x1"], "error: --eh: 'x1' is not a rational number", LIMIT),
             (["--mu", "9" * 5000],
-             f"error: --mu: a value of 5000 characters exceeds the limit of {LIMIT} digits"),
+             f"error: --mu: a value of 5000 characters exceeds the limit of {LIMIT} digits", LIMIT),
             (["--mu", "1", "--eh", "1/" + "7" * 5000],
-             f"error: --eh: a value of 5002 characters exceeds the limit of {LIMIT} digits"),
+             f"error: --eh: a value of 5002 characters exceeds the limit of {LIMIT} digits", LIMIT),
+            # no limit (0): a malformed value is not blamed on it
+            (["--mu", "abc"], "error: --mu: 'abc' is not a rational number", 0),
         ],
         ids=["mu-zero-denominator", "eh-zero-denominator", "mu-malformed", "eh-malformed",
-             "mu-over-long", "eh-over-long"],
+             "mu-over-long", "eh-over-long", "mu-malformed-no-limit"],
     )
-    def test_bad_rational_argument(self, capsys, poly_file, args, message):
-        code, out, err = run(capsys, "family", "--poly", poly_file(EX1), *args)
+    def test_bad_rational_argument(self, capsys, poly_file, args, message, limit):
+        path = poly_file(EX1)
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, err = run(capsys, "family", "--poly", path, *args)
+        finally:
+            sys.set_int_max_str_digits(self.LIMIT)
         assert code == 2
         assert out == ""
         assert err == message + "\n"
+
+    @pytest.mark.parametrize(
+        "data, message, limit",
+        [
+            ("ab: 1\n", "error: line 1: bad shift value 'ab'\n", 0),
+            ("*: 1\n*: " + "9" * 5000 + "\n",
+             f"error: line 2: a factor of 5000 characters exceeds the limit of {LIMIT} digits\n",
+             LIMIT),
+            ("*: 1\n*: 1^" + "9" * 5000 + "\n",
+             f"error: line 2: a factor of 5002 characters exceeds the limit of {LIMIT} digits\n",
+             LIMIT),
+        ],
+        ids=["shift-malformed-no-limit", "degree-over-long", "multiplicity-over-long"],
+    )
+    def test_bad_stein_number(self, capsys, poly_file, data, message, limit):
+        path = poly_file(data, "d.txt")
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, err = run(capsys, "stein", "--data", path, "--mode", "h")
+        finally:
+            sys.set_int_max_str_digits(self.LIMIT)
+        assert (code, out, err) == (1, "", message)
+
+    @pytest.mark.parametrize("flag", ["--d", "--bound"])
+    def test_over_long_int_option(self, capsys, poly_file, flag):
+        argv = {"--d": ["stein", "--data", poly_file(STEIN_F, "d.txt"), "--mode", "f"],
+                "--bound": ["saturate", "--gens", "1,0"]}[flag]
+        code, out, err = run(capsys, *argv, flag, "9" * 5000)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {flag}: a value of 5000 characters exceeds the limit of {self.LIMIT} digits\n"
+        )
 
     def test_over_long_shift(self, capsys, poly_file):
         data = poly_file("*: 1\n" + "9" * 5000 + ": 1\n", "d.txt")
