@@ -44,9 +44,7 @@ def _powers_with_term(powers: list, mono, coeff: Fraction, k: int) -> list:
     expansion with cheap scale-and-shift products.
     """
     nvars = powers[0].nvars
-    term_pows = [MultiPoly.constant(nvars, 1)]
-    for i in range(1, k + 1):
-        term_pows.append(MultiPoly.from_term(nvars, mono_pow(mono, i), coeff**i))
+    term_pows = [MultiPoly.from_term(nvars, mono_pow(mono, i), coeff**i) for i in range(k + 1)]
     new = [powers[0]]
     for p in range(1, k + 1):
         acc = powers[p]
@@ -74,9 +72,9 @@ def attempt_divisor(
     m1_pows = [mono_pow(m1, i) for i in range(k + 1)]
 
     # Step: solve for h = m1 + sum alpha_j m_j, coefficient by coefficient.
-    powers = [MultiPoly.from_term(nvars, m1, 1) ** p for p in range(k + 1)]
-    h = MultiPoly.from_term(nvars, m1, 1)
-    for mj in monomials_below(m1, order, nvars):
+    powers = [MultiPoly.from_term(nvars, m, 1) for m in m1_pows]
+    h = powers[1]
+    for mj in monomials_below(m1, order):
         target = tuple(map(add, m1_pows[k - 1], mj))
         bj = f_norm.terms.get(target, 0)
         kj = powers[k].terms.get(target, 0)

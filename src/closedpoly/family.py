@@ -14,7 +14,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .decompose import DecompositionResult
-from .parsing import over_limit
+from .parsing import over_limit, short_number
 from .poly import MultiPoly, PolyError, UniPoly, compose_uni
 
 
@@ -188,13 +188,11 @@ def stein_check(data: DecompositionData, mode: str) -> SteinReport:
         for e in data.entries:
             for deg, _ in e.factors:
                 if deg > data.d:
-                    raise DataFormatError(
-                        f"factor degree {deg} exceeds the generic degree d={data.d}"
-                    )
+                    raise DataFormatError(f"factor degree {short_number(deg)} exceeds "
+                                          f"the generic degree d={short_number(data.d)}")
         if total_degree % data.d:
-            raise DataFormatError(
-                f"total degree {total_degree} is not a multiple of d={data.d}"
-            )
+            raise DataFormatError(f"total degree {short_number(total_degree)} is not a "
+                                  f"multiple of d={short_number(data.d)}")
         base = total_degree // data.d
     else:
         base = 1

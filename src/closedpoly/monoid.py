@@ -2,9 +2,9 @@
 
 The saturated semigroup of a generator set A is the set of lattice points
 in the rational cone spanned by A.  Up to a coordinate-sum bound, its
-minimal generators come from one sieve over the lattice points: a point
-is reducible iff it is a lower-degree basis element plus a cone point,
-and only the other points need a cone-membership LP.  An irreducible
+minimal generators come from one sieve over the lattice points by degree:
+a point is reducible iff it is a lower-degree basis element plus a cone
+point, and only the other points need a cone-membership LP.  An irreducible
 element of the monoid generated by A is an element of A, so A is
 saturated iff that basis lies in A.  The default bound makes this exact;
 a lower explicit bound is a documented heuristic beyond two variables.
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .linprog import feasible_point
-from .poly import monomials_of_degree_at_most
+from .parsing import short_number
+from .poly import monomials_of_degree
 
 # Lattice-point enumeration refuses to scan more than this many candidates.
 DEFAULT_POINT_CAP = 500_000
@@ -83,8 +84,8 @@ def cone_member(v, gens: MonoidGens) -> bool:
 def saturation_generators(gens: MonoidGens) -> set:
     """Minimal generators of the saturated semigroup, up to the bound.
 
-    The lattice points are visited in lexicographic order, so every point
-    componentwise below p, all of lower degree, comes before p.  A nonzero
+    The nonzero lattice points are visited by ascending degree, so every
+    point componentwise below p, all of lower degree, comes before p.  A
     point p is reducible, and so in the cone, iff p - b is a cone point
     already seen for some basis element b found so far: a sum of nonzero
     cone points is also a basis element plus a nonzero cone point, both
@@ -93,16 +94,17 @@ def saturation_generators(gens: MonoidGens) -> set:
     before any point is visited when the scan would exceed DEFAULT_POINT_CAP.
     """
     if comb(gens.bound + gens.nvars, gens.nvars) > DEFAULT_POINT_CAP:
-        raise EnumerationCapExceeded(f"lattice-point scan up to degree {gens.bound} "
+        raise EnumerationCapExceeded(f"lattice-point scan up to degree {short_number(gens.bound)} "
                                      f"exceeds the cap of {DEFAULT_POINT_CAP}")
     seen = set()  # nonzero cone points visited so far
     basis = set()
-    for p in monomials_of_degree_at_most(gens.nvars, gens.bound):
-        if any(tuple(a - c for a, c in zip(p, b)) in seen for b in basis):
-            seen.add(p)
-        elif any(p) and cone_member(p, gens):
-            seen.add(p)
-            basis.add(p)
+    for d in range(1, gens.bound + 1):
+        for p in monomials_of_degree(gens.nvars, d):
+            if any(tuple(a - c for a, c in zip(p, b)) in seen for b in basis):
+                seen.add(p)
+            elif cone_member(p, gens):
+                seen.add(p)
+                basis.add(p)
     return basis
 
 

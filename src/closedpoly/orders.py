@@ -21,8 +21,7 @@ from .poly import (
     NormalizedForm,
     PolyError,
     mono_deg,
-    mono_unit,
-    monomials_of_degree_at_most,
+    monomials_of_degree,
 )
 
 GRLEX = "grlex"
@@ -94,35 +93,30 @@ def leading_term(f: MultiPoly, order: OrderSpec) -> tuple:
     return m, f.terms[m]
 
 
-def monomials_below(
-    m1: Monomial,
-    order: OrderSpec,
-    nvars: int,
-    cap: int = DEFAULT_MONOMIAL_CAP,
-) -> list:
+def monomials_below(m1: Monomial, order: OrderSpec) -> list:
     """All monomials m with m1 ≻ m ≻ 1, strictly descending under the order.
 
-    Only degree-compatible (graded) kinds are allowed: they bound the search
-    space by deg(m1).
+    Only degree-compatible (graded) kinds are allowed: they list the monomials
+    degree level by degree level from deg(m1) down.  A level is descending lex
+    under grlex, and ascending lex on reversed tuples under grevlex.
     """
     if not order.is_graded:
         raise OrderError("monomials_below requires a graded (degree-compatible) order")
-    if len(m1) != nvars:
-        raise PolyError("monomial length mismatch")
+    nvars = len(m1)
     bound = mono_deg(m1)
     estimate = comb(bound + nvars, nvars)
-    if estimate > cap:
+    if estimate > DEFAULT_MONOMIAL_CAP:
         raise MonomialCapExceeded(
-            f"enumeration of ~{estimate} monomials exceeds the cap of {cap}"
+            f"enumeration of ~{estimate} monomials exceeds the cap of {DEFAULT_MONOMIAL_CAP}"
         )
-    unit = mono_unit(nvars)
-    top = sort_key(m1, order)
-    below = [
-        m
-        for m in monomials_of_degree_at_most(nvars, bound)
-        if m != unit and sort_key(m, order) < top
-    ]
-    below.sort(key=lambda m: sort_key(m, order), reverse=True)
+    below = []
+    for d in range(bound, 0, -1):
+        level = list(monomials_of_degree(nvars, d))
+        if order.kind == GREVLEX:
+            level = [m[::-1] for m in reversed(level)]
+        if d == bound:
+            level = level[level.index(m1) + 1:]
+        below += level
     return below
 
 

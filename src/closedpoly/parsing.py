@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 
@@ -75,6 +76,13 @@ def over_limit(text: str, what: str, unit: str = "characters") -> str:
     if 0 < limit < len(text):
         return f"{what} of {len(text)} {unit} exceeds the limit of {limit} digits"
     return ""
+
+
+def short_number(n: int) -> str:
+    """n as an error message quotes it: in full up to 40 digits, else by its
+    digit count (from Decimal, which, unlike str, has no int-string limit)."""
+    digits = Decimal(abs(n)).adjusted() + 1
+    return str(n) if digits <= 40 else f"<{digits} digits>"
 
 
 def _integer(text: str, i: int, digits: str) -> int:

@@ -375,15 +375,15 @@ def compose_uni(F: UniPoly, h: MultiPoly) -> MultiPoly:
     return acc
 
 
-def monomials_of_degree_at_most(nvars: int, bound: int) -> Iterator[Monomial]:
-    """All exponent vectors in nvars variables with coordinate sum ≤ bound,
-    in ascending lexicographic order (monoid's sieve relies on it)."""
+def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
+    """All exponent vectors in nvars variables with coordinate sum d, in
+    descending lexicographic order.  `orders.monomials_below` and the
+    saturation sieve of `monoid` build on it one degree level at a time."""
     if nvars == 1:
-        for d in range(bound + 1):
-            yield (d,)
+        yield (d,)
         return
-    for first in range(bound + 1):
-        for rest in monomials_of_degree_at_most(nvars - 1, bound - first):
+    for first in range(d, -1, -1):
+        for rest in monomials_of_degree(nvars - 1, d - first):
             yield (first,) + rest
 
 

@@ -341,6 +341,30 @@ class TestExitCodes:
             f"error: {flag}: a value of 5000 characters exceeds the limit of {self.LIMIT} digits\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, data, code, message",
+        [
+            (["saturate", "--gens", "1,0", "--bound", "9" * 4000], None, 2,
+             "lattice-point scan up to degree <4000 digits> exceeds the cap of 500000"),
+            # the default bound, a generator's degree, is past the int-string limit
+            (["saturate", "--gens", ",".join(["9" * LIMIT] * 2)], None, 2,
+             f"lattice-point scan up to degree <{LIMIT + 1} digits> exceeds the cap of 500000"),
+            (["stein", "--mode", "f", "--d", "9" * 4000], STEIN_F, 1,
+             "total degree 6 is not a multiple of d=<4000 digits>"),
+            (["stein", "--mode", "f", "--d", "9" * 41], STEIN_F, 1,
+             "total degree 6 is not a multiple of d=<41 digits>"),
+            (["stein", "--mode", "f", "--d", "9" * 40], STEIN_F, 1,
+             "total degree 6 is not a multiple of d=" + "9" * 40),
+            (["stein", "--mode", "f", "--d", "3"], "*: 3, " + "9" * 4000 + "\n", 1,
+             "factor degree <4000 digits> exceeds the generic degree d=3"),
+        ],
+        ids=["bound", "derived-bound", "stein-d", "stein-d-41-digits", "stein-d-40-digits", "factor-degree"],
+    )
+    def test_long_number_worded_by_digit_count(self, capsys, poly_file, argv, data, code, message):
+        if data is not None:
+            argv = argv + ["--data", poly_file(data, "d.txt")]
+        assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
     def test_over_long_shift(self, capsys, poly_file):
         data = poly_file("*: 1\n" + "9" * 5000 + ": 1\n", "d.txt")
         code, out, err = run(capsys, "stein", "--data", data, "--mode", "h")

@@ -1,6 +1,8 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from closedpoly.poly import (
     UniPoly,
     compose_uni,
     mono_pow,
-    monomials_of_degree_at_most,
+    monomials_of_degree,
 )
 
 from conftest import P, random_poly
@@ -286,9 +288,22 @@ def test_arithmetic_results_are_validated_form():
 
 
 def test_monomial_enumeration_count():
-    # C(bound + nvars, nvars) lattice points
-    assert len(list(monomials_of_degree_at_most(3, 4))) == 35
-    assert sorted(monomials_of_degree_at_most(1, 2)) == [(0,), (1,), (2,)]
+    # C(d + nvars - 1, nvars - 1) exponent vectors of degree d, each once
+    for nvars in range(1, 5):
+        for d in range(6):
+            got = list(monomials_of_degree(nvars, d))
+            assert len(got) == comb(d + nvars - 1, nvars - 1)
+            assert set(got) == {m for m in product(range(d + 1), repeat=nvars) if sum(m) == d}
+
+
+def test_monomials_of_degree_descending_lex():
+    assert list(monomials_of_degree(1, 3)) == [(3,)]
+    assert list(monomials_of_degree(1, 0)) == [(0,)]
+    assert list(monomials_of_degree(3, 0)) == [(0, 0, 0)]
+    assert list(monomials_of_degree(2, 2)) == [(2, 0), (1, 1), (0, 2)]
+    for nvars in range(2, 5):
+        got = list(monomials_of_degree(nvars, 4))
+        assert got == sorted(got, reverse=True)
 
 
 class TestUniPoly:
