@@ -7,19 +7,29 @@ coefficient is forced by matching one coefficient of f against the k-th
 power of the partial candidate.  The outer polynomial F is then matched
 against the remaining leading powers, and the exact identity f = F(h)
 decides acceptance.  The first divisor (descending) that verifies wins.
+
+A divisor is rejected before any coefficient is solved when the leading
+term T of f - m1^k (the second term of f) cannot come from a verified pair.
+For f = F(h) with h = m1 + alpha*m2 + ... (m2 != 1) and F = t^k + sum_l
+beta_l t^l (1 <= l <= k-1), the leading terms k*alpha*m1^(k-1)*m2 of
+h^k - m1^k and beta_l*m1^l of beta_l*h^l have pairwise distinct monomials,
+so none cancel and T is one of them: under a graded order, m1^(k-1) divides
+T or T = beta*m1^l.  This is the approximate-root step of Kozen-Landau
+(1989) and von zur Gathen (1990), used only as a rejection test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import nlargest
 from math import comb
-from operator import add
+from operator import add, lt
 from typing import Optional
 
 from .newton import divisor_sequence, multiplicity
-from .orders import OrderSpec, leading_term, monomials_below, normalize
-from .poly import MultiPoly, PolyError, UniPoly, compose_uni, mono_pow
+from .orders import OrderSpec, monomials_below, normalize, sort_key
+from .poly import MultiPoly, PolyError, UniPoly, _check_exponent, compose_uni, mono_pow
 
 VERIFIED = "verified"
 MISMATCH = "mismatch"
@@ -37,21 +47,31 @@ class DecompositionResult:
         return compose_uni(self.F, self.h)
 
 
-def _powers_with_term(powers: list, mono, coeff: Fraction, k: int) -> list:
-    """Given powers[p] = q^p for p in 0..k, return the powers of q + c*m.
+def _powers_with_term(powers: list, mono, coeff: Fraction, k: int) -> None:
+    """Given powers[p] = q^p as term dicts for p in 0..k, update them in place
+    to the powers of q + c*m.
 
-    The added term is a single monomial, so each update is a binomial
-    expansion with cheap scale-and-shift products.
+    (q + c*m)^p = q^p + sum_i C(p, i) c^i m^i q^(p-i), so each power gains
+    scaled, shifted copies of the lower ones; from p = k down, the lower
+    powers still hold those of q.  The exponent bound is checked first, per
+    (p, i) in the order of the products q^(p-i) * (c*m)^i it stands for.
     """
-    nvars = powers[0].nvars
-    term_pows = [MultiPoly.from_term(nvars, mono_pow(mono, i), coeff**i) for i in range(k + 1)]
-    new = [powers[0]]
+    shifts = [mono_pow(mono, i) for i in range(k + 1)]
+    tops = [list(map(max, zip(*powers[j]))) for j in range(k)]
     for p in range(1, k + 1):
+        for i in range(1, p + 1):
+            for e in map(add, tops[p - i], shifts[i]):
+                _check_exponent(e)
+    for p in range(k, 0, -1):
         acc = powers[p]
         for i in range(1, p + 1):
-            acc = acc + comb(p, i) * (powers[p - i] * term_pows[i])
-        new.append(acc)
-    return new
+            scale = comb(p, i) * coeff**i
+            shift = shifts[i]
+            for m, c in powers[p - i].items():
+                m = tuple(map(add, m, shift))
+                acc[m] = acc[m] + scale * c if m in acc else scale * c
+        for m in [m for m, c in acc.items() if not c]:
+            del acc[m]
 
 
 def attempt_divisor(
@@ -60,46 +80,50 @@ def attempt_divisor(
     """One divisor attempt on a normalized f.  Returns (h, F_norm) with
     F_norm monic, F_norm(0) = 0 and f_norm = F_norm(h), or None on mismatch.
     """
-    lm, lc = leading_term(f_norm, order)
-    if lc != 1:
+    top = nlargest(2, f_norm.terms, key=lambda m: sort_key(m, order))
+    if not top:
+        raise PolyError("the zero polynomial has no leading term")
+    lm = top[0]
+    if f_norm.terms[lm] != 1:
         raise PolyError("attempt_divisor expects a leading-monic polynomial")
     if f_norm.constant_term():
         raise PolyError("attempt_divisor expects a zero constant term")
     if k <= 1 or multiplicity(lm) % k:
         raise PolyError(f"{k} does not divide the leading multiplicity")
-    nvars = f_norm.nvars
     m1 = tuple(e // k for e in lm)
     m1_pows = [mono_pow(m1, i) for i in range(k + 1)]
 
+    # Early mismatch (module docstring): T is f's second term.
+    if order.is_graded and len(top) == 2:
+        t = top[1]
+        if t not in m1_pows[1:k] and any(map(lt, t, m1_pows[k - 1])):
+            return None
+
     # Step: solve for h = m1 + sum alpha_j m_j, coefficient by coefficient.
-    powers = [MultiPoly.from_term(nvars, m, 1) for m in m1_pows]
-    h = powers[1]
+    powers = [{m: Fraction(1)} for m in m1_pows]
     for mj in monomials_below(m1, order):
         target = tuple(map(add, m1_pows[k - 1], mj))
         bj = f_norm.terms.get(target, 0)
-        kj = powers[k].terms.get(target, 0)
+        kj = powers[k].get(target, 0)
         if bj != kj:
-            alpha = (bj - kj) / k
-            powers = _powers_with_term(powers, mj, alpha, k)
-            h = h + MultiPoly.from_term(nvars, mj, alpha)
+            _powers_with_term(powers, mj, (bj - kj) / k, k)
 
-    # Step: solve for F(t) = t^k + beta_1 t^{k-1} + ... + beta_{k-1} t by
-    # peeling coefficients of m1^{k-l} off the residual.
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    residual = f_norm - powers[k]
-    for l in range(1, k):
-        unit_coeff = powers[k - l].coefficient(m1_pows[k - l])
-        if unit_coeff != 1:  # pragma: no cover - monic leading powers
+    # Step: solve for F(t) = t^k + beta_{k-1} t^{k-1} + ... + beta_1 t by
+    # peeling h^k and then each beta_p * h^p off f, from p = k - 1 down.
+    coeffs = [0] * (k + 1)
+    residual = dict(f_norm.terms)
+    for p in range(k, 0, -1):
+        if powers[p][m1_pows[p]] != 1:  # pragma: no cover - monic leading powers
             raise RuntimeError("leading power of candidate h is not monic")
-        beta = residual.coefficient(m1_pows[k - l])
+        beta = 1 if p == k else residual.get(m1_pows[p], 0)
         if beta:
-            residual = residual - beta * powers[k - l]
-            coeffs[k - l] = beta
+            for m, c in powers[p].items():
+                residual[m] = residual[m] - beta * c if m in residual else -beta * c
+            coeffs[p] = beta
 
-    if residual.is_zero():
-        return h, UniPoly(coeffs)
-    return None
+    if any(residual.values()):
+        return None
+    return MultiPoly._checked(f_norm.nvars, powers[1]), UniPoly(coeffs)
 
 
 def generative(

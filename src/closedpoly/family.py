@@ -160,7 +160,8 @@ def _validate_entries(entries: Sequence[ShiftEntry]):
         for deg, mult in entry.factors:
             if deg <= 0 or mult <= 0:
                 raise DataFormatError(
-                    f"degrees and multiplicities must be positive, got {deg}^{mult}"
+                    "degrees and multiplicities must be positive, "
+                    f"got {short_number(deg)}^{short_number(mult)}"
                 )
 
 
@@ -176,9 +177,8 @@ def stein_check(data: DecompositionData, mode: str) -> SteinReport:
     _validate_entries(data.entries)
     totals = {sum(deg * mult for deg, mult in e.factors) for e in data.entries}
     if len(totals) > 1:
-        raise DataFormatError(
-            f"entries disagree on the total degree: {sorted(totals)}"
-        )
+        raise DataFormatError("entries disagree on the total degree: "
+                              f"[{', '.join(map(short_number, sorted(totals)))}]")
     total_degree = totals.pop()
     if mode == F_FORM:
         if data.d is None:

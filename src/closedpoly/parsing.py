@@ -78,10 +78,11 @@ def over_limit(text: str, what: str, unit: str = "characters") -> str:
     return ""
 
 
-def short_number(n: int) -> str:
-    """n as an error message quotes it: in full up to 40 digits, else by its
-    digit count (from Decimal, which, unlike str, has no int-string limit)."""
-    digits = Decimal(abs(n)).adjusted() + 1
+def short_number(n: int | str) -> str:
+    """n, an int or a run of digits without leading zeros, as an error message
+    quotes it: in full up to 40 digits, else by its digit count (an int's
+    comes from Decimal, which, unlike str, has no int-string limit)."""
+    digits = len(n) if isinstance(n, str) else Decimal(abs(n)).adjusted() + 1
     return str(n) if digits <= 40 else f"<{digits} digits>"
 
 
@@ -100,7 +101,7 @@ def _bounded(text: str, i: int, digits: str, bound: int, message: str) -> int:
         digits = digits.lstrip("0") or "0"
     value = int(digits) if len(digits) <= _BOUND_DIGITS else bound + 1
     if value > bound:
-        raise _fail(text, i, message.format(digits.lstrip("0"), bound))
+        raise _fail(text, i, message.format(short_number(digits.lstrip("0")), bound))
     return value
 
 

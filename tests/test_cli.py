@@ -357,8 +357,13 @@ class TestExitCodes:
              "total degree 6 is not a multiple of d=" + "9" * 40),
             (["stein", "--mode", "f", "--d", "3"], "*: 3, " + "9" * 4000 + "\n", 1,
              "factor degree <4000 digits> exceeds the generic degree d=3"),
+            (["stein", "--mode", "h"], "*: 3\n-1: " + "9" * 4000 + "\n", 1,
+             "entries disagree on the total degree: [3, <4000 digits>]"),
+            (["stein", "--mode", "h"], "*: 0^" + "9" * 4000 + "\n", 1,
+             "degrees and multiplicities must be positive, got 0^<4000 digits>"),
         ],
-        ids=["bound", "derived-bound", "stein-d", "stein-d-41-digits", "stein-d-40-digits", "factor-degree"],
+        ids=["bound", "derived-bound", "stein-d", "stein-d-41-digits", "stein-d-40-digits", "factor-degree",
+             "stein-totals", "stein-nonpositive-factor"],
     )
     def test_long_number_worded_by_digit_count(self, capsys, poly_file, argv, data, code, message):
         if data is not None:

@@ -175,3 +175,80 @@ class TestInvariants:
             for mj in monomials_below(m1, GL):
                 probe = tuple(x + y for x, y in zip(mono_pow(m1, k - 1), mj))
                 assert lower.coefficient(probe) == 0
+
+
+def reference_attempt(f, k, order):
+    """The attempt without the early exit, in MultiPoly arithmetic: every power
+    of the candidate is recomputed from h after each solved term."""
+    from closedpoly.orders import monomials_below
+    from closedpoly.poly import mono_pow
+
+    lm, _ = leading_term(f, order)
+    m1 = tuple(e // k for e in lm)
+    h = MultiPoly.from_term(f.nvars, m1)
+    top = mono_pow(m1, k - 1)
+    for mj in monomials_below(m1, order):
+        target = tuple(a + b for a, b in zip(top, mj))
+        diff = f.coefficient(target) - (h**k).coefficient(target)
+        if diff:
+            h = h + MultiPoly.from_term(f.nvars, mj, diff / k)
+    coeffs = [Fraction(0)] * k + [Fraction(1)]
+    residual = f - h**k
+    for l in range(k - 1, 0, -1):
+        coeffs[l] = residual.coefficient(mono_pow(m1, l))
+        residual = residual - coeffs[l] * h**l
+    return (h, UniPoly(coeffs)) if residual.is_zero() else None
+
+
+class TestAgainstReference:
+    def test_seeded_pairs(self):
+        """Verified and mismatching (f, k) in 1-4 variables: f = F(h) for a
+        random h, the same f with one lower coefficient changed, and a random
+        tail under a k-th power leading monomial."""
+        from closedpoly.newton import multiplicity
+
+        rng = random.Random(12)
+        seen = {"verified": 0, "mismatch": 0}
+        for order in (GL, GR):
+            for trial in range(60):
+                nvars = 1 + trial % 4
+                h = normalize(random_poly(rng, nvars, 3, 4), order).core
+                f = compose_uni(random_outer(rng, 3), h)
+                if f.total_degree() > 9:
+                    continue
+                lm, _ = leading_term(f, order)
+                terms = dict(f.terms)
+                lower = sorted(m for m in terms if m != lm)
+                if lower:
+                    m = rng.choice(lower)
+                    terms[m] += rng.choice([-1, 1])
+                tail = dict(random_poly(rng, nvars, 3, 5).terms)
+                tail.pop((0,) * nvars, None)
+                for g in (f, MultiPoly(nvars, terms), MultiPoly(nvars, {**tail, lm: 1})):
+                    if leading_term(g, order) != (lm, 1):
+                        continue
+                    for k in range(2, multiplicity(lm) + 1):
+                        if multiplicity(lm) % k == 0:
+                            got = attempt_divisor(g, k, order)
+                            assert got == reference_attempt(g, k, order), (g, k, order)
+                            seen["verified" if got else "mismatch"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_sparse_family_enumerates_once(self, monkeypatch):
+        # every divisor but 2 is rejected from the second term 2*x1^12*x8
+        import closedpoly.decompose as dec
+
+        calls = []
+        real = dec.monomials_below
+        monkeypatch.setattr(dec, "monomials_below", lambda m1, order: calls.append(m1) or real(m1, order))
+        r = generative(P("x1^24 + 2*x1^12*x8 + x8^2"), pruned=False)
+        assert r.h == P("x1^12 + x8")
+        assert r.trace == ((24, "mismatch"), (12, "mismatch"), (8, "mismatch"), (6, "mismatch"),
+                           (4, "mismatch"), (3, "mismatch"), (2, "verified"))
+        assert calls == [(12,) + (0,) * 7]
+
+    def test_rejected_before_the_cap(self):
+        # listing the monomials below x1^12 in 9 variables would exceed the cap
+        r = generative(P("x1^24 + x9"), pruned=False)
+        assert r.closed
+        assert r.trace == tuple((k, "mismatch") for k in (24, 12, 8, 6, 4, 3, 2))

@@ -236,7 +236,7 @@ class TestSteinCheck:
 
     def test_inconsistent_totals_rejected(self):
         data = parse_decomposition_data("0: 1, 2\n1: 1\n")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=r"^entries disagree on the total degree: \[1, 3\]$"):
             stein_check(data, "h")
 
     def test_bad_mode(self):

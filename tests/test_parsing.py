@@ -87,9 +87,12 @@ REJECTED = [  # (text, line, column of the offending token, message)
     (f"x1^{MAX_EXPONENT + 1}", 1, 4, f"exponent {MAX_EXPONENT + 1} exceeds the supported bound"),
     (f"x1*x1^{MAX_EXPONENT}", 1, 4, "accumulated exponent for x1 exceeds the supported bound"),
     # digit runs past Python's 4,300-digit int-string conversion limit
-    ("x1 + x1^" + "9" * 5000, 1, 9, "exponent " + "9" * 5000 + " exceeds the supported bound"),
+    ("x1 + x1^" + "9" * 5000, 1, 9, "exponent <5000 digits> exceeds the supported bound"),
     ("x1 +\n x" + "9" * 5000, 2, 2,
-     "variable index " + "9" * 5000 + f" exceeds the supported bound {MAX_VARIABLES}"),
+     f"variable index <5000 digits> exceeds the supported bound {MAX_VARIABLES}"),
+    # a bounded run is quoted in full up to 40 digits (leading zeros aside)
+    ("x2^00" + "9" * 40, 1, 4, "exponent " + "9" * 40 + " exceeds the supported bound"),
+    ("x3^" + "9" * 41, 1, 4, "exponent <41 digits> exceeds the supported bound"),
     ("x1 - " + "9" * 5000 + "*x1", 1, 6,
      f"a number of 5000 digits exceeds the limit of {_LIMIT} digits"),
     ("x1 + 1/" + "7" * 5000, 1, 8, f"a number of 5000 digits exceeds the limit of {_LIMIT} digits"),
