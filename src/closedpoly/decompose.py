@@ -91,13 +91,17 @@ def attempt_divisor(
     if k <= 1 or multiplicity(lm) % k:
         raise PolyError(f"{k} does not divide the leading multiplicity")
     m1 = tuple(e // k for e in lm)
-    m1_pows = [mono_pow(m1, i) for i in range(k + 1)]
 
-    # Early mismatch (module docstring): T is f's second term.
+    # Early mismatch (module docstring): T is f's second term.  T = m1^l needs
+    # l = deg T / deg m1, so the k + 1 powers of m1 are listed only after it.
     if order.is_graded and len(top) == 2:
         t = top[1]
-        if t not in m1_pows[1:k] and any(map(lt, t, m1_pows[k - 1])):
+        l, rem = divmod(sum(t), sum(m1))
+        is_power = not rem and 1 <= l < k and t == mono_pow(m1, l)
+        if not is_power and any(map(lt, t, mono_pow(m1, k - 1))):
             return None
+
+    m1_pows = [mono_pow(m1, i) for i in range(k + 1)]
 
     # Step: solve for h = m1 + sum alpha_j m_j, coefficient by coefficient.
     powers = [{m: Fraction(1)} for m in m1_pows]

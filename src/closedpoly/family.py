@@ -61,15 +61,18 @@ def _brackets(g: list, bound: int) -> list:
     return edges
 
 
-def rational_roots(G: UniPoly) -> list:
-    """All rational roots of G with multiplicities, sorted descending.
+def _split(G: UniPoly) -> tuple:
+    """(roots, residual): the rational roots of G with multiplicities, sorted
+    descending, and the monic residual of G with each root divided out.
 
-    With G scaled to primitive integers a_i, a_n > 0, they are the u / a_n for
-    the integer roots u of the monic g_i = a_i a_n^(n-1-i)."""
+    With G scaled to primitive integers a_i, a_n > 0, the roots are the u / a_n
+    for the integer roots u of the monic g_i = a_i a_n^(n-1-i).  Each root is
+    divided out of g once, by integer synthetic division, and the quotient q
+    maps back to the residual q(a_n t) / a_n^deg(q)."""
     if G.is_zero():
         raise PolyError("the zero polynomial has every root")
     if G.degree() == 0:
-        return []
+        return [], UniPoly([1])
     denominator_lcm = lcm(*(c.denominator for c in G.coeffs))
     ints = [int(c * denominator_lcm) for c in G.coeffs]
     content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
@@ -77,16 +80,26 @@ def rational_roots(G: UniPoly) -> list:
     g = [a // content * lead ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
     # Fujiwara: every root has |u| <= 2 max |g_(n-i)|^(1/i) < 2 max 2^ceil(bitlen(g_(n-i)) / i)
     bound = 2 * max(1 << -(-abs(a).bit_length() // i) for i, a in enumerate(reversed(g[:-1]), 1))
-    reduced = UniPoly(g)
+    q = g
     roots = []
     for u in reversed(_brackets(g, bound)):
         mult = 0
-        while reduced.evaluate(u) == 0:
-            reduced = reduced.deflate(u)
+        while _horner(q, u) == 0:
+            acc, quotient = 0, []
+            for a in reversed(q):
+                acc = acc * u + a
+                quotient.append(acc)
+            q = quotient[-2::-1]  # the last value is the remainder q(u) = 0
             mult += 1
         if mult:
             roots.append((Fraction(u, lead), mult))
-    return roots
+    m = len(q) - 1
+    return roots, UniPoly([Fraction(a, lead ** (m - i)) for i, a in enumerate(q)])
+
+
+def rational_roots(G: UniPoly) -> list:
+    """All rational roots of G with multiplicities, sorted descending."""
+    return _split(G)[0]
 
 
 def factor_shift(result: DecompositionResult, mu) -> FamilyFactorization:
@@ -98,12 +111,8 @@ def factor_shift(result: DecompositionResult, mu) -> FamilyFactorization:
     if G.is_zero() or G.degree() == 0:
         raise PolyError("F + mu must be non-constant")
     alpha = G.leading_coefficient()
-    residual = (1 / alpha) * G
-    shifts = []
-    for root, mult in reversed(rational_roots(residual)):  # so the shifts -root descend
-        for _ in range(mult):
-            residual = residual.deflate(root)
-        shifts.append((-root, mult))
+    roots, residual = _split(G)
+    shifts = [(-root, mult) for root, mult in reversed(roots)]  # so the shifts -root descend
     product = MultiPoly.constant(h.nvars, alpha)
     for lam, mult in shifts:
         product = product * (h + lam) ** mult

@@ -108,23 +108,6 @@ def saturation_generators(gens: MonoidGens) -> set:
     return basis
 
 
-def monoid_members(gens: MonoidGens) -> set:
-    """All nonnegative-integer combinations of the generators with
-    coordinate sum <= bound (bounded dynamic programming)."""
-    reached = {(0,) * gens.nvars}
-    frontier = list(reached)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens.gens:
-                q = tuple(a + b for a, b in zip(p, g))
-                if sum(q) <= gens.bound and q not in reached:
-                    reached.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return reached
-
-
 def is_saturated(gens: MonoidGens) -> bool:
     """True iff the monoid generated by gens is saturated up to the bound.
 

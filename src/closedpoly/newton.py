@@ -14,15 +14,16 @@ This gives the V0 of the LP over all support points:
   replacing each point with a front point above it; the weight that lands on
   v itself is below 1, since points <= v other than v cannot average to v, so
   it divides out.
-`v0_lp` (strict weight argmax) and `v0_combinatorial` (hull vertices that the
-polytope does not dominate) are kept as test oracles; criterion 6 compares them.
+Two other routes to V0, the strict weight argmax and the hull vertices that
+the polytope does not dominate, are test oracles in `tests/oracles.py`;
+criterion 6 compares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
 from .linprog import feasible_point
@@ -78,22 +79,8 @@ def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[WeightVector]:
     return WeightVector(weights=tuple(Fraction(1) + yi for yi in y))
 
 
-def _is_hull_vertex(p: Monomial, points: list) -> bool:
-    """p is a vertex of conv(points) iff it is not a convex combination of
-    the others (decided by exact LP feasibility)."""
-    others = [q for q in points if q != p]
-    if not others:
-        return True
-    A_eq = [[q[s] for q in others] for s in range(len(p))] + [[1] * len(others)]
-    return feasible_point(len(others), A_eq=A_eq, b_eq=[*p, 1]) is None
-
-
 def _dominated(v: Monomial, by: Monomial) -> bool:
     return all(b >= a for a, b in zip(v, by))
-
-
-def v0_lp(f: MultiPoly) -> set:
-    return {v for v in f.support() if realizing_weights(f, v) is not None}
 
 
 def _dominating_combination(v: Monomial, others: list) -> Optional[list]:
@@ -104,25 +91,6 @@ def _dominating_combination(v: Monomial, others: list) -> Optional[list]:
         return None
     A_ge = [[q[s] for q in others] for s in range(len(v))]
     return feasible_point(len(others), A_eq=[[1] * len(others)], b_eq=[1], A_ge=A_ge, b_ge=v)
-
-
-def v0_combinatorial(f: MultiPoly) -> set:
-    """Hull vertices filtered by coordinate dominance.
-
-    Pairwise dominance between vertices is only a necessary filter: in three
-    or more variables a vertex can be dominated by a point in the interior
-    of a face without any single vertex dominating it.  The decisive test is
-    dominance against the whole polytope.
-    """
-    points = sorted(f.support())
-    vertices = [p for p in points if _is_hull_vertex(p, points)]
-    out = set()
-    for v in vertices:
-        if any(u != v and _dominated(v, by=u) for u in vertices):
-            continue
-        if _dominating_combination(v, [q for q in points if q != v]) is None:
-            out.add(v)
-    return out
 
 
 def v0_set(f: MultiPoly) -> set:
@@ -150,7 +118,11 @@ def v0_set(f: MultiPoly) -> set:
 
 
 def _descending_divisors(d: int) -> tuple:
-    return tuple(k for k in range(d, 1, -1) if d % k == 0)
+    """The divisors k > 1 of d, descending: each k <= isqrt(d) that divides d
+    pairs with d // k."""
+    small = [k for k in range(1, isqrt(d) + 1) if d % k == 0]
+    large = [d // k for k in small if k * k != d]
+    return tuple(k for k in large + small[::-1] if k > 1)
 
 
 def _gcd_multiplicity(v0: set) -> int:
@@ -158,11 +130,6 @@ def _gcd_multiplicity(v0: set) -> int:
     if not mults:
         raise PolyError("no non-unit potential leading terms")
     return gcd(*mults)
-
-
-def d1_multiplicity(f: MultiPoly) -> int:
-    """GCD of d(m_v) over all potential leading terms v in V0."""
-    return _gcd_multiplicity(v0_set(f))
 
 
 def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tuple:
@@ -177,7 +144,7 @@ def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tu
     if d == 1:
         return ()
     if pruned:
-        d = d1_multiplicity(f)
+        d = _gcd_multiplicity(v0_set(f))
     return _descending_divisors(d)
 
 

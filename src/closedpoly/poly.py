@@ -345,22 +345,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def deflate(self, root: Scalar) -> "UniPoly":
-        """Exact synthetic division by (t - root); raises if root is not a root."""
-        root = Fraction(root)
-        if self.is_zero():
-            raise PolyError("cannot deflate the zero polynomial")
-        out: list[Fraction] = []
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        rem = out.pop()
-        if rem:
-            raise PolyError(f"{root} is not a root")
-        out.reverse()
-        return UniPoly(out)
-
     def __repr__(self):
         from .parsing import render_uni
 

@@ -15,11 +15,11 @@ from closedpoly.decompose import generative
 from closedpoly.depend import apply_derivation, jacobian_minors
 from closedpoly.family import exceptional_image, factor_shift, parse_decomposition_data, stein_check
 from closedpoly.monoid import MonoidGens, is_saturated, saturation_generators
-from closedpoly.newton import v0_combinatorial, v0_lp
 from closedpoly.parsing import ParseError, parse_poly, render_poly
 from closedpoly.poly import MultiPoly, UniPoly, compose_uni
 
 from conftest import P, random_closed_normalized, random_outer, random_poly
+from oracles import v0_combinatorial, v0_lp
 
 RECORDED_DECOMPOSITIONS = []
 

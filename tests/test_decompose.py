@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -252,3 +253,14 @@ class TestAgainstReference:
         r = generative(P("x1^24 + x9"), pruned=False)
         assert r.closed
         assert r.trace == tuple((k, "mismatch") for k in (24, 12, 8, 6, 4, 3, 2))
+
+    @pytest.mark.parametrize("d, divisors", [(16777214, 7), (2147483646, 191)])
+    def test_huge_divisors_rejected_before_listing_powers(self, d, divisors):
+        # each m1^k is x1^d, and T = x2 is neither a power of m1 nor a multiple of m1^(k-1)
+        f = P(f"x1^{d} + x2")
+        start = time.perf_counter()
+        r = generative(f, pruned=False)
+        assert time.perf_counter() - start < 1.0
+        assert r.closed and r.h == f
+        assert len(r.trace) == divisors
+        assert r.trace == tuple((k, "mismatch") for k in divisor_sequence(f, GL))

@@ -139,6 +139,36 @@ class TestFactorShift:
             assert fam.shift_count() + fam.residual.degree() == r.F.degree()
             count += 1
 
+    def test_agrees_with_divisor_enumeration_oracle(self):
+        # non-monic F + mu = G with planted multiple roots, often times a quadratic
+        rng = random.Random(1984)
+        h = P("x1^2 + x2")
+        seen = {"multiple root": 0, "no rational root": 0}
+        for _ in range(60):
+            G = UniPoly([Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))])
+            for _ in range(rng.randint(0, 2)):
+                root = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3)):
+                    G = G * UniPoly([-root, 1])
+            if G.degree() == 0 or rng.random() < 0.5:
+                G = G * UniPoly([rng.randint(1, 9), rng.randint(-3, 3), rng.randint(1, 3)])
+            mu = Fraction(rng.randint(-20, 20), rng.randint(1, 3))
+            r = generative(compose_uni(G - mu, h))
+            fam = factor_shift(r, mu)
+            roots = divisor_enumeration_roots(r.F + mu)
+            assert fam.shifts == tuple((-root, mult) for root, mult in reversed(roots))
+            product = UniPoly([fam.alpha])
+            for lam, mult in fam.shifts:
+                for _ in range(mult):
+                    product = product * UniPoly([lam, 1])
+            assert product * fam.residual == r.F + mu
+            assert fam.residual.leading_coefficient() == 1
+            assert divisor_enumeration_roots(fam.residual) == []
+            assert fam.verified
+            seen["multiple root"] += any(mult > 1 for _, mult in roots)
+            seen["no rational root"] += not roots
+        assert min(seen.values()) >= 5, seen
+
     @pytest.mark.parametrize(
         "mu, shifts",
         [(-3 * (10**9 + 7) ** 2, ()),

@@ -11,9 +11,10 @@ from closedpoly.monoid import (
     MonoidGens,
     cone_member,
     is_saturated,
-    monoid_members,
     saturation_generators,
 )
+
+from oracles import monoid_members
 
 
 def gens2(*vectors, bound=0):

@@ -7,19 +7,18 @@ import pytest
 
 from closedpoly.linprog import feasible_point
 from closedpoly.newton import (
-    d1_multiplicity,
+    _descending_divisors,
     divisor_sequence,
     multiplicity,
     newton_summary,
     realizing_weights,
-    v0_combinatorial,
-    v0_lp,
     v0_set,
 )
 from closedpoly.orders import GREVLEX, WEIGHTED, OrderSpec, leading_term
 from closedpoly.poly import MultiPoly, PolyError
 
 from conftest import P, random_poly
+from oracles import v0_combinatorial, v0_lp
 
 GL = OrderSpec()
 
@@ -213,6 +212,19 @@ class TestDivisorSequence:
     def test_multiplicity_one_fast_path(self):
         assert divisor_sequence(P("x1*x2 + x1"), GL) == ()
 
+    def test_divisors_match_brute_force(self):
+        for d in range(1, 3001):
+            assert _descending_divisors(d) == tuple(k for k in range(d, 1, -1) if d % k == 0), d
+
+    def test_huge_leading_multiplicity_is_fast(self):
+        # 2147483646 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331 has 192 divisors
+        start = time.perf_counter()
+        s = newton_summary(P("x1^2147483646 + x2"), GL)
+        assert time.perf_counter() - start < 1.0
+        assert len(s.divisors_plain) == 191
+        assert s.divisors_plain[:3] == (2147483646, 1073741823, 715827882)
+        assert s.divisors_pruned == ()
+
 
 class TestRealizingWeights:
     def test_leading_vertex(self, ex1):
@@ -334,7 +346,7 @@ class TestDualCharacterization:
         rng = random.Random(35)
         for _ in range(10):
             f = random_support_poly(rng, rng.randint(2, 3))
-            d1 = d1_multiplicity(f)
+            d1 = newton_summary(f, GL).d1
             orders = [GL, OrderSpec(kind=GREVLEX)]
             orders += [
                 OrderSpec(

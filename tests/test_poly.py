@@ -310,12 +310,6 @@ class TestUniPoly:
     def test_trailing_zeros_trimmed(self):
         assert UniPoly([1, 2, 0, 0]).coeffs == (1, 2)
 
-    def test_deflate(self):
-        F = UniPoly([-1, 0, 1])  # t^2 - 1
-        assert F.deflate(1) == UniPoly([1, 1])
-        with pytest.raises(PolyError):
-            F.deflate(2)
-
     def test_arithmetic(self):
         F = UniPoly([1, 2])
         G = UniPoly([0, 1, 1])
