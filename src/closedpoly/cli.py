@@ -37,10 +37,6 @@ EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
 
 
-class InternalVerificationError(RuntimeError):
-    pass
-
-
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -66,7 +62,7 @@ def _number_arg(flag: str, text: str, kind=Fraction):
 
 
 def _emit(args, payload: dict, human_lines: list):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in human_lines:
@@ -74,7 +70,7 @@ def _emit(args, payload: dict, human_lines: list):
 
 
 def _order_from_args(args) -> OrderSpec:
-    return OrderSpec(kind=getattr(args, "order", GRLEX))
+    return OrderSpec(kind=args.order)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -140,7 +136,7 @@ def _cmd_newton(args) -> int:
             all(w > 0 for w in wv.weights)
             and all(wv.functional(u) < wv.functional(v) for u in summary.support if u != v)
         ):
-            raise InternalVerificationError(f"V0 point {list(v)} has no checked realizing weights")
+            raise RuntimeError(f"V0 point {list(v)} has no checked realizing weights")
         weights[v] = wv.weights
     payload = {
         "command": "newton",
@@ -171,9 +167,11 @@ def _cmd_newton(args) -> int:
 
 def _cmd_depend(args) -> int:
     # f and g are read in one ring: the larger of their inferred variable counts
-    parsed = [parse_poly(_read_source(path)) for path in (args.f, args.g)]
-    n = max(p.nvars for p in parsed)
-    f, g = (parse_poly(p.source, min_nvars=n).poly for p in parsed)
+    f_text = _read_source(args.f)
+    f = parse_poly(f_text).poly
+    g = parse_poly(_read_source(args.g), min_nvars=f.nvars).poly
+    if g.nvars > f.nvars:
+        f = parse_poly(f_text, min_nvars=g.nvars).poly
     grid = jacobian_minors(f, g)
     nonzero = grid.nonzero()
     payload = {
@@ -202,9 +200,7 @@ def _cmd_family(args) -> int:
     result = generative(f, order)
     fam = factor_shift(result, mu)
     if not fam.verified:
-        raise InternalVerificationError(
-            "product identity for f + mu failed to verify"
-        )
+        raise RuntimeError("product identity for f + mu failed to verify")
     payload = {
         "command": "family",
         "mu": str(fam.mu),
@@ -276,7 +272,7 @@ def _parse_gens(text: str) -> list:
 
 def _cmd_saturate(args) -> int:
     vectors = _parse_gens(args.gens)
-    bound = 0 if args.bound is None else _number_arg("--bound", args.bound, int)
+    bound = None if args.bound is None else _number_arg("--bound", args.bound, int)
     gens = MonoidGens(nvars=len(vectors[0]), gens=frozenset(vectors), bound=bound)
     sat = sorted(saturation_generators(gens))
     saturated = is_saturated(gens)

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .newton import divisor_sequence, multiplicity
 from .orders import OrderSpec, monomials_below, normalize, sort_key
-from .poly import MultiPoly, PolyError, UniPoly, _check_exponent, compose_uni, mono_pow
+from .poly import MultiPoly, PolyError, UniPoly, compose_uni, mono_pow
 
 VERIFIED = "verified"
 MISMATCH = "mismatch"
@@ -53,15 +53,11 @@ def _powers_with_term(powers: list, mono, coeff: Fraction, k: int) -> None:
 
     (q + c*m)^p = q^p + sum_i C(p, i) c^i m^i q^(p-i), so each power gains
     scaled, shifted copies of the lower ones; from p = k down, the lower
-    powers still hold those of q.  The exponent bound is checked first, per
-    (p, i) in the order of the products q^(p-i) * (c*m)^i it stands for.
+    powers still hold those of q.  The powers are scratch: a zero left by
+    cancellation compares equal to an absent term, and h leaves through
+    MultiPoly._checked.
     """
-    shifts = [mono_pow(mono, i) for i in range(k + 1)]
-    tops = [list(map(max, zip(*powers[j]))) for j in range(k)]
-    for p in range(1, k + 1):
-        for i in range(1, p + 1):
-            for e in map(add, tops[p - i], shifts[i]):
-                _check_exponent(e)
+    shifts = [tuple(e * i for e in mono) for i in range(k + 1)]
     for p in range(k, 0, -1):
         acc = powers[p]
         for i in range(1, p + 1):
@@ -70,8 +66,6 @@ def _powers_with_term(powers: list, mono, coeff: Fraction, k: int) -> None:
             for m, c in powers[p - i].items():
                 m = tuple(map(add, m, shift))
                 acc[m] = acc[m] + scale * c if m in acc else scale * c
-        for m in [m for m, c in acc.items() if not c]:
-            del acc[m]
 
 
 def attempt_divisor(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Optional
 
 from .linprog import feasible_point
 from .parsing import short_number
@@ -35,7 +36,7 @@ class EnumerationCapExceeded(MonoidError):
 class MonoidGens:
     nvars: int
     gens: frozenset  # nonzero vectors in Z_{>=0}^nvars
-    bound: int = 0  # max coordinate sum for enumeration; 0 = derive from gens
+    bound: Optional[int] = None  # max coordinate sum for enumeration; None = _complete_bound
 
     def __post_init__(self):
         gens = frozenset(tuple(g) for g in self.gens)
@@ -49,22 +50,26 @@ class MonoidGens:
             if not any(g):
                 raise MonoidError("the zero vector is not a valid generator")
         object.__setattr__(self, "gens", gens)
-        largest = max(sum(g) for g in gens)
-        bound = self.bound or (largest if self.nvars <= 2 else max(largest, self._complete_bound))
-        if bound < largest:
+        if self.bound is None:
+            object.__setattr__(self, "bound", self._complete_bound)
+        elif self.bound < max(sum(g) for g in gens):
             raise MonoidError("bound is below the largest generator degree")
-        object.__setattr__(self, "bound", bound)
 
     @property
     def _complete_bound(self) -> int:
-        """By Carathéodory, a Hilbert-basis element that is not a generator is a
-        sum of lambda_i g_i with lambda_i < 1 over linearly independent g_i."""
-        return sum(sorted(sum(g) for g in self.gens)[-self.nvars:]) - 1
+        """A bound that provably covers the whole basis: the largest generator
+        degree for nvars <= 2.  Beyond that, by Carathéodory, a Hilbert-basis
+        element that is not a generator is a sum of lambda_i g_i with
+        lambda_i < 1 over linearly independent g_i."""
+        degrees = sorted(sum(g) for g in self.gens)
+        if self.nvars <= 2:
+            return degrees[-1]
+        return max(degrees[-1], sum(degrees[-self.nvars:]) - 1)
 
     @property
     def exact(self) -> bool:
         """Whether the bound provably covers the whole basis (always for nvars <= 2)."""
-        return self.nvars == 2 or self.bound >= self._complete_bound
+        return self.bound >= self._complete_bound
 
 
 def cone_member(v, gens: MonoidGens) -> bool:

@@ -46,7 +46,6 @@ class ParseError(ValueError):
 class ParsedInput:
     poly: MultiPoly
     nvars: int
-    source: str
 
 
 _BAD_CHAR_RE = re.compile(r"x(?![0-9])|[^\sx0-9+\-*/^]")
@@ -180,7 +179,7 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
         m = tuple(exps)  # keys that differ only in x_i^0 factors share m
         full[m] = full[m] + coeff if m in full else Fraction(coeff)
     # every check of the MultiPoly constructor is made above, so build unchecked
-    return ParsedInput(poly=MultiPoly._checked(nvars, full), nvars=nvars, source=text)
+    return ParsedInput(poly=MultiPoly._checked(nvars, full), nvars=nvars)
 
 
 def _render_mono(m) -> str:
@@ -220,8 +219,8 @@ def render_poly(f: MultiPoly, order: OrderSpec = OrderSpec()) -> str:
     return _join_signed(signed)
 
 
-def render_uni(F: UniPoly, var: str = "t") -> str:
-    """Rendering of F in descending powers of ``var``; "0" for the zero polynomial."""
+def render_uni(F: UniPoly) -> str:
+    """Rendering of F in descending powers of t; "0" for the zero polynomial."""
     signed = []
     for i in range(len(F.coeffs) - 1, -1, -1):
         c = F.coeffs[i]
@@ -231,7 +230,7 @@ def render_uni(F: UniPoly, var: str = "t") -> str:
         if i == 0:
             body = str(mag)
         else:
-            power = var if i == 1 else f"{var}^{i}"
+            power = "t" if i == 1 else f"t^{i}"
             body = power if mag == 1 else f"{mag}*{power}"
         signed.append((c, body))
     return _join_signed(signed)

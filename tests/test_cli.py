@@ -126,17 +126,21 @@ class TestDepend:
         assert payload["dependent"] is False
         assert payload["nonzero_minors"] == {"(1,2)": "-1"}
 
-    def test_inputs_with_different_variable_counts(self, capsys, poly_file):
+    @pytest.mark.parametrize("f, g, minor", [
+        ("x1^2", "x1*x2 + x2", "2*x1^2 + 2*x1"),
+        ("x1*x2 + x2", "x1^2", "-2*x1^2 - 2*x1"),
+    ], ids=["g-has-more", "f-has-more"])
+    def test_inputs_with_different_variable_counts(self, capsys, poly_file, f, g, minor):
         payload = run_json(
             capsys,
             "depend",
             "--f",
-            poly_file("x1^2\n", "f.txt"),
+            poly_file(f + "\n", "f.txt"),
             "--g",
-            poly_file("x1*x2 + x2\n", "g.txt"),
+            poly_file(g + "\n", "g.txt"),
         )
         assert payload["dependent"] is False
-        assert payload["nonzero_minors"] == {"(1,2)": "2*x1^2 + 2*x1"}
+        assert payload["nonzero_minors"] == {"(1,2)": minor}
 
 
 class TestFamily:
@@ -208,6 +212,7 @@ class TestSaturate:
         payload = run_json(capsys, "saturate", "--gens", "1,0;1,3")
         assert payload["saturation_generators"] == [[1, 0], [1, 1], [1, 2], [1, 3]]
         assert payload["is_saturated"] is False
+        assert payload["bound"] == 4
         assert payload["exact"] is True
 
     def test_saturated(self, capsys):
@@ -238,6 +243,12 @@ class TestSaturate:
         payload = run_json(capsys, "saturate", "--gens", "1,0;1,2", "--bound", "8")
         assert payload["bound"] == 8
         assert payload["saturation_generators"] == [[1, 0], [1, 1], [1, 2]]
+
+    @pytest.mark.parametrize("bound", ["0", "1", "-1"])
+    def test_bound_below_largest_degree(self, capsys, bound):
+        # 0 is an explicit bound like any other, not a request for the default
+        assert run(capsys, "saturate", "--gens", "1,0;1,3", "--bound", bound) == (
+            2, "", "error: bound is below the largest generator degree\n")
 
 
 class TestExitCodes:

@@ -235,6 +235,25 @@ class TestAgainstReference:
                             seen["verified" if got else "mismatch"] += 1
         assert min(seen.values()) >= 20, seen
 
+    @pytest.mark.parametrize("F", [UniPoly([0, 0, 1]), UniPoly([0, 1, 3, 1]), UniPoly([0, 0, 0, 0, 1])],
+                             ids=["t^2", "t^3+3t^2+t", "t^4"])
+    @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])
+    def test_cancelling_power_coefficient(self, F, order):
+        # h^2 has no x1^2*x2^2 term: 2*(1)*(-2) + 2^2 = 0, so a coefficient of a
+        # candidate's power cancels to zero while the powers are updated
+        from closedpoly.newton import multiplicity
+
+        h = P("x1^2 + 2*x1*x2 - 2*x2^2")
+        assert (h**2).coefficient((2, 2)) == 0
+        f = compose_uni(F, h)
+        lm, _ = leading_term(f, order)
+        divisors = [k for k in range(2, multiplicity(lm) + 1) if multiplicity(lm) % k == 0]
+        for k in divisors:
+            got = attempt_divisor(f, k, order)
+            assert got == reference_attempt(f, k, order), (k, order)
+            assert not got or all(got[0].terms.values())
+        assert attempt_divisor(f, F.degree(), order) == (h, F)
+
     def test_sparse_family_enumerates_once(self, monkeypatch):
         # every divisor but 2 is rejected from the second term 2*x1^12*x8
         import closedpoly.decompose as dec

@@ -17,7 +17,7 @@ from closedpoly.monoid import (
 from oracles import monoid_members
 
 
-def gens2(*vectors, bound=0):
+def gens2(*vectors, bound=None):
     return MonoidGens(nvars=2, gens=frozenset(vectors), bound=bound)
 
 
@@ -121,7 +121,7 @@ class TestSaturationGenerators:
                 if 0 < sum(v) <= 5:
                     vectors.add(v)
             degree = max(sum(v) for v in vectors)
-            bound = rng.choice([0, degree + rng.randint(0, 2)])
+            bound = rng.choice([None, degree + rng.randint(0, 2)])
             g = MonoidGens(nvars=nvars, gens=frozenset(vectors), bound=bound)
             basis, saturated = pointwise_saturation(g)
             assert saturation_generators(g) == basis, g
@@ -192,6 +192,11 @@ class TestValidation:
     def test_bound_below_generators_rejected(self):
         with pytest.raises(MonoidError):
             gens2((2, 3), bound=4)
+
+    def test_zero_bound_rejected(self):
+        # None, not 0, asks for the default bound
+        with pytest.raises(MonoidError, match="below the largest generator degree"):
+            gens2((1, 0), (1, 3), bound=0)
 
     def test_empty_rejected(self):
         with pytest.raises(MonoidError):
