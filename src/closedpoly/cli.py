@@ -28,7 +28,7 @@ from .family import (
 from .monoid import MonoidError, MonoidGens, is_saturated, saturation_generators
 from .newton import multiplicity, newton_summary, realizing_weights
 from .orders import GREVLEX, GRLEX, OrderSpec, leading_term
-from .parsing import ParseError, over_limit, parse_poly, render_poly, render_uni
+from .parsing import ParseError, over_limit, parse_poly, render_poly, render_uni, short_number
 from .poly import MultiPoly
 
 EXIT_OK = 0
@@ -274,6 +274,10 @@ def _cmd_saturate(args) -> int:
     vectors = _parse_gens(args.gens)
     bound = None if args.bound is None else _number_arg("--bound", args.bound, int)
     gens = MonoidGens(nvars=len(vectors[0]), gens=frozenset(vectors), bound=bound)
+    try:
+        str(gens.bound)  # the output prints it
+    except ValueError:  # past Python's int-string conversion limit
+        raise MonoidError(f"bound {short_number(gens.bound)} is too long to print") from None
     sat = sorted(saturation_generators(gens))
     saturated = is_saturated(gens)
     payload = {

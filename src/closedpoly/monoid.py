@@ -1,26 +1,33 @@
 """Saturation of monomial subalgebras at the exponent-monoid level.
 
 The saturated semigroup of a generator set A is the set of lattice points
-in the rational cone spanned by A.  Up to a coordinate-sum bound, its
-minimal generators come from one sieve over the lattice points by degree:
-a point is reducible iff it is a lower-degree basis element plus a cone
-point, and only the other points need a cone-membership LP.  An irreducible
-element of the monoid generated by A is an element of A, so A is
-saturated iff that basis lies in A.  The default bound makes this exact;
-a lower explicit bound is a documented heuristic beyond two variables.
+in the rational cone C spanned by A.  Its minimal generators, the Hilbert
+basis, come from fundamental-parallelepiped candidates in exact arithmetic,
+with no LP (Bruns–Koch, "Computing the integral closure of an affine
+semigroup", 2001; Bruns–Ichim, Normaliz, J. Algebra 2010).  Generators are
+divided by the gcd of their entries, which leaves C unchanged, and C, of
+dimension r, is read in r coordinates on which the generators keep rank r:
+that projection is injective on their span, so lower-rank cones take the
+same path.  An irreducible element of the monoid generated by A is an element of
+A, so A is saturated iff that basis lies in A.  The default bound makes the
+answer exact; a lower explicit bound is a documented heuristic beyond two
+variables.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from itertools import combinations, islice
+from math import comb, gcd, lcm
+from operator import ge, mul
 from typing import Optional
 
 from .linprog import feasible_point
 from .parsing import short_number
-from .poly import monomials_of_degree
 
-# Lattice-point enumeration refuses to scan more than this many candidates.
+# Each stage of saturation_generators refuses to run past this size.
 DEFAULT_POINT_CAP = 500_000
 
 
@@ -86,31 +93,146 @@ def cone_member(v, gens: MonoidGens) -> bool:
     return feasible_point(len(gen_list), A_eq=A_eq, b_eq=v) is not None
 
 
+def _row_reduce(rows, ncols: int):
+    """Reduced row echelon form over Q: the nonzero rows, their pivot columns,
+    and the product of the pivots signed by the row swaps (the determinant
+    when the rows form a square matrix of full rank)."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    pivots, det = [], Fraction(1)
+    for col in range(ncols):
+        k = len(pivots)
+        p = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        pivot = rows[k][col]
+        det *= pivot
+        rows[k] = [e / pivot for e in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[k])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots, det
+
+
+def _check_cap(count: int, what: str) -> None:
+    if count > DEFAULT_POINT_CAP:
+        raise EnumerationCapExceeded(f"{what} {short_number(count)} exceeds the cap of {DEFAULT_POINT_CAP}")
+
+
+def _primitive(v) -> tuple:
+    g = gcd(*v)
+    return tuple(e // g for e in v)
+
+
+def _facet_normals(proj: list, r: int) -> list:
+    """The primitive integer normals a of the facets of the full-rank cone
+    spanned by proj in Q^r, each with a·z >= 0 on the cone.  An independent
+    (r-1)-subset spans a hyperplane, whose normal is its kernel; the
+    hyperplane carries a facet iff every generator lies on one side of it."""
+    normals = set()
+    for subset in combinations(proj, r - 1):
+        rows, pivots, _ = _row_reduce(subset, r)
+        if len(pivots) < r - 1:
+            continue
+        free = next(c for c in range(r) if c not in pivots)
+        kernel = [Fraction(c == free) for c in range(r)]
+        for row, c in zip(rows, pivots):
+            kernel[c] = -row[free]
+        scale = lcm(*(e.denominator for e in kernel))
+        a = _primitive([int(e * scale) for e in kernel])
+        values = [sum(map(mul, a, z)) for z in proj]
+        if min(values) >= 0:
+            normals.add(a)
+        elif max(values) <= 0:
+            normals.add(tuple(-e for e in a))
+    return sorted(normals)
+
+
+def _parallelepiped_points(rays: list, D: int, inverse: list):
+    """The nonzero points of Z^n in {sum lambda_i s_i : 0 <= lambda_i < 1} for
+    r independent rays s_i, given S^-1 for the matrix S whose rows are their
+    projections.  Those points' projections reach every class of the group
+    Z^r / S·Z^r, which has D = |det S| elements: lambda(y) = y·S^-1, and
+    D·lambda (mod D) is generated by the D·S^-1 rows of the unit vectors.
+    A class is kept iff its lift is integral in all n coordinates."""
+    group = {(0,) * len(rays)}
+    for row in inverse:
+        step = [int(e * D) % D for e in row]
+        grown = set()
+        for mu in group:
+            while mu not in grown:
+                grown.add(mu)
+                mu = tuple((a + b) % D for a, b in zip(mu, step))
+        group = grown
+    for mu in group:
+        x = [sum(map(mul, mu, column)) for column in zip(*rays)]
+        if any(x) and not any(e % D for e in x):
+            yield tuple(e // D for e in x)
+
+
 def saturation_generators(gens: MonoidGens) -> set:
     """Minimal generators of the saturated semigroup, up to the bound.
 
-    The nonzero lattice points are visited by ascending degree, so every
-    point componentwise below p, all of lower degree, comes before p.  A
-    point p is reducible, and so in the cone, iff p - b is a cone point
-    already seen for some basis element b found so far: a sum of nonzero
-    cone points is also a basis element plus a nonzero cone point, both
-    below p.  Only the other points go to the cone-membership LP, and those
-    inside the cone are exactly the basis.  Raises EnumerationCapExceeded
-    before any point is visited when the scan would exceed DEFAULT_POINT_CAP.
+    The candidates, all in the cone, are the primitive extreme rays and the
+    parallelepiped points of each independent r-subset of them.  The sieve
+    visits them by ascending degree: x is reducible iff x - h is in the cone
+    for some basis element h with deg h <= deg x / 2 (a reducible x is a sum
+    of at least two basis elements, and the smallest of them qualifies),
+    which compares the facet values of x and h.  The basis elements of degree
+    at most the bound are returned.  Raises EnumerationCapExceeded before a
+    stage would run past DEFAULT_POINT_CAP: the facet search, C(m, r-1)
+    subsets of r·(r^2 + m) steps each; the simplicial cones, C(e, r) subsets
+    of the e extreme rays, r^3 steps each; the parallelepiped points, the
+    sum of their |det|; and the sieve's tests, counted before each
+    candidate's.
     """
-    if comb(gens.bound + gens.nvars, gens.nvars) > DEFAULT_POINT_CAP:
-        raise EnumerationCapExceeded(f"lattice-point scan up to degree {short_number(gens.bound)} "
-                                     f"exceeds the cap of {DEFAULT_POINT_CAP}")
-    seen = set()  # nonzero cone points visited so far
-    basis = set()
-    for d in range(1, gens.bound + 1):
-        for p in monomials_of_degree(gens.nvars, d):
-            if any(tuple(a - c for a, c in zip(p, b)) in seen for b in basis):
-                seen.add(p)
-            elif cone_member(p, gens):
-                seen.add(p)
-                basis.add(p)
-    return basis
+    prim = sorted({_primitive(g) for g in gens.gens})
+    coords = _row_reduce(prim, gens.nvars)[1]
+    r, m = len(coords), len(prim)
+
+    def project(v):
+        return tuple(v[c] for c in coords)
+
+    _check_cap(comb(m, r - 1) * r * (r * r + m), "facet search size")
+    normals = _facet_normals([project(g) for g in prim], r)
+    # a generator spans an extreme ray iff the facets through it have rank r - 1
+    rays = [g for g in prim
+            if len(_row_reduce([a for a in normals if not sum(map(mul, a, project(g)))], r)[1]) == r - 1]
+    _check_cap(comb(len(rays), r) * r ** 3, "simplicial cone search size")
+    cones = []
+    for subset in combinations(rays, r):
+        rows, pivots, det = _row_reduce([[*project(s), *(int(i == j) for j in range(r))]
+                                         for i, s in enumerate(subset)], 2 * r)
+        if pivots[-1] < r:
+            cones.append((subset, abs(int(det)), [row[r:] for row in rows]))
+    _check_cap(sum(D for _, D, _ in cones), "parallelepiped point count")
+
+    candidates = set(rays)
+    for subset, D, inverse in cones:
+        candidates.update(_parallelepiped_points(subset, D, inverse))
+    points = sorted((sum(x), x) for x in candidates if sum(x) <= gens.bound)
+    facet_values = [[sum(map(mul, a, project(x))) for a in normals] for _, x in points]
+    # The facet values of a point, all >= 0, packed into one int in fields of
+    # `width` bits with the top bit spare: x - h is in the cone iff every field
+    # of (packed(x) | top) - packed(h) keeps its top bit.
+    width = 1 + max(v.bit_length() for vx in facet_values for v in vx)
+    top = sum(1 << (i * width + width - 1) for i in range(len(normals)))
+    basis, degrees, packed = [], [], []
+    tests = 0
+    for (d, x), vx in zip(points, facet_values):
+        k = bisect_right(degrees, d // 2)
+        tests += k
+        _check_cap(tests, "sieve test count")
+        p = sum(v << (i * width) for i, v in enumerate(vx))
+        high = p | top
+        if not any((high - q) & top == top for q in islice(packed, k)):
+            basis.append(x)
+            degrees.append(d)
+            packed.append(p)
+    return set(basis)
 
 
 def is_saturated(gens: MonoidGens) -> bool:

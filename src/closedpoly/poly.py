@@ -361,8 +361,8 @@ def compose_uni(F: UniPoly, h: MultiPoly) -> MultiPoly:
 
 def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
     """All exponent vectors in nvars variables with coordinate sum d, in
-    descending lexicographic order.  `orders.monomials_below` and the
-    saturation sieve of `monoid` build on it one degree level at a time."""
+    descending lexicographic order.  `orders.monomials_below`, its one
+    caller, builds on it one degree level at a time."""
     if nvars == 1:
         yield (d,)
         return

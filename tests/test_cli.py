@@ -239,6 +239,27 @@ class TestSaturate:
         )
         assert run_json(capsys, "saturate", "--gens", "2;3")["exact"] is True
 
+    def test_unit_cone_in_three_variables(self, capsys):
+        # the primitive generators are the unit vectors: one parallelepiped, |det| = 1
+        payload = run_json(capsys, "saturate", "--gens", "50,0,0;0,50,0;0,0,50")
+        assert payload["saturation_generators"] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        assert payload["is_saturated"] is False
+        assert payload["exact"] is True
+        assert payload["bound"] == 149
+
+    def test_staircase_of_1001(self, capsys):
+        payload = run_json(capsys, "saturate", "--gens", "1,0;1,1000")
+        assert payload["saturation_generators"] == [[1, j] for j in range(1001)]
+        assert payload["is_saturated"] is False
+
+    @pytest.mark.parametrize("bound", ["1000000", "9" * 4000])
+    def test_large_explicit_bound(self, capsys, bound):
+        # the bound only cuts the answer: no work grows with it
+        payload = run_json(capsys, "saturate", "--gens", "1,0;1,2", "--bound", bound)
+        assert payload["saturation_generators"] == run_json(
+            capsys, "saturate", "--gens", "1,0;1,2")["saturation_generators"]
+        assert payload["bound"] == int(bound)
+
     def test_explicit_bound(self, capsys):
         payload = run_json(capsys, "saturate", "--gens", "1,0;1,2", "--bound", "8")
         assert payload["bound"] == 8
@@ -355,11 +376,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, data, code, message",
         [
-            (["saturate", "--gens", "1,0", "--bound", "9" * 4000], None, 2,
-             "lattice-point scan up to degree <4000 digits> exceeds the cap of 500000"),
+            # the one parallelepiped of (1,0) and (1,99...9) has |det| = 99...9 points
+            (["saturate", "--gens", "1,0;1," + "9" * 4000], None, 2,
+             "parallelepiped point count <4000 digits> exceeds the cap of 500000"),
             # the default bound, a generator's degree, is past the int-string limit
             (["saturate", "--gens", ",".join(["9" * LIMIT] * 2)], None, 2,
-             f"lattice-point scan up to degree <{LIMIT + 1} digits> exceeds the cap of 500000"),
+             f"bound <{LIMIT + 1} digits> is too long to print"),
             (["stein", "--mode", "f", "--d", "9" * 4000], STEIN_F, 1,
              "total degree 6 is not a multiple of d=<4000 digits>"),
             (["stein", "--mode", "f", "--d", "9" * 41], STEIN_F, 1,
@@ -373,7 +395,7 @@ class TestExitCodes:
             (["stein", "--mode", "h"], "*: 0^" + "9" * 4000 + "\n", 1,
              "degrees and multiplicities must be positive, got 0^<4000 digits>"),
         ],
-        ids=["bound", "derived-bound", "stein-d", "stein-d-41-digits", "stein-d-40-digits", "factor-degree",
+        ids=["parallelepiped-count", "derived-bound", "stein-d", "stein-d-41-digits", "stein-d-40-digits", "factor-degree",
              "stein-totals", "stein-nonpositive-factor"],
     )
     def test_long_number_worded_by_digit_count(self, capsys, poly_file, argv, data, code, message):

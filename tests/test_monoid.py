@@ -23,15 +23,14 @@ def gens2(*vectors, bound=None):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts the cone_member calls made through the monoid module."""
+    """Records the cone_member and feasible_point calls made through the monoid module."""
     calls = []
-    real = closedpoly.monoid.cone_member
+    for name in ("cone_member", "feasible_point"):
+        def counting(*args, real=getattr(closedpoly.monoid, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-    def counting(v, gens):
-        calls.append(tuple(v))
-        return real(v, gens)
-
-    monkeypatch.setattr(closedpoly.monoid, "cone_member", counting)
+        monkeypatch.setattr(closedpoly.monoid, name, counting)
     return calls
 
 
@@ -97,17 +96,34 @@ class TestSaturationGenerators:
         assert not is_saturated(g)
 
     def test_cap(self, lp_calls):
-        g = MonoidGens(nvars=4, gens=frozenset({(100, 0, 0, 0), (0, 100, 0, 0)}))
+        # the one parallelepiped of (1,0) and (1,600000) has |det| = 600000 points
+        g = gens2((1, 0), (1, 600_000))
         with pytest.raises(EnumerationCapExceeded, match=f"cap of {DEFAULT_POINT_CAP}"):
             saturation_generators(g)
         assert lp_calls == []
 
-    @pytest.mark.parametrize("m", [5, 20, 80])
+    def test_primitive_generators(self):
+        # (100,0,0,0) spans the same cone as (1,0,0,0): the parallelepiped has |det| = 1
+        g = MonoidGens(nvars=4, gens=frozenset({(100, 0, 0, 0), (0, 100, 0, 0)}))
+        assert saturation_generators(g) == {(1, 0, 0, 0), (0, 1, 0, 0)}
+        assert not is_saturated(g)
+        # unreduced, (10^6,0) and (0,10^6) would span 10^12 parallelepiped points
+        assert saturation_generators(gens2((10**6, 0), (0, 10**6))) == {(1, 0), (0, 1)}
+
+    def test_dependent_extreme_rays(self):
+        # four of the five extreme rays lie in the facet w = 0, so one 4-subset
+        # of them is dependent and spans no parallelepiped
+        g = MonoidGens(nvars=4, gens=frozenset(
+            {(1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0), (0, 0, 0, 1)}))
+        basis, saturated = pointwise_saturation(g)
+        assert saturation_generators(g) == basis
+        assert is_saturated(g) is saturated
+
+    @pytest.mark.parametrize("m", [5, 20, 80, 1000])
     def test_lp_only_where_reduction_fails(self, lp_calls, m):
-        # The m + 1 points (0, j) outside the cone and the m + 1 basis points
-        # (1, j) need an LP; every other cone point reduces against the basis.
+        # cone membership is read off the facet values, so no point needs an LP
         assert saturation_generators(gens2((1, 0), (1, m))) == {(1, j) for j in range(m + 1)}
-        assert len(lp_calls) == 2 * (m + 1)
+        assert lp_calls == []
 
     def test_agrees_with_pointwise_definition(self):
         rng = random.Random(2026)
@@ -126,6 +142,54 @@ class TestSaturationGenerators:
             basis, saturated = pointwise_saturation(g)
             assert saturation_generators(g) == basis, g
             assert is_saturated(g) is saturated, g
+
+    def test_agrees_with_pointwise_definition_lower_rank(self):
+        # generators in a 1- or 2-dimensional sublattice of Z^3 or Z^4: the cone
+        # is read in coordinates where it has full rank
+        rng = random.Random(2027)
+        max_degree = {3: 4, 4: 3}
+        for _ in range(200):
+            nvars = rng.choice([3, 4])
+            base = [tuple(rng.randint(0, 1) for _ in range(nvars)) for _ in range(rng.randint(1, 2))]
+            vectors = set()
+            for _ in range(8):
+                c = [rng.randint(0, 3) for _ in base]
+                v = tuple(sum(ci * b[s] for ci, b in zip(c, base)) for s in range(nvars))
+                if 0 < sum(v) <= max_degree[nvars] and len(vectors) < 3:
+                    vectors.add(v)
+            if not vectors:
+                continue
+            degree = max(sum(v) for v in vectors)
+            bound = rng.choice([None, degree + rng.randint(0, 2)])
+            g = MonoidGens(nvars=nvars, gens=frozenset(vectors), bound=bound)
+            basis, saturated = pointwise_saturation(g)
+            assert saturation_generators(g) == basis, g
+            assert is_saturated(g) is saturated, g
+
+    def test_agrees_with_pointwise_definition_one_variable(self):
+        rng = random.Random(2028)
+        for _ in range(20):
+            vectors = {(rng.randint(1, 9),) for _ in range(rng.randint(1, 3))}
+            degree = max(v[0] for v in vectors)
+            bound = rng.choice([None, degree + rng.randint(0, 3)])
+            g = MonoidGens(nvars=1, gens=frozenset(vectors), bound=bound)
+            basis, saturated = pointwise_saturation(g)
+            assert saturation_generators(g) == basis == {(1,)}, g
+            assert is_saturated(g) is saturated, g
+
+    def test_scaling_generators_keeps_the_saturation(self):
+        # g and c*g span the same cone, and the default bound is exact for both
+        rng = random.Random(2029)
+        for _ in range(200):
+            nvars = rng.randint(1, 4)
+            draws = (tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 4)))
+            vectors = {v for v in draws if any(v)}
+            if not vectors:
+                continue
+            scaled = {tuple(c * e for e in v) for v in vectors for c in [rng.randint(1, 5)]}
+            g = MonoidGens(nvars=nvars, gens=frozenset(vectors))
+            assert saturation_generators(MonoidGens(nvars=nvars, gens=frozenset(scaled))) == (
+                saturation_generators(g)), (vectors, scaled)
 
 
 class TestInvariants:
