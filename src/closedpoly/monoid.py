@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import ge, mul
 from typing import Optional
 
@@ -127,27 +127,55 @@ def _primitive(v) -> tuple:
     return tuple(e // g for e in v)
 
 
-def _facet_normals(proj: list, r: int) -> list:
+def _inverse(rows: list, r: int):
+    """|det| and the rows of the inverse of an r x r integer matrix, or None
+    when it is singular."""
+    reduced, pivots, det = _row_reduce([[*row, *(int(i == j) for j in range(r))]
+                                        for i, row in enumerate(rows)], 2 * r)
+    if pivots[-1] >= r:
+        return None
+    return abs(int(det)), [row[r:] for row in reduced]
+
+
+def _facet_normals(proj: list, first: list) -> list:
     """The primitive integer normals a of the facets of the full-rank cone
-    spanned by proj in Q^r, each with a·z >= 0 on the cone.  An independent
-    (r-1)-subset spans a hyperplane, whose normal is its kernel; the
-    hyperplane carries a facet iff every generator lies on one side of it."""
-    normals = set()
-    for subset in combinations(proj, r - 1):
-        rows, pivots, _ = _row_reduce(subset, r)
-        if len(pivots) < r - 1:
-            continue
-        free = next(c for c in range(r) if c not in pivots)
-        kernel = [Fraction(c == free) for c in range(r)]
-        for row, c in zip(rows, pivots):
-            kernel[c] = -row[free]
-        scale = lcm(*(e.denominator for e in kernel))
-        a = _primitive([int(e * scale) for e in kernel])
-        values = [sum(map(mul, a, z)) for z in proj]
+    spanned by proj in Q^r, each with a·z >= 0 on the cone, by double
+    description (Motzkin et al. 1953; Fukuda–Prodon 1996).  The facets of the
+    cone of the r independent generators indexed by first are the columns of
+    their inverse.  A later generator outside the current cone keeps the
+    facets it does not violate and replaces the others by the combinations,
+    zero on it, of each adjacent pair of facets on its two sides; two facets
+    are adjacent iff no third facet holds every generator that both hold.  A
+    generator inside the current cone changes nothing, so interior generators
+    cost one pass over the facets each.  Raises EnumerationCapExceeded once
+    the work passes DEFAULT_POINT_CAP."""
+    r = len(first)
+    D, inverse = _inverse([proj[i] for i in first], r)
+    normals = [_primitive([int(e * D) for e in column]) for column in zip(*inverse)]
+    tight = [set(first) - {i} for i in first]  # the generators on each facet
+    work = 0
+    for k, g in enumerate(proj):
+        values = [sum(map(mul, a, g)) for a in normals]
+        work += len(normals)
+        _check_cap(work, "facet search size")
         if min(values) >= 0:
-            normals.add(a)
-        elif max(values) <= 0:
-            normals.add(tuple(-e for e in a))
+            continue
+        above = [i for i, v in enumerate(values) if v > 0]
+        below = [j for j, v in enumerate(values) if v < 0]
+        work += len(above) * len(below)
+        kept = [(normals[i], tight[i] | {k} if v == 0 else tight[i])
+                for i, v in enumerate(values) if v >= 0]
+        for i in above:
+            for j in below:
+                common = tight[i] & tight[j]
+                if len(common) < r - 2:
+                    continue
+                work += len(normals)
+                _check_cap(work, "facet search size")
+                if not any(common <= t for l, t in enumerate(tight) if l != i and l != j):
+                    kept.append((_primitive([values[i] * b - values[j] * a
+                                             for a, b in zip(normals[i], normals[j])]), common | {k}))
+        normals, tight = (list(c) for c in zip(*kept))
     return sorted(normals)
 
 
@@ -182,56 +210,47 @@ def saturation_generators(gens: MonoidGens) -> set:
     for some basis element h with deg h <= deg x / 2 (a reducible x is a sum
     of at least two basis elements, and the smallest of them qualifies),
     which compares the facet values of x and h.  The basis elements of degree
-    at most the bound are returned.  Raises EnumerationCapExceeded before a
-    stage would run past DEFAULT_POINT_CAP: the facet search, C(m, r-1)
-    subsets of r·(r^2 + m) steps each; the simplicial cones, C(e, r) subsets
-    of the e extreme rays, r^3 steps each; the parallelepiped points, the
-    sum of their |det|; and the sieve's tests, counted before each
-    candidate's.
+    at most the bound are returned.  Raises EnumerationCapExceeded when a
+    stage would run past DEFAULT_POINT_CAP: the facet search, charged as it
+    goes; the simplicial cones, C(e, r) subsets of the e extreme rays, r^3
+    steps each; the parallelepiped points, the sum of their |det|; and the
+    sieve's tests, counted before each candidate's.
     """
     prim = sorted({_primitive(g) for g in gens.gens})
-    coords = _row_reduce(prim, gens.nvars)[1]
-    r, m = len(coords), len(prim)
+    first = _row_reduce(list(zip(*prim)), len(prim))[1]  # r independent generators
+    coords = _row_reduce([prim[i] for i in first], gens.nvars)[1]
+    r = len(coords)
 
     def project(v):
         return tuple(v[c] for c in coords)
 
-    _check_cap(comb(m, r - 1) * r * (r * r + m), "facet search size")
-    normals = _facet_normals([project(g) for g in prim], r)
+    normals = _facet_normals([project(g) for g in prim], first)
     # a generator spans an extreme ray iff the facets through it have rank r - 1
-    rays = [g for g in prim
-            if len(_row_reduce([a for a in normals if not sum(map(mul, a, project(g)))], r)[1]) == r - 1]
+    rays = []
+    for g in prim:
+        through = [a for a in normals if not sum(map(mul, a, project(g)))]
+        if len(through) >= r - 1 and len(_row_reduce(through, r)[1]) == r - 1:
+            rays.append(g)
     _check_cap(comb(len(rays), r) * r ** 3, "simplicial cone search size")
-    cones = []
-    for subset in combinations(rays, r):
-        rows, pivots, det = _row_reduce([[*project(s), *(int(i == j) for j in range(r))]
-                                         for i, s in enumerate(subset)], 2 * r)
-        if pivots[-1] < r:
-            cones.append((subset, abs(int(det)), [row[r:] for row in rows]))
+    cones = [(subset, *inverse) for subset in combinations(rays, r)
+             if (inverse := _inverse([project(s) for s in subset], r))]
     _check_cap(sum(D for _, D, _ in cones), "parallelepiped point count")
 
     candidates = set(rays)
     for subset, D, inverse in cones:
         candidates.update(_parallelepiped_points(subset, D, inverse))
     points = sorted((sum(x), x) for x in candidates if sum(x) <= gens.bound)
-    facet_values = [[sum(map(mul, a, project(x))) for a in normals] for _, x in points]
-    # The facet values of a point, all >= 0, packed into one int in fields of
-    # `width` bits with the top bit spare: x - h is in the cone iff every field
-    # of (packed(x) | top) - packed(h) keeps its top bit.
-    width = 1 + max(v.bit_length() for vx in facet_values for v in vx)
-    top = sum(1 << (i * width + width - 1) for i in range(len(normals)))
-    basis, degrees, packed = [], [], []
+    basis, degrees, basis_values = [], [], []
     tests = 0
-    for (d, x), vx in zip(points, facet_values):
+    for d, x in points:
         k = bisect_right(degrees, d // 2)
         tests += k
         _check_cap(tests, "sieve test count")
-        p = sum(v << (i * width) for i, v in enumerate(vx))
-        high = p | top
-        if not any((high - q) & top == top for q in islice(packed, k)):
+        vx = [sum(map(mul, a, project(x))) for a in normals]
+        if not any(all(map(ge, vx, vh)) for vh in islice(basis_values, k)):
             basis.append(x)
             degrees.append(d)
-            packed.append(p)
+            basis_values.append(vx)
     return set(basis)
 
 

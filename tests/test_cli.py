@@ -260,6 +260,12 @@ class TestSaturate:
             capsys, "saturate", "--gens", "1,0;1,2")["saturation_generators"]
         assert payload["bound"] == int(bound)
 
+    def test_explicit_bound_does_not_cut_the_enumeration(self, capsys):
+        # the bound filters the answer, but every parallelepiped is enumerated
+        # whole: |det| of these three generators is 970,300, above the cap
+        assert run(capsys, "saturate", "--gens", "99,1,0;0,99,1;1,0,99", "--bound", "100") == (
+            2, "", "error: parallelepiped point count 970300 exceeds the cap of 500000\n")
+
     def test_explicit_bound(self, capsys):
         payload = run_json(capsys, "saturate", "--gens", "1,0;1,2", "--bound", "8")
         assert payload["bound"] == 8

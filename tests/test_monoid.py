@@ -119,6 +119,34 @@ class TestSaturationGenerators:
         assert saturation_generators(g) == basis
         assert is_saturated(g) is saturated
 
+    @pytest.mark.parametrize("nvars, degree", [(2, 41), (3, 7), (4, 4)])
+    def test_interior_generators(self, nvars, degree):
+        # every monomial up to the degree: hundreds of generators, few facets
+        vectors = {p for p in product(range(degree + 1), repeat=nvars) if 0 < sum(p) <= degree}
+        g = MonoidGens(nvars=nvars, gens=frozenset(vectors))
+        units = {tuple(int(i == j) for j in range(nvars)) for i in range(nvars)}
+        assert saturation_generators(g) == units
+        assert is_saturated(g)
+
+    @pytest.mark.parametrize("proj, facets", [
+        # the cone over the points (1, j, j^2) has one facet per polygon edge
+        ([(1, j, j * j) for j in range(12)], 12),
+        # (1,0,1,1,1) is the mean of (1,0,1,1,0) and (1,0,1,1,2), so two facets
+        # can share r - 2 = 3 generators and still not be adjacent
+        ([(0, 0, 1, 1, 1), (0, 0, 2, 1, 1), (0, 1, 2, 1, 0), (1, 0, 1, 1, 0),
+          (1, 0, 1, 1, 1), (1, 0, 1, 1, 2), (1, 1, 0, 1, 2), (1, 1, 0, 2, 0)], 12),
+    ], ids=["polygon", "five-dimensional"])
+    def test_facet_count(self, proj, facets):
+        # combining facets that are not adjacent would keep redundant normals
+        r = len(proj[0])
+        assert len(closedpoly.monoid._facet_normals(proj, list(range(r)))) == facets
+
+    def test_saturated_staircase_of_500(self):
+        # two extreme rays and 498 generators between them
+        vectors = {(1, j) for j in range(500)}
+        assert saturation_generators(gens2(*vectors)) == vectors
+        assert is_saturated(gens2(*vectors))
+
     @pytest.mark.parametrize("m", [5, 20, 80, 1000])
     def test_lp_only_where_reduction_fails(self, lp_calls, m):
         # cone membership is read off the facet values, so no point needs an LP
@@ -139,6 +167,23 @@ class TestSaturationGenerators:
             degree = max(sum(v) for v in vectors)
             bound = rng.choice([None, degree + rng.randint(0, 2)])
             g = MonoidGens(nvars=nvars, gens=frozenset(vectors), bound=bound)
+            basis, saturated = pointwise_saturation(g)
+            assert saturation_generators(g) == basis, g
+            assert is_saturated(g) is saturated, g
+
+    def test_agrees_with_pointwise_definition_many_generators(self):
+        # up to nine generators in 3 or 4 variables, so that adding a generator
+        # replaces several facets at once
+        rng = random.Random(2030)
+        for _ in range(60):
+            nvars, count = rng.choice([3, 4]), rng.randint(5, 9)
+            vectors = set()
+            while len(vectors) < count:
+                v = tuple(rng.randint(0, 2) for _ in range(nvars))
+                if 0 < sum(v) <= 4:
+                    vectors.add(v)
+            degree = max(sum(v) for v in vectors)
+            g = MonoidGens(nvars=nvars, gens=frozenset(vectors), bound=degree + rng.randint(0, 1))
             basis, saturated = pointwise_saturation(g)
             assert saturation_generators(g) == basis, g
             assert is_saturated(g) is saturated, g
