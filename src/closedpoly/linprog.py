@@ -6,10 +6,10 @@ guarantees termination.  Only this module knows how LP numbers are held:
 callers pass ints or `Fraction`s and get `Fraction`s back.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): integers over one
-common denominator d.  A pivot on (r, e) with p = T[r][e] sets every other
-row to (p*T[i] - T[i][e]*T[r]) // d, then d = p.  Each division is exact,
-because every entry (objective row included) stays a minor of the initial
-integer matrix [A | I | b] and d is the determinant of the current basis.
+common denominator d, updated by `pivot`, which `monoid` uses too.  Each
+division is exact, because every entry (objective row included) stays a
+minor of the initial integer matrix [A | I | b] and d is the determinant of
+the current basis.
 `feasible_point` makes the rows integer by one common denominator, not one
 per row: a common scale multiplies the phase-1 objective uniformly, so
 Bland's rule makes the same pivots and returns the same vertex as on the
@@ -21,6 +21,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
+
+
+def pivot(rows: list, r: int, c: int, d: int) -> int:
+    """Pivot on rows[r][c] = p, in place: every other row, one with a zero in
+    column c too, becomes (p*row - row[c]*rows[r]) // d.  Returns p, the new
+    common denominator."""
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+    return p
 
 
 def _phase_one(rows: list, n: int) -> Optional[list]:
@@ -36,18 +49,18 @@ def _phase_one(rows: list, n: int) -> Optional[list]:
         unit = [int(k == i) for k in range(m)]
         tableau.append([sign * x for x in row[:-1]] + unit + [sign * row[-1]])
     basis = list(range(n, total))
-    # objective: minimize the artificial sum; reduced costs with the
-    # artificial basis priced out.
-    obj = [-sum(t[j] for t in tableau) for j in range(n)] + [0] * m
-    obj.append(-sum(t[total] for t in tableau))
-    d = 1  # the common denominator of tableau and obj
+    # the last row is the objective: minimize the artificial sum; reduced
+    # costs with the artificial basis priced out.
+    tableau.append([-sum(t[j] for t in tableau) for j in range(n)] + [0] * m
+                   + [-sum(t[total] for t in tableau)])
+    d = 1  # the common denominator of the tableau
 
     while True:
-        enter = next((j for j in range(total) if obj[j] < 0), None)
+        enter = next((j for j in range(total) if tableau[m][j] < 0), None)
         if enter is None:
             break
         leave = None
-        for i, t in enumerate(tableau):
+        for i, t in enumerate(tableau[:m]):
             if t[enter] <= 0:
                 continue
             if leave is not None:  # t[total] / t[enter] against the best ratio, cross-multiplied
@@ -56,18 +69,10 @@ def _phase_one(rows: list, n: int) -> Optional[list]:
                 leave = i
         if leave is None:  # pragma: no cover - phase 1 is bounded below
             raise RuntimeError("phase-1 simplex reported an unbounded direction")
-        prow = tableau[leave]
-        p = prow[enter]
-        for i, t in enumerate(tableau):
-            if i != leave:
-                f = t[enter]
-                tableau[i] = [(p * x - f * y) // d for x, y in zip(t, prow)]
-        f = obj[enter]
-        obj = [(p * x - f * y) // d for x, y in zip(obj, prow)]
+        d = pivot(tableau, leave, enter, d)
         basis[leave] = enter
-        d = p
 
-    if obj[total] != 0:
+    if tableau[m][total] != 0:
         return None
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):

@@ -2,29 +2,29 @@
 
 The saturated semigroup of a generator set A is the set of lattice points
 in the rational cone C spanned by A.  Its minimal generators, the Hilbert
-basis, come from fundamental-parallelepiped candidates in exact arithmetic,
-with no LP (Bruns–Koch, "Computing the integral closure of an affine
-semigroup", 2001; Bruns–Ichim, Normaliz, J. Algebra 2010).  Generators are
-divided by the gcd of their entries, which leaves C unchanged, and C, of
-dimension r, is read in r coordinates on which the generators keep rank r:
-that projection is injective on their span, so lower-rank cones take the
-same path.  An irreducible element of the monoid generated by A is an element of
-A, so A is saturated iff that basis lies in A.  The default bound makes the
-answer exact; a lower explicit bound is a documented heuristic beyond two
-variables.
+basis, come from fundamental-parallelepiped candidates, with no LP
+(Bruns–Koch, "Computing the integral closure of an affine semigroup", 2001;
+Bruns–Ichim, Normaliz, J. Algebra 2010), in integer arithmetic: every
+elimination goes through `linprog.pivot`, and an inverse is |det S|·S^-1.
+Generators are divided by the gcd of their entries, which leaves C
+unchanged, and C, of dimension r, is read in r coordinates on which the
+generators keep rank r: that projection is injective on their span, so
+lower-rank cones take the same path.  An irreducible element of the monoid
+generated by A is an element of A, so A is saturated iff that basis lies in
+A.  The default bound makes the answer exact; a lower explicit bound is a
+documented heuristic beyond two variables.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, islice
 from math import comb, gcd
 from operator import ge, mul
 from typing import Optional
 
-from .linprog import feasible_point
+from .linprog import feasible_point, pivot
 from .parsing import short_number
 
 # Each stage of saturation_generators refuses to run past this size.
@@ -52,6 +52,8 @@ class MonoidGens:
         for g in gens:
             if len(g) != self.nvars:
                 raise MonoidError(f"generator {g} has wrong dimension")
+            if not all(isinstance(e, int) for e in g):
+                raise MonoidError(f"generator {g} has an entry that is not an integer")
             if any(e < 0 for e in g):
                 raise MonoidError(f"generator {g} has a negative entry")
             if not any(g):
@@ -59,6 +61,8 @@ class MonoidGens:
         object.__setattr__(self, "gens", gens)
         if self.bound is None:
             object.__setattr__(self, "bound", self._complete_bound)
+        elif not isinstance(self.bound, int):
+            raise MonoidError("bound is not an integer")
         elif self.bound < max(sum(g) for g in gens):
             raise MonoidError("bound is below the largest generator degree")
 
@@ -93,28 +97,20 @@ def cone_member(v, gens: MonoidGens) -> bool:
     return feasible_point(len(gen_list), A_eq=A_eq, b_eq=v) is not None
 
 
-def _row_reduce(rows, ncols: int):
-    """Reduced row echelon form over Q: the nonzero rows, their pivot columns,
-    and the product of the pivots signed by the row swaps (the determinant
-    when the rows form a square matrix of full rank)."""
-    rows = [[Fraction(e) for e in row] for row in rows]
-    pivots, det = [], Fraction(1)
+def _eliminate(rows, ncols: int):
+    """Integer Gauss–Jordan elimination through `linprog.pivot`, which reorders
+    and overwrites rows.  Returns the nonzero rows, each d times its row of the
+    reduced echelon form, their pivot columns, and d: ± det for a full-rank square."""
+    pivots, d = [], 1
     for col in range(ncols):
         k = len(pivots)
         p = next((i for i in range(k, len(rows)) if rows[i][col]), None)
         if p is None:
             continue
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            det = -det
-        pivot = rows[k][col]
-        det *= pivot
-        rows[k] = [e / pivot for e in rows[k]]
-        for i, row in enumerate(rows):
-            if i != k and row[col]:
-                rows[i] = [a - row[col] * b for a, b in zip(row, rows[k])]
+        rows[k], rows[p] = rows[p], rows[k]
+        d = pivot(rows, k, col, d)
         pivots.append(col)
-    return rows[: len(pivots)], pivots, det
+    return rows[: len(pivots)], pivots, d
 
 
 def _check_cap(count: int, what: str) -> None:
@@ -128,13 +124,13 @@ def _primitive(v) -> tuple:
 
 
 def _inverse(rows: list, r: int):
-    """|det| and the rows of the inverse of an r x r integer matrix, or None
-    when it is singular."""
-    reduced, pivots, det = _row_reduce([[*row, *(int(i == j) for j in range(r))]
-                                        for i, row in enumerate(rows)], 2 * r)
+    """D = |det S| and the integer rows of D·S^-1 for an r x r integer matrix
+    S, or None when it is singular."""
+    reduced, pivots, d = _eliminate([[*row, *(int(i == j) for j in range(r))]
+                                     for i, row in enumerate(rows)], 2 * r)
     if pivots[-1] >= r:
         return None
-    return abs(int(det)), [row[r:] for row in reduced]
+    return abs(d), [[e if d > 0 else -e for e in row[r:]] for row in reduced]
 
 
 def _facet_normals(proj: list, first: list) -> list:
@@ -142,7 +138,7 @@ def _facet_normals(proj: list, first: list) -> list:
     spanned by proj in Q^r, each with a·z >= 0 on the cone, by double
     description (Motzkin et al. 1953; Fukuda–Prodon 1996).  The facets of the
     cone of the r independent generators indexed by first are the columns of
-    their inverse.  A later generator outside the current cone keeps the
+    |det|·inverse.  A later generator outside the current cone keeps the
     facets it does not violate and replaces the others by the combinations,
     zero on it, of each adjacent pair of facets on its two sides; two facets
     are adjacent iff no third facet holds every generator that both hold.  A
@@ -150,8 +146,7 @@ def _facet_normals(proj: list, first: list) -> list:
     cost one pass over the facets each.  Raises EnumerationCapExceeded once
     the work passes DEFAULT_POINT_CAP."""
     r = len(first)
-    D, inverse = _inverse([proj[i] for i in first], r)
-    normals = [_primitive([int(e * D) for e in column]) for column in zip(*inverse)]
+    normals = [_primitive(column) for column in zip(*_inverse([proj[i] for i in first], r)[1])]
     tight = [set(first) - {i} for i in first]  # the generators on each facet
     work = 0
     for k, g in enumerate(proj):
@@ -181,14 +176,14 @@ def _facet_normals(proj: list, first: list) -> list:
 
 def _parallelepiped_points(rays: list, D: int, inverse: list):
     """The nonzero points of Z^n in {sum lambda_i s_i : 0 <= lambda_i < 1} for
-    r independent rays s_i, given S^-1 for the matrix S whose rows are their
-    projections.  Those points' projections reach every class of the group
-    Z^r / S·Z^r, which has D = |det S| elements: lambda(y) = y·S^-1, and
-    D·lambda (mod D) is generated by the D·S^-1 rows of the unit vectors.
-    A class is kept iff its lift is integral in all n coordinates."""
+    r independent rays s_i, given D·S^-1, D = |det S|, for the matrix S whose
+    rows are their projections.  Those points' projections reach every class
+    of the group Z^r / S·Z^r, which has D elements: lambda(y) = y·S^-1, and
+    D·lambda (mod D) is generated by the rows of D·S^-1, images of the unit
+    vectors.  A class is kept iff its lift is integral in all n coordinates."""
     group = {(0,) * len(rays)}
     for row in inverse:
-        step = [int(e * D) % D for e in row]
+        step = [e % D for e in row]
         grown = set()
         for mu in group:
             while mu not in grown:
@@ -217,8 +212,8 @@ def saturation_generators(gens: MonoidGens) -> set:
     sieve's tests, counted before each candidate's.
     """
     prim = sorted({_primitive(g) for g in gens.gens})
-    first = _row_reduce(list(zip(*prim)), len(prim))[1]  # r independent generators
-    coords = _row_reduce([prim[i] for i in first], gens.nvars)[1]
+    first = _eliminate(list(zip(*prim)), len(prim))[1]  # r independent generators
+    coords = _eliminate([prim[i] for i in first], gens.nvars)[1]
     r = len(coords)
 
     def project(v):
@@ -229,7 +224,7 @@ def saturation_generators(gens: MonoidGens) -> set:
     rays = []
     for g in prim:
         through = [a for a in normals if not sum(map(mul, a, project(g)))]
-        if len(through) >= r - 1 and len(_row_reduce(through, r)[1]) == r - 1:
+        if len(through) >= r - 1 and len(_eliminate(through, r)[1]) == r - 1:
             rays.append(g)
     _check_cap(comb(len(rays), r) * r ** 3, "simplicial cone search size")
     cones = [(subset, *inverse) for subset in combinations(rays, r)

@@ -3,8 +3,11 @@
 Nothing in the library calls them.  `v0_lp` (strict weight argmax) and
 `v0_combinatorial` (hull vertices that the polytope does not dominate) decide
 V0 two other ways than `newton.v0_set`; `monoid_members` lists a bounded
-piece of the generated monoid by dynamic programming.
+piece of the generated monoid by dynamic programming; `row_reduce` is
+Gauss–Jordan elimination over Q, against which `monoid._eliminate` is checked.
 """
+
+from fractions import Fraction
 
 from closedpoly.linprog import feasible_point
 from closedpoly.monoid import MonoidGens
@@ -60,3 +63,27 @@ def monoid_members(gens: MonoidGens) -> set:
                     nxt.append(q)
         frontier = nxt
     return reached
+
+
+def row_reduce(rows, ncols: int):
+    """Reduced row echelon form over Q: the nonzero rows, their pivot columns,
+    and the product of the pivots signed by the row swaps (the determinant
+    when the rows form a square matrix of full rank)."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    pivots, det = [], Fraction(1)
+    for col in range(ncols):
+        k = len(pivots)
+        p = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        pivot = rows[k][col]
+        det *= pivot
+        rows[k] = [e / pivot for e in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[k])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots, det

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,12 +10,14 @@ from closedpoly.monoid import (
     EnumerationCapExceeded,
     MonoidError,
     MonoidGens,
+    _eliminate,
+    _inverse,
     cone_member,
     is_saturated,
     saturation_generators,
 )
 
-from oracles import monoid_members
+from oracles import monoid_members, row_reduce
 
 
 def gens2(*vectors, bound=None):
@@ -119,7 +122,7 @@ class TestSaturationGenerators:
         assert saturation_generators(g) == basis
         assert is_saturated(g) is saturated
 
-    @pytest.mark.parametrize("nvars, degree", [(2, 41), (3, 7), (4, 4)])
+    @pytest.mark.parametrize("nvars, degree", [(2, 41), (2, 200), (3, 7), (4, 4)])
     def test_interior_generators(self, nvars, degree):
         # every monomial up to the degree: hundreds of generators, few facets
         vectors = {p for p in product(range(degree + 1), repeat=nvars) if 0 < sum(p) <= degree}
@@ -289,6 +292,42 @@ class TestInvariants:
         assert saturation_generators(g) == saturation_generators(doubled)
 
 
+class TestElimination:
+    def test_agrees_with_rational_reduction(self):
+        rng = random.Random(16)
+        seen = {"rank-deficient": 0, "zero column": 0, "negative determinant": 0}
+        for _ in range(800):
+            nrows = rng.randint(1, 5)
+            ncols = nrows if rng.random() < 0.6 else rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.25:  # a row dependent on earlier ones
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[(nrows - 1) // 2])]
+            if rng.random() < 0.25:
+                col = rng.randrange(ncols)
+                for row in rows:
+                    row[col] = 0
+            reduced, pivots, d = _eliminate([list(row) for row in rows], ncols)
+            expected, expected_pivots, det = row_reduce(rows, ncols)
+            assert pivots == expected_pivots
+            assert reduced == [[d * e for e in row] for row in expected]
+            seen["zero column"] += any(not any(col) for col in zip(*rows))
+            if nrows != ncols:
+                continue
+            inverse = _inverse(rows, nrows)
+            if len(pivots) < nrows:
+                seen["rank-deficient"] += 1
+                assert inverse is None
+                continue
+            seen["negative determinant"] += det < 0
+            assert abs(d) == abs(det)
+            D, scaled = inverse
+            assert D == abs(det)
+            assert [[sum(a * b for a, b in zip(row, column)) for column in zip(*scaled)] for row in rows] \
+                == [[D * (i == j) for j in range(nrows)] for i in range(nrows)]
+        assert min(seen.values()) > 0, seen
+
+
 class TestValidation:
     def test_zero_generator_rejected(self):
         with pytest.raises(MonoidError):
@@ -306,6 +345,16 @@ class TestValidation:
         # None, not 0, asks for the default bound
         with pytest.raises(MonoidError, match="below the largest generator degree"):
             gens2((1, 0), (1, 3), bound=0)
+
+    @pytest.mark.parametrize("entry", [1.5, 1.0, Fraction(1, 2), Fraction(1), "1"])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(MonoidError, match="has an entry that is not an integer"):
+            gens2((entry, 0), (0, 1))
+
+    @pytest.mark.parametrize("bound", [2.5, 4.0, Fraction(5, 2), Fraction(4), "4"])
+    def test_non_integer_bound_rejected(self, bound):
+        with pytest.raises(MonoidError, match="bound is not an integer"):
+            gens2((1, 0), (1, 3), bound=bound)
 
     def test_empty_rejected(self):
         with pytest.raises(MonoidError):
