@@ -46,7 +46,12 @@ class MonoidGens:
     bound: Optional[int] = None  # max coordinate sum for enumeration; None = _complete_bound
 
     def __post_init__(self):
-        gens = frozenset(tuple(g) for g in self.gens)
+        if not isinstance(self.nvars, int) or self.nvars < 1:
+            raise MonoidError(f"nvars {self.nvars!r} is not a positive integer")
+        try:
+            gens = frozenset(tuple(g) for g in self.gens)
+        except TypeError:  # a generator, or gens itself, is not iterable
+            raise MonoidError("generators are not sequences of integers") from None
         if not gens:
             raise MonoidError("at least one generator is required")
         for g in gens:

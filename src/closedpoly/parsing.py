@@ -192,10 +192,19 @@ def _render_mono(m) -> str:
     return "*".join(parts)
 
 
-def _join_signed(signed) -> str:
-    """Join (coefficient, body) pairs as "-a + b - c"; "0" when there are none."""
+def _join_signed(terms) -> str:
+    """Join (coefficient, monomial text) pairs as "-a*m + m - c"; a coefficient
+    of magnitude 1 is left out, and "" is the unit monomial; "0" when there
+    are no pairs."""
     pieces = []
-    for c, body in signed:
+    for c, mono in terms:
+        mag = abs(c)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:
@@ -205,32 +214,11 @@ def _join_signed(signed) -> str:
 
 def render_poly(f: MultiPoly, order: OrderSpec = OrderSpec()) -> str:
     """Canonical rendering, descending under the order; re-parseable."""
-    signed = []
-    for m, c in sorted(f.terms.items(), key=lambda t: sort_key(t[0], order), reverse=True):
-        mono = _render_mono(m)  # "" for the unit monomial
-        mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        signed.append((c, body))
-    return _join_signed(signed)
+    terms = sorted(f.terms.items(), key=lambda t: sort_key(t[0], order), reverse=True)
+    return _join_signed((c, _render_mono(m)) for m, c in terms)
 
 
 def render_uni(F: UniPoly) -> str:
     """Rendering of F in descending powers of t; "0" for the zero polynomial."""
-    signed = []
-    for i in range(len(F.coeffs) - 1, -1, -1):
-        c = F.coeffs[i]
-        if not c:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            power = "t" if i == 1 else f"t^{i}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        signed.append((c, body))
-    return _join_signed(signed)
+    return _join_signed((c, "" if i == 0 else "t" if i == 1 else f"t^{i}")
+                        for (i,), c in sorted(F.terms.items(), reverse=True))

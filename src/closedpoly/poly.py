@@ -1,4 +1,5 @@
-"""Sparse multivariate and dense univariate polynomials over exact rationals.
+"""Sparse polynomials over exact rationals: `MultiPoly` in nvars variables,
+and `UniPoly`, the one-variable MultiPoly, which adds a dense `coeffs` view.
 
 Coefficients are `fractions.Fraction` throughout; no floating point enters
 the core.  Monomials are plain tuples of nonnegative ints (one entry per
@@ -165,12 +166,12 @@ class MultiPoly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, Fraction(0)) + c
-        return MultiPoly._checked(self.nvars, terms)
+        return self._checked(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._checked(self.nvars, {m: -c for m, c in self.terms.items()})
+        return self._checked(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -185,7 +186,7 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return MultiPoly._checked(self.nvars, {m: a * c for m, a in self.terms.items()})
+            return self._checked(self.nvars, {m: a * c for m, a in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_ring(other)
@@ -197,14 +198,14 @@ class MultiPoly:
             for m2, c2 in other.terms.items():
                 m = tuple(map(add, m1, m2))
                 terms[m] = terms[m] + c1 * c2 if m in terms else c1 * c2
-        return MultiPoly._checked(self.nvars, terms)
+        return self._checked(self.nvars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise PolyError("negative polynomial power")
-        result = MultiPoly.constant(self.nvars, 1)
+        result = self._checked(self.nvars, {mono_unit(self.nvars): Fraction(1)})
         base = self
         while k:
             if k & 1:
@@ -244,7 +245,7 @@ class MultiPoly:
         # lowering the exponent of x_i is one-to-one on the terms that have x_i
         terms = {m[:i - 1] + (m[i - 1] - 1,) + m[i:]: c * m[i - 1]
                  for m, c in self.terms.items() if m[i - 1]}
-        return MultiPoly._checked(self.nvars, terms)
+        return self._checked(self.nvars, terms)
 
     def __repr__(self):
         from .parsing import render_poly
@@ -252,19 +253,24 @@ class MultiPoly:
         return f"MultiPoly({render_poly(self)!r})"
 
 
-class UniPoly:
-    """Dense univariate polynomial F(t) over ℚ; coeffs[i] is the t^i coefficient."""
+class UniPoly(MultiPoly):
+    """F(t) over ℚ: the one-variable MultiPoly, keyed (i,) for t^i, with the
+    arithmetic of MultiPoly and a dense view `coeffs`."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        """coeffs[i] is the t^i coefficient."""
+        terms = {(i,): Fraction(c) for i, c in enumerate(coeffs) if c}
+        object.__setattr__(self, "nvars", 1)
+        object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("UniPoly is immutable")
+    @property
+    def coeffs(self) -> tuple:
+        """Dense, lowest degree first, with no trailing zeros."""
+        if not self.terms:
+            return ()
+        return tuple(self.terms.get((i,), Fraction(0)) for i in range(self.degree() + 1))
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -274,76 +280,17 @@ class UniPoly:
     def identity(cls) -> "UniPoly":
         return cls([0, 1])
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
-        if not self.coeffs:
-            raise PolyError("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
+        return self.total_degree()
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.terms:
             raise PolyError("zero polynomial")
-        return self.coeffs[-1]
-
-    def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return UniPoly([a * c for a in self.coeffs])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return self.terms[(self.degree(),)]
 
     def evaluate(self, x: Scalar) -> Fraction:
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return sum((c * x**i for (i,), c in self.terms.items()), Fraction(0))
 
     def __repr__(self):
         from .parsing import render_uni

@@ -5,6 +5,8 @@ Nothing in the library calls them.  `v0_lp` (strict weight argmax) and
 V0 two other ways than `newton.v0_set`; `monoid_members` lists a bounded
 piece of the generated monoid by dynamic programming; `row_reduce` is
 Gauss–Jordan elimination over Q, against which `monoid._eliminate` is checked.
+The `dense_*` functions are univariate arithmetic and rendering on coefficient
+lists, lowest degree first, against which the sparse `UniPoly` is checked.
 """
 
 from fractions import Fraction
@@ -87,3 +89,53 @@ def row_reduce(rows, ncols: int):
                 rows[i] = [a - row[col] * b for a, b in zip(row, rows[k])]
         pivots.append(col)
     return rows[: len(pivots)], pivots, det
+
+
+def dense_trim(coeffs) -> tuple:
+    """Fractions with the trailing zeros removed."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def dense_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    return dense_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def dense_mul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return dense_trim(out)
+
+
+def dense_evaluate(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def dense_render(a) -> str:
+    """Descending powers of t, as "-t^2 + 3/2*t - 1"; "0" for no terms."""
+    pieces = []
+    for i in range(len(a) - 1, -1, -1):
+        c = a[i]
+        if not c:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            power = "t" if i == 1 else f"t^{i}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) or "0"

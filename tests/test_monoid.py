@@ -356,6 +356,17 @@ class TestValidation:
         with pytest.raises(MonoidError, match="bound is not an integer"):
             gens2((1, 0), (1, 3), bound=bound)
 
+    @pytest.mark.parametrize("nvars, gens, message", [
+        (2.0, {(1, 0)}, "nvars 2.0 is not a positive integer"),
+        (0, {()}, "nvars 0 is not a positive integer"),
+        (-1, {()}, "nvars -1 is not a positive integer"),
+        (2, {5}, "generators are not sequences of integers"),
+        (2, 5, "generators are not sequences of integers"),
+    ], ids=["float-nvars", "zero-nvars", "negative-nvars", "int-generator", "int-gens"])
+    def test_malformed_nvars_or_generator_rejected(self, nvars, gens, message):
+        with pytest.raises(MonoidError, match=message):
+            MonoidGens(nvars=nvars, gens=gens)
+
     def test_empty_rejected(self):
         with pytest.raises(MonoidError):
             MonoidGens(nvars=2, gens=frozenset())

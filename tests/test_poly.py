@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closedpoly.orders import OrderSpec, normalize
+from closedpoly.parsing import render_uni
 from closedpoly.poly import (
     MAX_EXPONENT,
     MAX_VARIABLES,
@@ -21,6 +22,7 @@ from closedpoly.poly import (
 )
 
 from conftest import P, random_poly
+from oracles import dense_add, dense_evaluate, dense_mul, dense_render, dense_trim
 
 
 class TestMul:
@@ -320,3 +322,43 @@ class TestUniPoly:
     def test_evaluate_horner(self):
         F = UniPoly([Fraction(1, 2), 0, 3])
         assert F.evaluate(Fraction(1, 3)) == Fraction(1, 2) + Fraction(3, 9)
+
+    def test_against_dense_reference(self):
+        rng = random.Random(17)
+        pool = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+        for _ in range(300):
+            a = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+            b = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+            c = rng.choice(pool[1:])
+            x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            F, G = UniPoly(a), UniPoly(b)
+            fa, gb = dense_trim(a), dense_trim(b)
+            assert F.coeffs == fa and G.coeffs == gb
+            assert (F + G).coeffs == dense_add(fa, gb)
+            assert (F - G).coeffs == dense_add(fa, [-v for v in gb])
+            assert (F * G).coeffs == dense_mul(fa, gb)
+            assert (F * c).coeffs == (c * F).coeffs == dense_mul(fa, [c])
+            assert (F + c).coeffs == (c + F).coeffs == dense_add(fa, [c])
+            assert F.evaluate(x) == dense_evaluate(fa, x)
+            assert render_uni(F) == dense_render(fa)
+            if fa:
+                assert F.degree() == len(fa) - 1
+                assert F.leading_coefficient() == fa[-1]
+            for result in (F + G, F - G, F * G, F * c, c * F, F + c, c + F, -F, F ** 3):
+                assert type(result) is UniPoly
+
+    def test_zero_has_no_degree(self):
+        with pytest.raises(PolyError, match="the zero polynomial has no degree"):
+            UniPoly.zero().degree()
+        with pytest.raises(PolyError, match="zero polynomial"):
+            UniPoly([0, 0]).leading_coefficient()
+
+    def test_one_variable_multipoly_with_the_same_terms(self):
+        assert UniPoly([1, 0, 2]) == P("2*x1^2 + 1")
+        assert UniPoly([0, 1]) + P("x1") == UniPoly([0, 2])
+
+    def test_lacunary_storage_is_sparse(self):
+        F = UniPoly([1] + [0] * 10**6 + [1])
+        assert len(F.terms) == 2
+        assert F.degree() == 10**6 + 1
+        assert render_uni(F) == "t^1000001 + 1"
