@@ -24,7 +24,6 @@ from .family import (
 from .monoid import MonoidGens, cone_member, is_saturated, saturation_generators
 from .newton import (
     NewtonSummary,
-    WeightVector,
     divisor_sequence,
     multiplicity,
     newton_summary,
@@ -48,7 +47,6 @@ __all__ = [
     "PolyError",
     "ShiftEntry",
     "UniPoly",
-    "WeightVector",
     "alg_dependent",
     "apply_derivation",
     "attempt_divisor",

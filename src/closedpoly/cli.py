@@ -61,25 +61,19 @@ def _number_arg(flag: str, text: str, kind=Fraction):
         raise ValueError(f"{flag}: {message}") from None
 
 
-def _emit(args, payload: dict, human_lines: list):
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
+# -- subcommands: each returns (JSON payload, human-readable lines) --------
 
 
-def _order_from_args(args) -> OrderSpec:
-    return OrderSpec(kind=args.order)
-
-
-# -- subcommands -----------------------------------------------------------
-
-
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple:
     f = _load_poly(args.poly)
-    order = _order_from_args(args)
+    order = OrderSpec(kind=args.order)
     result = generative(f, order, pruned=not args.no_newton)
+    if result.trace:
+        trace = ", ".join(f"k={k}: {outcome}" for k, outcome in result.trace)
+    elif multiplicity(leading_term(f, order)[0]) == 1:
+        trace = "(empty; leading multiplicity 1)"
+    else:  # only pruning can leave no divisor of a leading multiplicity > 1
+        trace = "(empty; d1 = 1 after Newton pruning)"
     payload = {
         "command": "decompose",
         "input": render_poly(f, order),
@@ -95,19 +89,14 @@ def _cmd_decompose(args) -> int:
         f"h:      {render_poly(result.h, order)}",
         f"F(t):   {render_uni(result.F)}",
         f"closed: {result.closed}",
-        "trace:  "
-        + (
-            ", ".join(f"k={k}: {outcome}" for k, outcome in result.trace)
-            or "(empty; leading multiplicity 1)"
-        ),
+        f"trace:  {trace}",
     ]
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def _cmd_is_closed(args) -> int:
+def _cmd_is_closed(args) -> tuple:
     f = _load_poly(args.poly)
-    order = _order_from_args(args)
+    order = OrderSpec(kind=args.order)
     closed = generative(f, order).closed
     # normalizing f keeps its leading monomial, so this is the multiplicity generative sees
     fast = multiplicity(leading_term(f, order)[0]) == 1
@@ -121,23 +110,18 @@ def _cmd_is_closed(args) -> int:
         f"closed:    {closed}",
         f"fast path: {fast} (leading multiplicity {'1' if fast else '> 1'})",
     ]
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def _cmd_newton(args) -> int:
+def _cmd_newton(args) -> tuple:
     f = _load_poly(args.poly)
-    order = _order_from_args(args)
+    order = OrderSpec(kind=args.order)
     summary = newton_summary(f, order)
     weights = {}
     for v in sorted(summary.v0):
-        wv = realizing_weights(f, v)
-        if wv is None or not (
-            all(w > 0 for w in wv.weights)
-            and all(wv.functional(u) < wv.functional(v) for u in summary.support if u != v)
-        ):
+        weights[v] = realizing_weights(f, v)
+        if weights[v] is None:
             raise RuntimeError(f"V0 point {list(v)} has no checked realizing weights")
-        weights[v] = wv.weights
     payload = {
         "command": "newton",
         "input": render_poly(f, order),
@@ -161,19 +145,19 @@ def _cmd_newton(args) -> int:
     ]
     for v, ws in weights.items():
         human.append(f"weights for {v}: {[str(w) for w in ws]}")
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def _cmd_depend(args) -> int:
+def _cmd_depend(args) -> tuple:
+    if args.f == args.g == "-":
+        raise ValueError("--f and --g cannot both read stdin")
     # f and g are read in one ring: the larger of their inferred variable counts
     f_text = _read_source(args.f)
     f = parse_poly(f_text).poly
     g = parse_poly(_read_source(args.g), min_nvars=f.nvars).poly
     if g.nvars > f.nvars:
         f = parse_poly(f_text, min_nvars=g.nvars).poly
-    grid = jacobian_minors(f, g)
-    nonzero = grid.nonzero()
+    nonzero = {ij: m for ij, m in jacobian_minors(f, g).items() if not m.is_zero()}
     payload = {
         "command": "depend",
         "dependent": not nonzero,
@@ -184,8 +168,7 @@ def _cmd_depend(args) -> int:
     human = [f"algebraically dependent: {not nonzero}"]
     for (i, j), m in sorted(nonzero.items()):
         human.append(f"  minor ({i},{j}) = {render_poly(m)}")
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
 def _shift_str(lam: Fraction, mult: int) -> str:
@@ -193,9 +176,9 @@ def _shift_str(lam: Fraction, mult: int) -> str:
     return base if mult == 1 else f"{base}^{mult}"
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple:
     f = _load_poly(args.poly)
-    order = _order_from_args(args)
+    order = OrderSpec(kind=args.order)
     mu = _number_arg("--mu", args.mu)
     result = generative(f, order)
     fam = factor_shift(result, mu)
@@ -226,11 +209,10 @@ def _cmd_family(args) -> int:
         payload["E_h"] = [str(x) for x in e_h]
         payload["E_f"] = [str(x) for x in image]
         human.append(f"E(f):     {{{', '.join(str(x) for x in image)}}}")
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
-def _cmd_stein(args) -> int:
+def _cmd_stein(args) -> tuple:
     d = None if args.d is None else _number_arg("--d", args.d, int)
     data = parse_decomposition_data(_read_source(args.data), d=d)
     report = stein_check(data, args.mode)
@@ -246,8 +228,7 @@ def _cmd_stein(args) -> int:
         f"rhs:   {report.rhs}",
         f"holds: {report.holds}",
     ]
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
 def _parse_gens(text: str) -> list:
@@ -270,7 +251,7 @@ def _parse_gens(text: str) -> list:
     return gens
 
 
-def _cmd_saturate(args) -> int:
+def _cmd_saturate(args) -> tuple:
     vectors = _parse_gens(args.gens)
     bound = None if args.bound is None else _number_arg("--bound", args.bound, int)
     gens = MonoidGens(nvars=len(vectors[0]), gens=frozenset(vectors), bound=bound)
@@ -297,8 +278,7 @@ def _cmd_saturate(args) -> int:
         human.append(
             "warning: bounded enumeration is heuristic for more than 2 variables"
         )
-    _emit(args, payload, human)
-    return EXIT_OK
+    return payload, human
 
 
 # -- dispatch --------------------------------------------------------------
@@ -371,7 +351,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, human = args.func(args)
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("\n".join(human))
     except (ParseError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -381,6 +365,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,26 +8,13 @@ generative polynomial of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import combinations
 
 from .poly import MultiPoly, PolyError
 
 
-@dataclass(frozen=True)
-class MinorGrid:
-    """All 2x2 Jacobian minors of a pair (f, g), keyed by (i, j), i < j."""
-
-    nvars: int
-    entries: dict  # (i, j) -> MultiPoly
-
-    def all_zero(self) -> bool:
-        return all(m.is_zero() for m in self.entries.values())
-
-    def nonzero(self) -> dict:
-        return {ij: m for ij, m in self.entries.items() if not m.is_zero()}
-
-
-def jacobian_minors(f: MultiPoly, g: MultiPoly) -> MinorGrid:
+def jacobian_minors(f: MultiPoly, g: MultiPoly) -> dict:
+    """All 2x2 Jacobian minors of the pair (f, g), keyed by (i, j), i < j."""
     if f.nvars != g.nvars:
         raise PolyError("variable-count mismatch")
     if f.is_constant() or g.is_constant():
@@ -35,16 +22,12 @@ def jacobian_minors(f: MultiPoly, g: MultiPoly) -> MinorGrid:
     n = f.nvars
     df = [f.partial(i) for i in range(1, n + 1)]
     dg = [g.partial(i) for i in range(1, n + 1)]
-    entries = {}
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            entries[(i, j)] = df[i - 1] * dg[j - 1] - df[j - 1] * dg[i - 1]
-    return MinorGrid(nvars=n, entries=entries)
+    return {(i + 1, j + 1): df[i] * dg[j] - df[j] * dg[i] for i, j in combinations(range(n), 2)}
 
 
 def alg_dependent(f: MultiPoly, g: MultiPoly) -> bool:
     """Exact zero-test of all minors; valid over ℚ (characteristic zero)."""
-    return jacobian_minors(f, g).all_zero()
+    return all(m.is_zero() for m in jacobian_minors(f, g).values())
 
 
 def apply_derivation(f: MultiPoly, i: int, j: int, g: MultiPoly) -> MultiPoly:

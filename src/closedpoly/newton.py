@@ -32,14 +32,6 @@ from .poly import Monomial, MultiPoly, PolyError, mono_unit
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    weights: tuple  # positive Fractions, one per variable
-
-    def functional(self, m: Monomial) -> Fraction:
-        return sum(w * e for w, e in zip(self.weights, m))
-
-
-@dataclass(frozen=True)
 class NewtonSummary:
     support: frozenset
     v0: frozenset
@@ -56,8 +48,9 @@ def multiplicity(m: Monomial) -> int:
     return gcd(*m) if len(m) > 1 else m[0]
 
 
-def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[WeightVector]:
-    """Positive weights making v the strict weight-argmax over the support.
+def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[tuple]:
+    """Positive weights (Fractions) making v the strict weight-argmax over the
+    support, checked exactly; RuntimeError if the LP's answer fails the check.
 
     Returns None when no such weights exist, i.e. v is not in V0.  Strictness
     is encoded as a >= 1 margin; any feasible solution scales.
@@ -66,17 +59,18 @@ def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[WeightVector]:
     support = f.support()
     if v not in support:
         raise PolyError("v is not in the support of f")
-    others = [u for u in support if u != v]
-    n = f.nvars
-    if not others:
-        return WeightVector(weights=(Fraction(1),) * n)
     # substitute w = 1 + y with y >= 0 so the LP variables are nonnegative:
     # <w, v-u> >= 1  becomes  <y, v-u> >= 1 - <1, v-u>.
-    A_ge = [[a - b for a, b in zip(v, u)] for u in others]
-    y = feasible_point(n, A_ge=A_ge, b_ge=[1 - sum(diff) for diff in A_ge])
+    A_ge = [[a - b for a, b in zip(v, u)] for u in support if u != v]
+    if not A_ge:
+        return (Fraction(1),) * f.nvars
+    y = feasible_point(f.nvars, A_ge=A_ge, b_ge=[1 - sum(diff) for diff in A_ge])
     if y is None:
         return None
-    return WeightVector(weights=tuple(Fraction(1) + yi for yi in y))
+    weights = tuple(Fraction(1) + yi for yi in y)
+    if min(weights) <= 0 or any(sum(w * e for w, e in zip(weights, diff)) <= 0 for diff in A_ge):
+        raise RuntimeError(f"realizing weights for {v} failed their check")
+    return weights
 
 
 def _dominated(v: Monomial, by: Monomial) -> bool:

@@ -110,7 +110,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, c: Scalar) -> "MultiPoly":
-        return cls(nvars, {mono_unit(check_nvars(nvars)): Fraction(c)})
+        return cls.from_term(nvars, mono_unit(check_nvars(nvars)), c)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
@@ -119,7 +119,7 @@ class MultiPoly:
             raise PolyError(f"variable index {i} out of range 1..{nvars}")
         exps = [0] * check_nvars(nvars)
         exps[i - 1] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls.from_term(nvars, tuple(exps))
 
     @classmethod
     def from_term(cls, nvars: int, m: Monomial, c: Scalar = 1) -> "MultiPoly":
@@ -271,6 +271,13 @@ class UniPoly(MultiPoly):
         if not self.terms:
             return ()
         return tuple(self.terms.get((i,), Fraction(0)) for i in range(self.degree() + 1))
+
+    @classmethod
+    def from_term(cls, nvars: int, m: Monomial, c: Scalar = 1) -> "UniPoly":
+        """c*t^i for m = (i,); `constant` and `variable` build through it."""
+        if nvars != 1:
+            raise PolyError(f"a UniPoly has 1 variable, got nvars={nvars}")
+        return cls._checked(1, MultiPoly.from_term(1, m, c).terms)
 
     @classmethod
     def zero(cls) -> "UniPoly":

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import closedpoly.newton
 from closedpoly.cli import main
-from closedpoly.newton import WeightVector
 
 EX1 = "x1^4 + 2*x1^2*x2 + x2^2\n"
 DEG6 = (
@@ -65,6 +65,17 @@ class TestDecompose:
         monkeypatch.setattr("sys.stdin", io.StringIO(EX1))
         payload = run_json(capsys, "decompose", "--poly", "-")
         assert payload["h"] == "x1^2 + x2"
+
+    @pytest.mark.parametrize("text, extra, trace", [
+        ("x1^4 + x2\n", [], "(empty; d1 = 1 after Newton pruning)"),
+        ("x1^3*x2 + x2\n", [], "(empty; leading multiplicity 1)"),
+        ("x1^3*x2 + x2\n", ["--no-newton"], "(empty; leading multiplicity 1)"),
+    ], ids=["pruned", "leading-multiplicity-1", "leading-multiplicity-1-unpruned"])
+    def test_empty_trace_says_why(self, capsys, poly_file, text, extra, trace):
+        code, out, err = run(capsys, "decompose", "--poly", poly_file(text), *extra)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"trace:  {trace}"
+        assert run_json(capsys, "decompose", "--poly", poly_file(text), *extra)["trace"] == []
 
     def test_grevlex(self, capsys, poly_file):
         payload = run_json(
@@ -141,6 +152,15 @@ class TestDepend:
         )
         assert payload["dependent"] is False
         assert payload["nonzero_minors"] == {"(1,2)": minor}
+
+    def test_both_inputs_on_stdin_rejected(self, capsys, monkeypatch):
+        import io
+
+        stdin = io.StringIO(EX1)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "depend", "--f", "-", "--g", "-")
+        assert (code, out, err) == (2, "", "error: --f and --g cannot both read stdin\n")
+        assert stdin.tell() == 0  # rejected before anything is read
 
 
 class TestFamily:
@@ -445,16 +465,23 @@ class TestExitCodes:
         )
         assert code == 1
 
-    @pytest.mark.parametrize(
-        "fake",
-        [None, WeightVector(weights=(Fraction(1), Fraction(1)))],
-        ids=["missing", "not-argmax"],
-    )
-    def test_newton_unchecked_weights(self, capsys, monkeypatch, poly_file, fake):
-        monkeypatch.setattr("closedpoly.cli.realizing_weights", lambda f, v: fake)
-        code, _, err = run(capsys, "newton", "--poly", poly_file(EX1))
-        assert code == 3
-        assert "internal error" in err
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "V0 point [0, 2] has no checked realizing weights"),
+        ("not-argmax", "realizing weights for (0, 2) failed their check"),
+    ], ids=["missing", "not-argmax"])
+    def test_newton_unchecked_weights(self, capsys, monkeypatch, poly_file, fault, message):
+        if fault == "missing":
+            monkeypatch.setattr("closedpoly.cli.realizing_weights", lambda f, v: None)
+        else:
+            # answer each weight LP with y = 0, so all weights are 1 and (4, 0)
+            # outscores (0, 2); v0_set's dominance LPs (with A_eq) run as they are
+            real = closedpoly.newton.feasible_point
+            monkeypatch.setattr(
+                "closedpoly.newton.feasible_point",
+                lambda n, **kw: real(n, **kw) if "A_eq" in kw else [Fraction(0)] * n,
+            )
+        code, out, err = run(capsys, "newton", "--poly", poly_file(EX1))
+        assert (code, out, err) == (3, "", f"internal error: {message}\n")
 
     def test_bad_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,21 +11,19 @@ from conftest import P, random_poly
 
 class TestJacobianMinors:
     def test_composed_pair_vanishes(self, ex1):
-        grid = jacobian_minors(ex1, P("x1^2 + x2"))
-        assert grid.all_zero()
+        minors = jacobian_minors(ex1, P("x1^2 + x2"))
+        assert all(m.is_zero() for m in minors.values())
 
     def test_independent_variables(self):
-        grid = jacobian_minors(P("x1", 2), P("x2"))
-        assert grid.entries[(1, 2)] == MultiPoly.constant(2, 1)
+        assert jacobian_minors(P("x1", 2), P("x2")) == {(1, 2): MultiPoly.constant(2, 1)}
 
     def test_self_pair_vanishes(self):
         f = P("x1^3 - x2*x3 + x3^2")
-        assert jacobian_minors(f, f).all_zero()
+        assert all(m.is_zero() for m in jacobian_minors(f, f).values())
 
     def test_all_pairs_present(self):
         f = P("x1 + x2 + x3 + x4")
-        grid = jacobian_minors(f, P("x1*x2*x3*x4"))
-        assert set(grid.entries) == {
+        assert set(jacobian_minors(f, P("x1*x2*x3*x4"))) == {
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         }
 

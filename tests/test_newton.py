@@ -228,18 +228,18 @@ class TestDivisorSequence:
 
 class TestRealizingWeights:
     def test_leading_vertex(self, ex1):
-        wv = realizing_weights(ex1, (4, 0))
-        assert wv is not None
-        top = wv.functional((4, 0))
+        ws = realizing_weights(ex1, (4, 0))
+        assert ws is not None
+        assert all(type(w) is Fraction and w > 0 for w in ws)
+        top = sum(w * e for w, e in zip(ws, (4, 0)))
         for u in ex1.support() - {(4, 0)}:
-            assert wv.functional(u) < top
+            assert sum(w * e for w, e in zip(ws, u)) < top
 
     def test_midpoint_infeasible(self, ex1):
         assert realizing_weights(ex1, (2, 1)) is None
 
     def test_singleton_support(self):
-        wv = realizing_weights(P("x1*x2", 2), (1, 1))
-        assert wv.weights == (1, 1)
+        assert realizing_weights(P("x1*x2", 2), (1, 1)) == (1, 1)
 
     def test_not_in_support(self, ex1):
         with pytest.raises(PolyError):
@@ -247,9 +247,19 @@ class TestRealizingWeights:
 
     def test_makes_v_leading_under_weighted_order(self, ex1):
         for v in v0_set(ex1):
-            wv = realizing_weights(ex1, v)
-            order = OrderSpec(kind=WEIGHTED, weights=wv.weights)
+            order = OrderSpec(kind=WEIGHTED, weights=realizing_weights(ex1, v))
             assert leading_term(ex1, order)[0] == v
+
+    @pytest.mark.parametrize("y", [
+        [0, 0],  # weights (1, 1): (4, 0) scores 4 > 2
+        [-1, 0],  # weights (0, 1): (0, 2) is the strict argmax, but a weight is 0
+    ], ids=["not-argmax", "not-positive"])
+    def test_bogus_lp_answer_raises(self, ex1, monkeypatch, y):
+        monkeypatch.setattr(
+            "closedpoly.newton.feasible_point", lambda n, **kw: [Fraction(c) for c in y]
+        )
+        with pytest.raises(RuntimeError, match=r"realizing weights for \(0, 2\) failed their check"):
+            realizing_weights(ex1, (0, 2))
 
 
 class TestNewtonSummary:

@@ -357,6 +357,25 @@ class TestUniPoly:
         assert UniPoly([1, 0, 2]) == P("2*x1^2 + 1")
         assert UniPoly([0, 1]) + P("x1") == UniPoly([0, 2])
 
+    def test_inherited_constructors(self):
+        built = [UniPoly.constant(1, 3), UniPoly.variable(1, 1), UniPoly.from_term(1, (2,))]
+        assert built == [UniPoly([3]), UniPoly([0, 1]), UniPoly([0, 0, 1])]
+        assert [type(F) for F in built] == [UniPoly] * 3
+        assert UniPoly.from_term(1, (3,), Fraction(1, 2)).coeffs == (0, 0, 0, Fraction(1, 2))
+        for build in (
+            lambda: UniPoly.constant(2, 3),
+            lambda: UniPoly.variable(2, 1),
+            lambda: UniPoly.from_term(2, (2, 0)),
+            lambda: UniPoly.constant(0, 3),
+        ):
+            with pytest.raises(PolyError):
+                build()
+        # on MultiPoly the same constructors still build MultiPolys
+        assert type(MultiPoly.constant(1, 3)) is MultiPoly
+        assert MultiPoly.variable(2, 2).terms == {(0, 1): 1}
+        with pytest.raises(PolyError, match=r"variable index 3 out of range 1\.\.2"):
+            MultiPoly.variable(2, 3)
+
     def test_lacunary_storage_is_sparse(self):
         F = UniPoly([1] + [0] * 10**6 + [1])
         assert len(F.terms) == 2
