@@ -6,13 +6,14 @@ the core.  Monomials are plain tuples of nonnegative ints (one entry per
 variable), so they can key dicts directly.
 
 Validation happens once, at the boundary.  The public `MultiPoly(nvars,
-terms)` constructor checks the variable count against `MAX_VARIABLES`,
-every monomial's length, sign and exponent bound, and converts every
-coefficient to `Fraction`; the parser enforces the same checks as it reads
-and builds its result without repeating them.  Arithmetic on checked
-operands builds its result unchecked, except for the exponent bound, which
-a product can overflow: one check per product bounds the sum of the two
-operands' largest exponents in each variable (`mono_pow` checks its result).
+terms)` constructor checks the variable count (an int up to
+`MAX_VARIABLES`), every monomial (a tuple of ints: its length, sign and
+exponent bound) and every coefficient (an int or a Fraction, stored as a
+Fraction); the parser enforces the same checks as it reads and builds its
+result without repeating them.  Arithmetic on checked operands builds its
+result unchecked, except for the exponent bound, which a product can
+overflow: one check per product bounds the sum of the two operands'
+largest exponents in each variable (`mono_pow` checks its result).
 """
 
 from __future__ import annotations
@@ -52,11 +53,20 @@ def _check_exponent(e: int) -> int:
 
 def check_nvars(nvars: int) -> int:
     """Reject nvars outside 1..MAX_VARIABLES, before anything nvars long is built."""
+    if not isinstance(nvars, int):
+        raise PolyError(f"nvars must be an int, got {nvars!r}")
     if nvars < 1:
         raise PolyError("nvars must be positive")
     if nvars > MAX_VARIABLES:
         raise PolyError(f"{nvars} variables exceed the supported bound {MAX_VARIABLES}")
     return nvars
+
+
+def check_scalar(c, what: str = "coefficient") -> Fraction:
+    """c as a Fraction, if it has a type the arithmetic promotes (int or Fraction)."""
+    if not isinstance(c, (int, Fraction)):
+        raise PolyError(f"{what} {c!r} is not an int or a Fraction")
+    return Fraction(c)
 
 
 def mono_pow(m: Monomial, k: int) -> Monomial:
@@ -75,6 +85,8 @@ class MultiPoly:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
+                if not (isinstance(m, tuple) and all(isinstance(e, int) for e in m)):
+                    raise PolyError(f"monomial {m!r} is not a tuple of ints")
                 if len(m) != nvars:
                     raise PolyError(
                         f"monomial {m} has length {len(m)}, expected {nvars}"
@@ -83,7 +95,7 @@ class MultiPoly:
                     raise PolyError(f"negative exponent in monomial {m}")
                 for e in m:
                     _check_exponent(e)
-                c = Fraction(c)
+                c = check_scalar(c)
                 if c:
                     clean[tuple(m)] = c
         object.__setattr__(self, "nvars", nvars)
@@ -123,7 +135,7 @@ class MultiPoly:
 
     @classmethod
     def from_term(cls, nvars: int, m: Monomial, c: Scalar = 1) -> "MultiPoly":
-        return cls(nvars, {m: Fraction(c)})
+        return cls(nvars, {m: c})
 
     # -- queries -----------------------------------------------------------
 
@@ -261,7 +273,7 @@ class UniPoly(MultiPoly):
 
     def __init__(self, coeffs: Iterable[Scalar]):
         """coeffs[i] is the t^i coefficient."""
-        terms = {(i,): Fraction(c) for i, c in enumerate(coeffs) if c}
+        terms = {(i,): c for i, c in enumerate(map(check_scalar, coeffs)) if c}
         object.__setattr__(self, "nvars", 1)
         object.__setattr__(self, "terms", terms)
 

@@ -27,6 +27,16 @@ def deg6():
     )
 
 
+def product_identity_holds(result, fam):
+    """Oracle for factor_shift, which checks its identity in ℚ[t]: expand
+    alpha * prod (h + lambda)^e * residual(h) in ℚ[x] and compare it with f + mu."""
+    h = result.h
+    product = MultiPoly.constant(h.nvars, fam.alpha)
+    for lam, mult in fam.shifts:
+        product = product * (h + lam) ** mult
+    return product * compose_uni(fam.residual, h) == result.reconstruct() + fam.mu
+
+
 def random_poly(rng, nvars, max_deg, max_terms, allow_constant=False):
     """A random sparse polynomial with small rational coefficients."""
     terms = {}

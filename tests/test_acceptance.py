@@ -18,7 +18,7 @@ from closedpoly.monoid import MonoidGens, is_saturated, saturation_generators
 from closedpoly.parsing import ParseError, parse_poly, render_poly
 from closedpoly.poly import MultiPoly, UniPoly, compose_uni
 
-from conftest import P, random_closed_normalized, random_outer, random_poly
+from conftest import P, product_identity_holds, random_closed_normalized, random_outer, random_poly
 from oracles import v0_combinatorial, v0_lp
 
 RECORDED_DECOMPOSITIONS = []
@@ -77,10 +77,10 @@ def test_criterion_3_family_golden():
     image = exceptional_image(r.F, [Fraction(0), Fraction(-1)])
     ok = (
         fam1.shifts == ((Fraction(0), 2),)
-        and fam1.verified
+        and product_identity_holds(r, fam1)
         and h * h == f - 1
         and fam2.shifts == ((Fraction(1), 1), (Fraction(-1), 1))
-        and fam2.verified
+        and product_identity_holds(r, fam2)
         and (h + 1) * (h - 1) == f - 2
         and image == {Fraction(-1), Fraction(-2)}
     )

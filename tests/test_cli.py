@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import closedpoly.family
 import closedpoly.newton
 from closedpoly.cli import main
 
@@ -482,6 +483,13 @@ class TestExitCodes:
             )
         code, out, err = run(capsys, "newton", "--poly", poly_file(EX1))
         assert (code, out, err) == (3, "", f"internal error: {message}\n")
+
+    def test_family_failed_identity(self, capsys, monkeypatch, poly_file):
+        # a residual off by a constant: F + mu no longer equals the product
+        real = closedpoly.family._split
+        monkeypatch.setattr("closedpoly.family._split", lambda G: (real(G)[0], real(G)[1] + 1))
+        code, out, err = run(capsys, "family", "--poly", poly_file(DEG6), "--mu", "-2")
+        assert (code, out, err) == (3, "", "internal error: product identity for f + mu failed to verify\n")
 
     def test_bad_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

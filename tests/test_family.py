@@ -5,6 +5,7 @@ from math import isqrt, lcm
 
 import pytest
 
+import closedpoly.family
 from closedpoly.decompose import generative
 from closedpoly.family import (
     DataFormatError,
@@ -18,7 +19,7 @@ from closedpoly.family import (
 )
 from closedpoly.poly import PolyError, UniPoly, compose_uni
 
-from conftest import P, random_closed_normalized, random_outer
+from conftest import P, product_identity_holds, random_closed_normalized, random_outer
 
 
 class TestRationalRoots:
@@ -106,7 +107,7 @@ class TestFactorShift:
         assert fam.alpha == 1
         assert fam.shifts == ((Fraction(0), 2),)
         assert fam.residual == UniPoly([1])
-        assert fam.verified
+        assert product_identity_holds(result, fam)
         assert result.h * result.h == deg6 - 1
 
     def test_mu_minus_two_split(self, result, deg6):
@@ -120,7 +121,7 @@ class TestFactorShift:
         assert fam.shifts == ()
         assert fam.residual == UniPoly([6, 0, 1])
         assert result.h * result.h + 6 == deg6 + 5
-        assert fam.verified
+        assert product_identity_holds(result, fam)
 
     def test_random_triples(self):
         rng = random.Random(60)
@@ -135,7 +136,7 @@ class TestFactorShift:
             if (r.F + mu).degree() < 1:
                 continue
             fam = factor_shift(r, mu)
-            assert fam.verified
+            assert product_identity_holds(r, fam)
             assert fam.shift_count() + fam.residual.degree() == r.F.degree()
             count += 1
 
@@ -164,7 +165,7 @@ class TestFactorShift:
             assert product * fam.residual == r.F + mu
             assert fam.residual.leading_coefficient() == 1
             assert divisor_enumeration_roots(fam.residual) == []
-            assert fam.verified
+            assert product_identity_holds(r, fam)
             seen["multiple root"] += any(mult > 1 for _, mult in roots)
             seen["no rational root"] += not roots
         assert min(seen.values()) >= 5, seen
@@ -181,7 +182,17 @@ class TestFactorShift:
         fam = factor_shift(r, mu)
         assert time.perf_counter() - start < 1.0
         assert fam.shifts == shifts
-        assert fam.verified
+        assert product_identity_holds(r, fam)
+
+    def test_float_mu_rejected(self, result):
+        with pytest.raises(PolyError, match="mu 0.1 is not an int or a Fraction"):
+            factor_shift(result, 0.1)
+
+    def test_failed_identity_raises(self, result, monkeypatch):
+        real = closedpoly.family._split
+        monkeypatch.setattr(closedpoly.family, "_split", lambda G: (real(G)[0], real(G)[1] + 1))
+        with pytest.raises(RuntimeError, match=r"^product identity for f \+ mu failed to verify$"):
+            factor_shift(result, -2)
 
     def test_high_degree_with_small_roots_is_fast(self):
         # the Cauchy bound 1 + 2^300 would put the brackets at x ~ 2^300

@@ -289,6 +289,31 @@ def test_arithmetic_results_are_validated_form():
             assert_valid(r)
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: MultiPoly(1, {(1.5,): 1}), r"monomial \(1\.5,\) is not a tuple of ints"),
+        (lambda: MultiPoly(1, {1: 1}), "monomial 1 is not a tuple of ints"),
+        (lambda: MultiPoly(1, {("1",): 1}), r"monomial \('1',\) is not a tuple of ints"),
+        (lambda: MultiPoly.from_term(2, (1, 2.0)), "is not a tuple of ints"),
+        (lambda: MultiPoly(1, {(2,): 0.1}), "coefficient 0.1 is not an int or a Fraction"),
+        (lambda: MultiPoly.from_term(1, (2,), 0.5), "coefficient 0.5 is not"),
+        (lambda: UniPoly([0.1, 1]), "coefficient 0.1 is not an int or a Fraction"),
+        (lambda: UniPoly([1, "2"]), "coefficient '2' is not"),
+        (lambda: MultiPoly(2.0, {(1, 0): 1}), "nvars must be an int, got 2.0"),
+        (lambda: MultiPoly.constant(2.0, 1), "nvars must be an int"),
+    ],
+    ids=["float-exponent", "int-monomial", "str-exponent", "from_term-float-exponent",
+         "float-coefficient", "from_term-float-coefficient", "unipoly-float", "unipoly-str",
+         "float-nvars", "constant-float-nvars"],
+)
+def test_constructor_rejects_malformed_input(build, match):
+    """Only tuples of ints as monomials, ints or Fractions as coefficients and an
+    int nvars reach the core; the parser cannot produce e.g. x1^1.5."""
+    with pytest.raises(PolyError, match=match):
+        build()
+
+
 def test_monomial_enumeration_count():
     # C(d + nvars - 1, nvars - 1) exponent vectors of degree d, each once
     for nvars in range(1, 5):
