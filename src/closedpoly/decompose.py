@@ -16,6 +16,17 @@ h^k - m1^k and beta_l*m1^l of beta_l*h^l have pairwise distinct monomials,
 so none cancel and T is one of them: under a graded order, m1^(k-1) divides
 T or T = beta*m1^l.  This is the approximate-root step of Kozen-Landau
 (1989) and von zur Gathen (1990), used only as a rejection test.
+
+Both steps are fraction-free, in the manner of Bareiss (1968).  f = B/D
+with D the lcm of f's denominators and B integer, and the candidate is
+h = H/E with E the lcm of the denominators of h's coefficients so far; the
+powers H^p are integer term dicts.  At m_j, with T = m1^(k-1)*m_j, H's new
+coefficient is (B[T]*E^k - D*H^k[T]) / (k*D*E^(k-1)), reduced by its gcd;
+a reduced denominator e > 1 multiplies E by e and each H^p by e^p, so
+every coefficient of H stays an integer.  F is peeled off the residual
+R/S, starting from R = B*E^k and S = D*E^k: beta_p = R[m1^p]/S,
+and R/S - beta_p*H^p/E^p = (q*R - (R[m1^p]/g)*H^p) / (q*S) with
+g = gcd(R[m1^p], E^p) and q = E^p/g, in which every division is exact.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import nlargest
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, lt
 from typing import Optional
 
@@ -47,15 +58,17 @@ class DecompositionResult:
         return compose_uni(self.F, self.h)
 
 
-def _powers_with_term(powers: list, mono, coeff: Fraction, k: int) -> None:
+def _powers_with_term(powers: list, mono, coeff: int, k: int) -> None:
     """Given powers[p] = q^p as term dicts for p in 0..k, update them in place
     to the powers of q + c*m.
 
     (q + c*m)^p = q^p + sum_i C(p, i) c^i m^i q^(p-i), so each power gains
     scaled, shifted copies of the lower ones; from p = k down, the lower
-    powers still hold those of q.  The powers are scratch: a zero left by
-    cancellation compares equal to an absent term, and h leaves through
-    MultiPoly._checked.
+    powers still hold those of q.  attempt_divisor passes the integer
+    numerator H of the candidate and an integer c, so every product here is
+    an int product and nothing is divided.  The powers are scratch: a zero
+    left by cancellation compares equal to an absent term, and h leaves
+    through MultiPoly._checked.
     """
     shifts = [tuple(e * i for e in mono) for i in range(k + 1)]
     for p in range(k, 0, -1):
@@ -73,6 +86,7 @@ def attempt_divisor(
 ) -> Optional[tuple]:
     """One divisor attempt on a normalized f.  Returns (h, F_norm) with
     F_norm monic, F_norm(0) = 0 and f_norm = F_norm(h), or None on mismatch.
+    Both steps run on integer numerators (module docstring).
     """
     top = nlargest(2, f_norm.terms, key=lambda m: sort_key(m, order))
     if not top:
@@ -96,32 +110,55 @@ def attempt_divisor(
             return None
 
     m1_pows = [mono_pow(m1, i) for i in range(k + 1)]
+    D = lcm(*(c.denominator for c in f_norm.terms.values()))
+    B = {m: c.numerator * (D // c.denominator) for m, c in f_norm.terms.items()}
 
     # Step: solve for h = m1 + sum alpha_j m_j, coefficient by coefficient.
-    powers = [{m: Fraction(1)} for m in m1_pows]
+    # powers[p] = H^p; H's coefficient at m_j is E*alpha_j = num / (k*D*E^(k-1)).
+    E = Ek = 1
+    powers = [{m: 1} for m in m1_pows]
     for mj in monomials_below(m1, order):
         target = tuple(map(add, m1_pows[k - 1], mj))
-        bj = f_norm.terms.get(target, 0)
-        kj = powers[k].get(target, 0)
-        if bj != kj:
-            _powers_with_term(powers, mj, (bj - kj) / k, k)
+        num = B.get(target, 0) * Ek - D * powers[k].get(target, 0)
+        if num:
+            den = k * D * (Ek // E)
+            g = gcd(num, den)
+            num //= g
+            den //= g
+            if den > 1:  # E becomes lcm(E, denominator of alpha_j)
+                for p in range(1, k + 1):
+                    scale = den**p
+                    powers[p] = {m: c * scale for m, c in powers[p].items()}
+                E *= den
+                Ek = E**k
+            _powers_with_term(powers, mj, num, k)
 
     # Step: solve for F(t) = t^k + beta_{k-1} t^{k-1} + ... + beta_1 t by
-    # peeling h^k and then each beta_p * h^p off f, from p = k - 1 down.
+    # peeling each beta_p * h^p off the residual R/S = f_norm, from p = k down
+    # (beta_k = R[m1^k]/S = 1).
     coeffs = [0] * (k + 1)
-    residual = dict(f_norm.terms)
+    S = D * Ek
+    residual = {m: b * Ek for m, b in B.items()}
     for p in range(k, 0, -1):
-        if powers[p][m1_pows[p]] != 1:  # pragma: no cover - monic leading powers
+        Ep = E**p
+        if powers[p][m1_pows[p]] != Ep:  # pragma: no cover - monic leading powers
             raise RuntimeError("leading power of candidate h is not monic")
-        beta = 1 if p == k else residual.get(m1_pows[p], 0)
-        if beta:
+        r = residual.get(m1_pows[p], 0)
+        if r:
+            coeffs[p] = Fraction(r, S)
+            g = gcd(r, Ep)
+            if g < Ep:
+                q = Ep // g
+                residual = {m: c * q for m, c in residual.items()}
+                S *= q
+            r //= g
             for m, c in powers[p].items():
-                residual[m] = residual[m] - beta * c if m in residual else -beta * c
-            coeffs[p] = beta
+                residual[m] = residual[m] - r * c if m in residual else -r * c
 
     if any(residual.values()):
         return None
-    return MultiPoly._checked(f_norm.nvars, powers[1]), UniPoly(coeffs)
+    h = {m: Fraction(c, E) for m, c in powers[1].items()}
+    return MultiPoly._checked(f_norm.nvars, h), UniPoly(coeffs)
 
 
 def generative(

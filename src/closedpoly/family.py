@@ -123,7 +123,7 @@ def factor_shift(result: DecompositionResult, mu) -> FamilyFactorization:
 
 def exceptional_image(F: UniPoly, E_h) -> set:
     """E(f) from E(h): the elementwise image lambda -> -F(-lambda)."""
-    return {-F.evaluate(-Fraction(lam)) for lam in E_h}
+    return {-F.evaluate(-check_scalar(lam, "exceptional value")) for lam in E_h}
 
 
 # -- Stein–Lorenzini–Najib checker on supplied decomposition data ----------

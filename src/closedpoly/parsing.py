@@ -51,6 +51,9 @@ class ParsedInput:
 _BAD_CHAR_RE = re.compile(r"x(?![0-9])|[^\sx0-9+\-*/^]")
 _TOKEN_RE = re.compile(r"x[0-9]+|[0-9]+|[-+*/^]")
 _BOUND_DIGITS = len(str(max(MAX_EXPONENT, MAX_VARIABLES)))
+# a run of at most this many digits is below its bound, so it skips _bounded
+_INDEX_DIGITS = len(str(MAX_VARIABLES)) - 1
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT)) - 1
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -141,8 +144,9 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
             tok = tokens[i]
             if tok[:1] != "x":
                 raise _fail(text, i, f"expected a variable, got {tok or 'end of input'!r}")
-            index = _bounded(text, i, tok[1:], MAX_VARIABLES,
-                             "variable index {0} exceeds the supported bound {1}")
+            digits = tok[1:]
+            index = int(digits) if len(digits) <= _INDEX_DIGITS else _bounded(
+                text, i, digits, MAX_VARIABLES, "variable index {0} exceeds the supported bound {1}")
             if index == 0:
                 raise _fail(text, i, "variable index 0 is not allowed")
             var_i = i
@@ -152,8 +156,9 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
                 i += 1
                 if not tokens[i][:1].isdigit():
                     raise _fail(text, i, "expected an exponent after '^'")
-                power = _bounded(text, i, tokens[i], MAX_EXPONENT,
-                                 "exponent {0} exceeds the supported bound")
+                digits = tokens[i]
+                power = int(digits) if len(digits) <= _EXPONENT_DIGITS else _bounded(
+                    text, i, digits, MAX_EXPONENT, "exponent {0} exceeds the supported bound")
                 i += 1
             power += exps.get(index, 0)
             if power > MAX_EXPONENT:

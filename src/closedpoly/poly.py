@@ -240,7 +240,7 @@ class MultiPoly:
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.nvars:
             raise PolyError("evaluation point has wrong dimension")
-        pt = [Fraction(v) for v in point]
+        pt = [check_scalar(v, "point value") for v in point]
         total = Fraction(0)
         for m, c in self.terms.items():
             val = c
@@ -308,7 +308,7 @@ class UniPoly(MultiPoly):
         return self.terms[(self.degree(),)]
 
     def evaluate(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
+        x = check_scalar(x, "point value")
         return sum((c * x**i for (i,), c in self.terms.items()), Fraction(0))
 
     def __repr__(self):

@@ -235,6 +235,58 @@ class TestAgainstReference:
                             seen["verified" if got else "mismatch"] += 1
         assert min(seen.values()) >= 20, seen
 
+    def test_denominators_over_several_primes(self):
+        """h and F with coefficients over the primes 2, 3, 5, 7 and 11, so the
+        common denominator E of the candidate grows while h is solved and the
+        residual is rescaled while F is peeled: f = F(h), the same f with one
+        lower coefficient changed, and a random tail under f's leading term."""
+        from closedpoly.newton import multiplicity
+
+        rng = random.Random(21)
+        primes = (2, 3, 5, 7, 11)
+        seen = {"verified": 0, "mismatch": 0}
+        for trial in range(40):
+            nvars = 1 + trial % 3
+            order = (GL, GR)[trial % 2]
+            terms = {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                     Fraction(rng.choice([-9, -4, -1, 1, 2, 5]), rng.choice(primes))
+                     for _ in range(4)}
+            h = MultiPoly(nvars, terms)
+            if h.is_constant():
+                continue
+            h = normalize(h, order).core
+            F = UniPoly([0] + [Fraction(rng.randint(-9, 9), rng.choice(primes))
+                               for _ in range(rng.randint(1, 2))] + [1])
+            if h.total_degree() * F.degree() > 6:
+                continue
+            f = compose_uni(F, h)
+            assert attempt_divisor(f, F.degree(), order) == (h, F)
+            lm, _ = leading_term(f, order)
+            perturbed = dict(f.terms)
+            lower = sorted(m for m in perturbed if m != lm)
+            if lower:
+                perturbed[rng.choice(lower)] += Fraction(1, rng.choice(primes))
+            tail = {tuple(rng.randint(0, 3) for _ in range(nvars)):
+                    Fraction(rng.randint(-9, 9), rng.choice(primes)) for _ in range(5)}
+            tail = {m: c for m, c in tail.items() if 0 < sum(m) < sum(lm)}
+            for g in (f, MultiPoly(nvars, perturbed), MultiPoly(nvars, {**tail, lm: 1})):
+                for k in range(2, multiplicity(lm) + 1):
+                    if multiplicity(lm) % k == 0:
+                        got = attempt_divisor(g, k, order)
+                        assert got == reference_attempt(g, k, order), (g, k, order)
+                        seen["verified" if got else "mismatch"] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_mixed_denominator_example(self):
+        # the installed-console-script example of the CI workflow: 21 terms
+        h = P("x1^2 + 2/5*x1*x2 + 5/7*x1 - 1/3*x2")
+        F = UniPoly([0, Fraction(1, 11), Fraction(-3, 2), 1])
+        f = compose_uni(F, h)
+        assert len(f.terms) == 21
+        r = generative(f, pruned=False)
+        assert (r.h, r.F) == (h, F)
+        assert r.trace == ((6, "mismatch"), (3, "verified"))
+
     @pytest.mark.parametrize("F", [UniPoly([0, 0, 1]), UniPoly([0, 1, 3, 1]), UniPoly([0, 0, 0, 0, 1])],
                              ids=["t^2", "t^3+3t^2+t", "t^4"])
     @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])

@@ -222,6 +222,10 @@ class TestExceptionalImage:
     def test_square(self):
         assert exceptional_image(UniPoly([0, 0, 1]), [1]) == {Fraction(-1)}
 
+    def test_float_value_rejected(self):
+        with pytest.raises(PolyError, match="exceptional value 0.1 is not an int or a Fraction"):
+            exceptional_image(UniPoly([0, 0, 1]), [0.1])
+
     def test_cardinality_bound(self, deg6):
         r = generative(deg6)
         image = exceptional_image(r.F, [0, -1])

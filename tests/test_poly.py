@@ -314,6 +314,18 @@ def test_constructor_rejects_malformed_input(build, match):
         build()
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [lambda: UniPoly([0, 1]).evaluate(0.1), lambda: MultiPoly(1, {(1,): 1}).evaluate([0.1]),
+     lambda: UniPoly([0, 1]).evaluate("1/2")],
+    ids=["unipoly-float", "multipoly-float", "unipoly-str"],
+)
+def test_evaluate_rejects_non_rational_point(evaluate):
+    """A float point value would become its binary fraction, 3602879701896397/2^55 for 0.1."""
+    with pytest.raises(PolyError, match="point value .* is not an int or a Fraction"):
+        evaluate()
+
+
 def test_monomial_enumeration_count():
     # C(d + nvars - 1, nvars - 1) exponent vectors of degree d, each once
     for nvars in range(1, 5):
