@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .decompose import generative
+from .decompose import generative, is_closed
 from .depend import jacobian_minors
 from .family import (
     DataFormatError,
@@ -97,7 +97,7 @@ def _cmd_decompose(args) -> tuple:
 def _cmd_is_closed(args) -> tuple:
     f = _load_poly(args.poly)
     order = OrderSpec(kind=args.order)
-    closed = generative(f, order).closed
+    closed = is_closed(f, order)
     # normalizing f keeps its leading monomial, so this is the multiplicity generative sees
     fast = multiplicity(leading_term(f, order)[0]) == 1
     payload = {

@@ -136,7 +136,7 @@ def attempt_divisor(
     # Step: solve for F(t) = t^k + beta_{k-1} t^{k-1} + ... + beta_1 t by
     # peeling each beta_p * h^p off the residual R/S = f_norm, from p = k down
     # (beta_k = R[m1^k]/S = 1).
-    coeffs = [0] * (k + 1)
+    F = {}
     S = D * Ek
     residual = {m: b * Ek for m, b in B.items()}
     for p in range(k, 0, -1):
@@ -145,7 +145,7 @@ def attempt_divisor(
             raise RuntimeError("leading power of candidate h is not monic")
         r = residual.get(m1_pows[p], 0)
         if r:
-            coeffs[p] = Fraction(r, S)
+            F[(p,)] = Fraction(r, S)
             g = gcd(r, Ep)
             if g < Ep:
                 q = Ep // g
@@ -158,7 +158,7 @@ def attempt_divisor(
     if any(residual.values()):
         return None
     h = {m: Fraction(c, E) for m, c in powers[1].items()}
-    return MultiPoly._checked(f_norm.nvars, h), UniPoly(coeffs)
+    return MultiPoly._checked(f_norm.nvars, h), UniPoly._checked(1, F)
 
 
 def generative(

@@ -113,7 +113,7 @@ def factor_shift(result: DecompositionResult, mu) -> FamilyFactorization:
     alpha = G.leading_coefficient()
     roots, residual = _split(G)
     shifts = [(-root, mult) for root, mult in reversed(roots)]  # so the shifts -root descend
-    product = UniPoly([alpha]) * residual
+    product = residual * alpha
     for lam, mult in shifts:
         product = product * UniPoly([lam, 1]) ** mult
     if product != G:

@@ -95,8 +95,6 @@ def cone_member(v, gens: MonoidGens) -> bool:
         raise MonoidError("dimension mismatch")
     if any(e < 0 for e in v):
         raise MonoidError("cone membership is only defined for nonnegative vectors")
-    if not any(v):
-        return True
     gen_list = sorted(gens.gens)
     A_eq = [[g[s] for g in gen_list] for s in range(gens.nvars)]
     return feasible_point(len(gen_list), A_eq=A_eq, b_eq=v) is not None

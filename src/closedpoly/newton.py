@@ -45,7 +45,7 @@ def multiplicity(m: Monomial) -> int:
     """d(m): the GCD of the exponents."""
     if not any(m):
         raise PolyError("multiplicity is undefined for the unit monomial")
-    return gcd(*m) if len(m) > 1 else m[0]
+    return gcd(*m)
 
 
 def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[tuple]:
@@ -53,7 +53,8 @@ def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[tuple]:
     support, checked exactly; RuntimeError if the LP's answer fails the check.
 
     Returns None when no such weights exist, i.e. v is not in V0.  Strictness
-    is encoded as a >= 1 margin; any feasible solution scales.
+    is encoded as a >= 1 margin; any feasible solution scales.  A one-term
+    support leaves the LP no rows, and its zero point makes every weight 1.
     """
     v = tuple(v)
     support = f.support()
@@ -62,8 +63,6 @@ def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[tuple]:
     # substitute w = 1 + y with y >= 0 so the LP variables are nonnegative:
     # <w, v-u> >= 1  becomes  <y, v-u> >= 1 - <1, v-u>.
     A_ge = [[a - b for a, b in zip(v, u)] for u in support if u != v]
-    if not A_ge:
-        return (Fraction(1),) * f.nvars
     y = feasible_point(f.nvars, A_ge=A_ge, b_ge=[1 - sum(diff) for diff in A_ge])
     if y is None:
         return None

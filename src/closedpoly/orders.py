@@ -125,7 +125,6 @@ def normalize(f: MultiPoly, order: OrderSpec) -> NormalizedForm:
     leading-monic and constant-free."""
     if f.is_zero() or f.is_constant():
         raise PolyError("cannot normalize a constant polynomial")
-    c = f.constant_term()
     _, a = leading_term(f, order)
-    core = (f - c) * (1 / a)
-    return NormalizedForm(core=core, leading_scalar=a, constant_term=c)
+    core = MultiPoly._checked(f.nvars, {m: c / a for m, c in f.terms.items() if any(m)})
+    return NormalizedForm(core=core, leading_scalar=a, constant_term=f.constant_term())

@@ -177,7 +177,7 @@ class MultiPoly:
         self._require_same_ring(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms[m] + c if m in terms else c
         return self._checked(self.nvars, terms)
 
     __radd__ = __add__
@@ -308,8 +308,7 @@ class UniPoly(MultiPoly):
         return self.terms[(self.degree(),)]
 
     def evaluate(self, x: Scalar) -> Fraction:
-        x = check_scalar(x, "point value")
-        return sum((c * x**i for (i,), c in self.terms.items()), Fraction(0))
+        return super().evaluate((x,))
 
     def __repr__(self):
         from .parsing import render_uni

@@ -69,6 +69,10 @@ class TestConeMember:
 
     def test_origin(self):
         assert cone_member((0, 0), gens2((1, 0)))
+        assert cone_member((0,), MonoidGens(nvars=1, gens=frozenset({(3,)})))
+        assert cone_member((0, 0, 0), MonoidGens(nvars=3, gens=frozenset({(1, 0, 0), (0, 2, 1), (1, 1, 1)})))
+        # rank 1 in three variables
+        assert cone_member((0, 0, 0), MonoidGens(nvars=3, gens=frozenset({(1, 1, 0), (2, 2, 0)})))
 
     def test_dimension_mismatch(self):
         with pytest.raises(MonoidError):

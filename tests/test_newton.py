@@ -239,7 +239,11 @@ class TestRealizingWeights:
         assert realizing_weights(ex1, (2, 1)) is None
 
     def test_singleton_support(self):
-        assert realizing_weights(P("x1*x2", 2), (1, 1)) == (1, 1)
+        # one term leaves the LP no rows: its zero point makes every weight 1
+        for text, v in [("x1*x2", (1, 1)), ("-5/2*x1^3", (3,)), ("x1*x3^2", (1, 0, 2))]:
+            ws = realizing_weights(P(text), v)
+            assert ws == (1,) * len(v)
+            assert all(type(w) is Fraction for w in ws)
 
     def test_not_in_support(self, ex1):
         with pytest.raises(PolyError):

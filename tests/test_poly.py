@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closedpoly.orders import OrderSpec, normalize
+from closedpoly.orders import GREVLEX, GRLEX, WEIGHTED, OrderSpec, leading_term, normalize
 from closedpoly.parsing import render_uni
 from closedpoly.poly import (
     MAX_EXPONENT,
@@ -115,6 +115,31 @@ class TestNormalize:
             f = random_poly(rng, rng.randint(1, 4), 5, 8)
             nf = normalize(f, OrderSpec())
             assert nf.reconstruct() == f
+
+    def test_matches_reference_arithmetic(self):
+        """The core has the terms of (f - c) * (1 / a), in the same dict order."""
+        rng = random.Random(21)
+        seen = set()
+        for _ in range(300):
+            nvars = rng.randint(1, 4)
+            kind = rng.choice([GRLEX, GREVLEX, WEIGHTED])
+            weights = None
+            if kind == WEIGHTED:
+                weights = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(nvars))
+            order = OrderSpec(kind=kind, weights=weights)
+            f = random_poly(rng, nvars, 5, 8)
+            f = f - f.constant_term() + rng.choice([0, Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+            c = f.constant_term()
+            _, a = leading_term(f, order)
+            reference = (f - c) * (1 / a)
+            nf = normalize(f, order)
+            assert list(nf.core.terms.items()) == list(reference.terms.items())
+            assert nf.leading_scalar == a and type(nf.leading_scalar) is Fraction
+            assert nf.constant_term == c and type(nf.constant_term) is Fraction
+            seen |= {kind, "constant" if c else "no constant"}
+            seen |= {"negative" if a < 0 else "positive", "integer" if a.denominator == 1 else "non-integer"}
+        assert seen == {GRLEX, GREVLEX, WEIGHTED, "constant", "no constant",
+                        "negative", "positive", "integer", "non-integer"}
 
 
 class TestCoefficientOf:
