@@ -1,32 +1,35 @@
 """Generative-polynomial computation by divisor-driven coefficient solving.
 
-For a leading-monic, constant-free f and a divisor k of the leading
-monomial's multiplicity, the candidate inner polynomial h is built term by
-term: its leading monomial is the k-th root of f's, and each further
-coefficient is forced by matching one coefficient of f against the k-th
-power of the partial candidate.  The outer polynomial F is then matched
-against the remaining leading powers, and the exact identity f = F(h)
-decides acceptance.  The first divisor (descending) that verifies wins.
+For a non-constant f and a divisor k of the leading monomial's
+multiplicity, the candidate inner polynomial h is built term by term: its
+leading monomial is the k-th root of f's, and each further coefficient is
+forced by matching one coefficient of core = (f - f(0))/lc(f) against the
+k-th power of the partial candidate.  The outer polynomial is then matched
+against the remaining leading powers, and f = F(h) decides acceptance.
+The first divisor (descending) that verifies wins; if none does, h = core.
 
 A divisor is rejected before any coefficient is solved when the leading
-term T of f - m1^k (the second term of f) cannot come from a verified pair.
-For f = F(h) with h = m1 + alpha*m2 + ... (m2 != 1) and F = t^k + sum_l
-beta_l t^l (1 <= l <= k-1), the leading terms k*alpha*m1^(k-1)*m2 of
-h^k - m1^k and beta_l*m1^l of beta_l*h^l have pairwise distinct monomials,
-so none cancel and T is one of them: under a graded order, m1^(k-1) divides
-T or T = beta*m1^l.  This is the approximate-root step of Kozen-Landau
-(1989) and von zur Gathen (1990), used only as a rejection test.
+term T of core - m1^k (the second non-constant term of f) cannot come from
+a verified pair.  For core = G(h) with h = m1 + alpha*m2 + ... (m2 != 1)
+and G = t^k + sum_l beta_l t^l (1 <= l <= k-1), the leading terms
+k*alpha*m1^(k-1)*m2 of h^k - m1^k and beta_l*m1^l of beta_l*h^l have
+pairwise distinct monomials, so none cancel and T is one of them: under a
+graded order, m1^(k-1) divides T or T = beta*m1^l.  This is the
+approximate-root step of Kozen-Landau (1989) and von zur Gathen (1990),
+used only as a rejection test.
 
-Both steps are fraction-free, in the manner of Bareiss (1968).  f = B/D
-with D the lcm of f's denominators and B integer, and the candidate is
-h = H/E with E the lcm of the denominators of h's coefficients so far; the
-powers H^p are integer term dicts.  At m_j, with T = m1^(k-1)*m_j, H's new
-coefficient is (B[T]*E^k - D*H^k[T]) / (k*D*E^(k-1)), reduced by its gcd;
-a reduced denominator e > 1 multiplies E by e and each H^p by e^p, so
-every coefficient of H stays an integer.  F is peeled off the residual
-R/S, starting from R = B*E^k and S = D*E^k: beta_p = R[m1^p]/S,
-and R/S - beta_p*H^p/E^p = (q*R - (R[m1^p]/g)*H^p) / (q*S) with
-g = gcd(R[m1^p], E^p) and q = E^p/g, in which every division is exact.
+Both steps are fraction-free, in the manner of Bareiss (1968).  core = B/D
+with B the integer numerators of f's non-constant terms over L, the lcm of
+f's denominators taken with the sign of lc(f), and D = B[lm] = lc(f)*L > 0.
+The candidate is h = H/E with E the lcm of the denominators of h's
+coefficients so far; the powers H^p are integer term dicts.  At m_j, with
+T = m1^(k-1)*m_j, H's new coefficient is (B[T]*E^k - D*H^k[T]) /
+(k*D*E^(k-1)), reduced by its gcd; a reduced denominator e > 1 multiplies E
+by e and each H^p by e^p, so every coefficient of H stays an integer.  G is
+peeled off the residual R/S, starting from R = B*E^k and S = D*E^k:
+beta_p = R[m1^p]/S, and R/S - beta_p*H^p/E^p = (q*R - (R[m1^p]/g)*H^p) /
+(q*S) with g = gcd(R[m1^p], E^p) and q = E^p/g, in which every division is
+exact.  F = lc(f)*G + f(0).
 """
 
 from __future__ import annotations
@@ -81,28 +84,23 @@ def _powers_with_term(powers: list, mono, coeff: int, k: int) -> None:
                 acc[m] = acc[m] + scale * c if m in acc else scale * c
 
 
-def attempt_divisor(
-    f_norm: MultiPoly, k: int, order: OrderSpec
-) -> Optional[tuple]:
-    """One divisor attempt on a normalized f.  Returns (h, F_norm) with
-    F_norm monic, F_norm(0) = 0 and f_norm = F_norm(h), or None on mismatch.
-    Both steps run on integer numerators (module docstring).
+def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
+    """One divisor attempt on a non-constant f.  Returns (h, F) with h(0) = 0,
+    h leading-monic, deg F = k and f = F(h), or None on mismatch.  Both steps
+    run on integer numerators (module docstring).
     """
-    top = nlargest(2, f_norm.terms, key=lambda m: sort_key(m, order))
+    top = nlargest(2, f.terms, key=lambda m: sort_key(m, order))
     if not top:
         raise PolyError("the zero polynomial has no leading term")
     lm = top[0]
-    if f_norm.terms[lm] != 1:
-        raise PolyError("attempt_divisor expects a leading-monic polynomial")
-    if f_norm.constant_term():
-        raise PolyError("attempt_divisor expects a zero constant term")
     if k <= 1 or multiplicity(lm) % k:
         raise PolyError(f"{k} does not divide the leading multiplicity")
     m1 = tuple(e // k for e in lm)
 
-    # Early mismatch (module docstring): T is f's second term.  T = m1^l needs
-    # l = deg T / deg m1, so the k + 1 powers of m1 are listed only after it.
-    if order.is_graded and len(top) == 2:
+    # Early mismatch (module docstring): T is the second non-constant term of
+    # f.  T = m1^l needs l = deg T / deg m1, so the k + 1 powers of m1 are
+    # listed only after it.
+    if order.is_graded and len(top) == 2 and any(top[1]):
         t = top[1]
         l, rem = divmod(sum(t), sum(m1))
         is_power = not rem and 1 <= l < k and t == mono_pow(m1, l)
@@ -110,8 +108,12 @@ def attempt_divisor(
             return None
 
     m1_pows = [mono_pow(m1, i) for i in range(k + 1)]
-    D = lcm(*(c.denominator for c in f_norm.terms.values()))
-    B = {m: c.numerator * (D // c.denominator) for m, c in f_norm.terms.items()}
+    a = f.terms[lm]
+    L = lcm(*(c.denominator for c in f.terms.values()))
+    if a < 0:
+        L = -L
+    B = {m: c.numerator * (L // c.denominator) for m, c in f.terms.items() if any(m)}
+    D = B[lm]
 
     # Step: solve for h = m1 + sum alpha_j m_j, coefficient by coefficient.
     # powers[p] = H^p; H's coefficient at m_j is E*alpha_j = num / (k*D*E^(k-1)).
@@ -133,10 +135,10 @@ def attempt_divisor(
                 Ek = E**k
             _powers_with_term(powers, mj, num, k)
 
-    # Step: solve for F(t) = t^k + beta_{k-1} t^{k-1} + ... + beta_1 t by
-    # peeling each beta_p * h^p off the residual R/S = f_norm, from p = k down
-    # (beta_k = R[m1^k]/S = 1).
-    F = {}
+    # Step: solve for core = G(h), G(t) = t^k + beta_{k-1} t^{k-1} + ... +
+    # beta_1 t, by peeling each beta_p * h^p off the residual R/S = B/D, from
+    # p = k down (beta_k = R[m1^k]/S = 1); then F = lc(f) * G + f(0).
+    G = {}
     S = D * Ek
     residual = {m: b * Ek for m, b in B.items()}
     for p in range(k, 0, -1):
@@ -145,7 +147,7 @@ def attempt_divisor(
             raise RuntimeError("leading power of candidate h is not monic")
         r = residual.get(m1_pows[p], 0)
         if r:
-            F[(p,)] = Fraction(r, S)
+            G[(p,)] = Fraction(r, S)
             g = gcd(r, Ep)
             if g < Ep:
                 q = Ep // g
@@ -158,7 +160,7 @@ def attempt_divisor(
     if any(residual.values()):
         return None
     h = {m: Fraction(c, E) for m, c in powers[1].items()}
-    return MultiPoly._checked(f_norm.nvars, h), UniPoly._checked(1, F)
+    return MultiPoly._checked(f.nvars, h), a * UniPoly._checked(1, G) + f.constant_term()
 
 
 def generative(
@@ -166,29 +168,23 @@ def generative(
 ) -> DecompositionResult:
     """Compute the generative polynomial h and outer F with f = F(h).
 
-    Arbitrary non-constant input is reduced to the leading-monic,
-    constant-free case and the outer polynomial is rescaled back.  With
-    ``pruned`` the divisor sequence is restricted by the Newton-polytope
-    bound d1(f).
+    The divisors are tried on f itself; when none verifies, f is closed and
+    h is its leading-monic, constant-free core.  With ``pruned`` the divisor
+    sequence is restricted by the Newton-polytope bound d1(f).
     """
     if f.is_zero() or f.is_constant():
         raise PolyError("cannot decompose a constant polynomial")
-    nf = normalize(f, order)
-    core = nf.core
     trace = []
-    found = None
-    for k in divisor_sequence(core, order, pruned=pruned):
-        result = attempt_divisor(core, k, order)
+    for k in divisor_sequence(f, order, pruned=pruned):
+        result = attempt_divisor(f, k, order)
         trace.append((k, VERIFIED if result else MISMATCH))
         if result:
-            found = result
+            h, F = result
             break
-    if found is None:
-        h = core
-        f_outer = UniPoly.identity()
     else:
-        h, f_outer = found
-    F = nf.leading_scalar * f_outer + nf.constant_term
+        nf = normalize(f, order)
+        h = nf.core
+        F = nf.leading_scalar * UniPoly.identity() + nf.constant_term
     return DecompositionResult(
         h=h,
         F=F,

@@ -93,6 +93,8 @@ def cone_member(v, gens: MonoidGens) -> bool:
     v = tuple(v)
     if len(v) != gens.nvars:
         raise MonoidError("dimension mismatch")
+    if not all(isinstance(e, int) for e in v):
+        raise MonoidError(f"vector {v} has an entry that is not an integer")
     if any(e < 0 for e in v):
         raise MonoidError("cone membership is only defined for nonnegative vectors")
     gen_list = sorted(gens.gens)

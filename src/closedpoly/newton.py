@@ -119,10 +119,11 @@ def _descending_divisors(d: int) -> tuple:
 
 
 def _gcd_multiplicity(v0: set) -> int:
-    mults = [multiplicity(v) for v in v0 if any(v)]
-    if not mults:
-        raise PolyError("no non-unit potential leading terms")
-    return gcd(*mults)
+    """d1 of a non-constant f.  Its V0 lacks the unit point, which every other
+    point dominates, and holds the lex-largest point v: a convex combination
+    >= v of the other points, all lex-below v, could weigh only points that
+    match v coordinate by coordinate, and there are none."""
+    return gcd(*map(multiplicity, v0))
 
 
 def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tuple:

@@ -11,7 +11,6 @@ the decomposition machinery ever compares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Optional
 
@@ -20,6 +19,7 @@ from .poly import (
     MultiPoly,
     NormalizedForm,
     PolyError,
+    check_scalar,
     mono_deg,
     monomials_of_degree,
 )
@@ -51,7 +51,7 @@ class OrderSpec:
         if self.kind == WEIGHTED:
             if not self.weights:
                 raise OrderError("weighted order requires a weight vector")
-            ws = tuple(Fraction(w) for w in self.weights)
+            ws = tuple(check_scalar(w, "weight") for w in self.weights)
             if any(w <= 0 for w in ws):
                 raise OrderError("weights must be positive")
             object.__setattr__(self, "weights", ws)

@@ -34,11 +34,18 @@ class TestAttemptDivisor:
         assert F == UniPoly([0, 0, 1])
         assert h * h == deg6 - 1
 
-    def test_requires_normalized_input(self, ex1):
+    def test_takes_f_as_given(self, ex1):
+        # h is normalized; F carries f's leading coefficient and constant term
+        assert attempt_divisor(2 * ex1, 2, GL) == (P("x1^2 + x2"), UniPoly([0, 0, 2]))
+        assert attempt_divisor(ex1 + 1, 2, GL) == (P("x1^2 + x2"), UniPoly([1, 0, 1]))
+        # the constant is not the second term of x1^4, so k = 4 is not rejected early
+        assert attempt_divisor(P("x1^4 + 5"), 4, GL) == (P("x1"), UniPoly([5, 0, 0, 0, 1]))
+
+    def test_constant_rejected(self):
         with pytest.raises(PolyError):
-            attempt_divisor(2 * ex1, 2, GL)
+            attempt_divisor(MultiPoly.constant(2, 3), 2, GL)
         with pytest.raises(PolyError):
-            attempt_divisor(ex1 + 1, 2, GL)
+            attempt_divisor(MultiPoly(2, {}), 2, GL)
 
     def test_requires_dividing_k(self, ex1):
         with pytest.raises(PolyError):
@@ -276,6 +283,44 @@ class TestAgainstReference:
                         assert got == reference_attempt(g, k, order), (g, k, order)
                         seen["verified" if got else "mismatch"] += 1
         assert min(seen.values()) >= 40, seen
+
+    def test_matches_the_normalized_route(self):
+        """a*g + c for g = F(h) and for g with one lower coefficient changed,
+        with negative and fractional a, against the route through the
+        normalized core: attempt on (f - f(0)) / lc(f), then rescale F."""
+        from closedpoly.newton import multiplicity
+
+        def normalized_route(f, k, order):
+            nf = normalize(f, order)
+            got = reference_attempt(nf.core, k, order)
+            return got and (got[0], nf.leading_scalar * got[1] + nf.constant_term)
+
+        rng = random.Random(22)
+        seen = dict.fromkeys(("verified", "mismatch", "negative", "fractional", "constant", "no constant"), 0)
+        for order in (GL, GR):
+            for trial in range(50):
+                nvars = 1 + trial % 3
+                h = normalize(random_poly(rng, nvars, 3, 4), order).core
+                g = compose_uni(random_outer(rng, 3), h)
+                if g.total_degree() > 9:
+                    continue
+                lm, _ = leading_term(g, order)
+                perturbed = dict(g.terms)
+                lower = sorted(m for m in perturbed if m != lm)
+                if lower:
+                    perturbed[rng.choice(lower)] += rng.choice([-1, 1])
+                a = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 9]))
+                c = Fraction(rng.randint(-4, 4), rng.choice([1, 5]))
+                for f in (a * g + c, a * MultiPoly(nvars, perturbed) + c):
+                    for k in range(2, multiplicity(lm) + 1):
+                        if multiplicity(lm) % k == 0:
+                            got = attempt_divisor(f, k, order)
+                            assert got == normalized_route(f, k, order), (f, k, order)
+                            seen["verified" if got else "mismatch"] += 1
+                            seen["negative"] += a < 0
+                            seen["fractional"] += a.denominator > 1
+                            seen["constant" if c else "no constant"] += 1
+        assert min(seen.values()) >= 10, seen
 
     def test_mixed_denominator_example(self):
         # the installed-console-script example of the CI workflow: 21 terms

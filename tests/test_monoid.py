@@ -82,6 +82,11 @@ class TestConeMember:
         with pytest.raises(MonoidError):
             cone_member((-1, 0), gens2((1, 0)))
 
+    @pytest.mark.parametrize("v", [(0.5, 0), ("1", 0), (Fraction(1), 0)])
+    def test_non_integer_entry_rejected(self, v):
+        with pytest.raises(MonoidError, match="not an integer"):
+            cone_member(v, gens2((1, 0), (1, 2)))
+
 
 class TestSaturationGenerators:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])

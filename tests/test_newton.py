@@ -349,6 +349,12 @@ class TestDualCharacterization:
             lp = v0_lp(f)
             assert lp == v0_combinatorial(f)
             assert v0_set(f) == lp
+            # the lexicographically largest point is in V0, and the unit point
+            # never is: every other point dominates it
+            assert max(f.support()) in lp
+            with_constant = f + 1
+            assert (0,) * f.nvars in with_constant.support()
+            assert v0_set(with_constant) == lp
 
     def test_sampled_argmax_lands_in_v0(self):
         rng = random.Random(34)

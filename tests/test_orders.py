@@ -43,6 +43,13 @@ class TestCompare:
         with pytest.raises(OrderError):
             OrderSpec(kind=WEIGHTED)
 
+    @pytest.mark.parametrize("w", [0.1, "1/3", None])
+    def test_weight_types(self, w):
+        # weights follow the coefficient rule: an int or a Fraction
+        with pytest.raises(PolyError, match="weight"):
+            OrderSpec(kind=WEIGHTED, weights=(w, 1))
+        assert OrderSpec(kind=WEIGHTED, weights=(Fraction(1, 3), 1)).weights == (Fraction(1, 3), 1)
+
     def test_grevlex_same_degree(self):
         # x1 x2 vs x1^2: grevlex prefers the power of the earlier variable
         assert compare((2, 0), (1, 1), GR) == 1
