@@ -273,9 +273,8 @@ def _cmd_saturate(args) -> tuple:
         f"is saturated:          {saturated}",
     ]
     if not gens.exact:
-        human.append(
-            "warning: bounded enumeration is heuristic for more than 2 variables"
-        )
+        human.append("warning: basis elements of degree above the bound are not listed, "
+                     "and 'is saturated' holds only up to the bound")
     return payload, human
 
 

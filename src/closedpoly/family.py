@@ -73,8 +73,9 @@ def _split(G: UniPoly) -> tuple:
         raise PolyError("the zero polynomial has every root")
     if G.degree() == 0:
         return [], UniPoly([1])
-    denominator_lcm = lcm(*(c.denominator for c in G.coeffs))
-    ints = [int(c * denominator_lcm) for c in G.coeffs]
+    coeffs = G.coeffs
+    L = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (L // c.denominator) for c in coeffs]
     content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     lead, n = ints[-1] // content, len(ints) - 1
     g = [a // content * lead ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]

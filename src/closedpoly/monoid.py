@@ -11,8 +11,9 @@ unchanged, and C, of dimension r, is read in r coordinates on which the
 generators keep rank r: that projection is injective on their span, so
 lower-rank cones take the same path.  An irreducible element of the monoid
 generated by A is an element of A, so A is saturated iff that basis lies in
-A.  The default bound makes the answer exact; a lower explicit bound is a
-documented heuristic beyond two variables.
+A.  The answer is exactly the basis elements of degree at most the bound.
+The default bound lists the whole basis; a lower one leaves out the basis
+elements above it, and `is_saturated` then holds only up to the bound.
 """
 
 from __future__ import annotations

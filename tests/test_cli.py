@@ -1,6 +1,10 @@
+import io
 import json
 import sys
+import time
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -26,14 +30,17 @@ def poly_file(tmp_path):
     return write
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
+def run(capsys, *argv, stdin=None):
+    with pytest.MonkeyPatch.context() as mp:
+        if stdin is not None:
+            mp.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-def run_json(capsys, *argv):
-    code, out, err = run(capsys, *argv, "--json")
+def run_json(capsys, *argv, stdin=None):
+    code, out, err = run(capsys, *argv, "--json", stdin=stdin)
     assert code == 0, err
     return json.loads(out)
 
@@ -60,11 +67,8 @@ class TestDecompose:
         assert payload["trace"] == [[4, "mismatch"], [2, "verified"]]
         assert payload["pruned"] is False
 
-    def test_stdin(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(EX1))
-        payload = run_json(capsys, "decompose", "--poly", "-")
+    def test_stdin(self, capsys):
+        payload = run_json(capsys, "decompose", "--poly", "-", stdin=EX1)
         assert payload["h"] == "x1^2 + x2"
 
     @pytest.mark.parametrize("text, extra, trace", [
@@ -155,8 +159,6 @@ class TestDepend:
         assert payload["nonzero_minors"] == {"(1,2)": minor}
 
     def test_both_inputs_on_stdin_rejected(self, capsys, monkeypatch):
-        import io
-
         stdin = io.StringIO(EX1)
         monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, "depend", "--f", "-", "--g", "-")
@@ -262,14 +264,18 @@ class TestSaturate:
 
     def test_unit_cone_in_three_variables(self, capsys):
         # the primitive generators are the unit vectors: one parallelepiped, |det| = 1
+        start = time.perf_counter()
         payload = run_json(capsys, "saturate", "--gens", "50,0,0;0,50,0;0,0,50")
+        assert time.perf_counter() - start < 60
         assert payload["saturation_generators"] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
         assert payload["is_saturated"] is False
         assert payload["exact"] is True
         assert payload["bound"] == 149
 
     def test_staircase_of_1001(self, capsys):
+        start = time.perf_counter()
         payload = run_json(capsys, "saturate", "--gens", "1,0;1,1000")
+        assert time.perf_counter() - start < 60
         assert payload["saturation_generators"] == [[1, j] for j in range(1001)]
         assert payload["is_saturated"] is False
 
@@ -291,6 +297,15 @@ class TestSaturate:
         payload = run_json(capsys, "saturate", "--gens", "1,0;1,2", "--bound", "8")
         assert payload["bound"] == 8
         assert payload["saturation_generators"] == [[1, 0], [1, 1], [1, 2]]
+
+    def test_bound_below_the_default_warns(self, capsys):
+        # the default bound is 2 + 2 + 2 - 1 = 5; the whole basis has degree 1
+        assert run(capsys, "saturate", "--gens", "2,0,0;0,2,0;0,0,2;1,1,0", "--bound", "3") == (0, (
+            "bound:                 3\n"
+            "saturation generators: [(0, 0, 1), (0, 1, 0), (1, 0, 0)]\n"
+            "is saturated:          False\n"
+            "warning: basis elements of degree above the bound are not listed, "
+            "and 'is saturated' holds only up to the bound\n"), "")
 
     @pytest.mark.parametrize("bound", ["0", "1", "-1"])
     def test_bound_below_largest_degree(self, capsys, bound):
@@ -495,3 +510,68 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+# h = x1^2 + 2/5*x1*x2 + 5/7*x1 - 1/3*x2 and F = t^3 - 3/2*t^2 + 1/11*t over the
+# primes 2, 3, 5, 7 and 11: f = F(h) has 21 terms with denominators up to 1078
+MIXED = (
+    "x1^6 + 6/5*x1^5*x2 + 12/25*x1^4*x2^2 + 8/125*x1^3*x2^3 + 15/7*x1^5 + 5/7*x1^4*x2"
+    " - 16/35*x1^3*x2^2 - 4/25*x1^2*x2^3 + 3/98*x1^4 - 494/245*x1^3*x2 - 251/525*x1^2*x2^2"
+    " + 2/15*x1*x2^3 - 610/343*x1^3 - 18/49*x1^2*x2 + 67/105*x1*x2^2 - 1/27*x2^3"
+    " - 727/1078*x1^2 + 289/385*x1*x2 - 1/6*x2^2 + 5/77*x1 - 1/33*x2\n"
+)
+NEGATIVE = "-3*x1^4 - 6*x1^2*x2 - 3*x2^2 + 7/2\n"
+CUBIC = "x1^6 + 3*x1^4*x2 + 3*x1^2*x2^2 + x2^3 - x1^2 - x2\n"  # (h + 1) h (h - 1), h = x1^2 + x2
+HUGE = "x1^2147483646 + x2\n"
+# 2^31 - 2 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331 has 192 divisors, 191 of them > 1
+HUGE_DIVISORS = sorted({prod(c) for c in product(
+    (1, 2), (1, 3, 9), (1, 7), (1, 11), (1, 31), (1, 151), (1, 331))} - {1}, reverse=True)
+# every monomial of degree <= 100 in two variables: 5,150 generators in one argument
+MONOMIALS = ";".join(f"{i},{j}" for i in range(101) for j in range(101 - i) if i + j)
+
+
+@pytest.mark.parametrize("argv, stdin, code, expected", [
+    (["decompose", "--poly", "-", "--no-newton", "--json"], MIXED, 0,
+     {"h": "x1^2 + 2/5*x1*x2 + 5/7*x1 - 1/3*x2", "F": "t^3 - 3/2*t^2 + 1/11*t",
+      "trace": [[6, "mismatch"], [3, "verified"]]}),
+    # the divisors are tried on f as given: F carries the leading coefficient and f(0)
+    (["decompose", "--poly", "-", "--json"], NEGATIVE, 0,
+     {"h": "x1^2 + x2", "F": "-3*t^2 + 7/2", "trace": [[2, "verified"]]}),
+    (["decompose", "--poly", "-", "--no-newton", "--json"], NEGATIVE, 0,
+     {"h": "x1^2 + x2", "F": "-3*t^2 + 7/2", "trace": [[4, "mismatch"], [2, "verified"]]}),
+    # a divisor whose second term rules it out is rejected before the monomial cap is reached
+    (["decompose", "--poly", "-", "--no-newton", "--json"], "x1^24 + x9\n", 0, {"closed": True}),
+    # 191 divisors, each rejected before the powers of its candidate leading monomial are listed
+    (["newton", "--poly", "-", "--json"], HUGE, 0, {"divisors_plain": HUGE_DIVISORS}),
+    (["decompose", "--poly", "-", "--no-newton", "--json"], HUGE, 0, {"closed": True}),
+    # a one-term support gives the weight LP no rows; its zero point makes both weights 1
+    (["newton", "--poly", "-", "--json"], "x1^2*x2\n", 0, {"realizing_weights": {"[2, 1]": ["1", "1"]}}),
+    (["decompose", "--poly", "-"], "x1^" + "9" * 4000 + "\n", 1,
+     "error: line 1, column 4: exponent <4000 digits> exceeds the supported bound\n"),
+    (["family", "--poly", "-", "--mu", "-1", "--json"], EX1, 0,
+     {"F": "t^2", "shifts": [["1", 1], ["-1", 1]], "residual": "1", "verified": True}),
+    (["family", "--poly", "-", "--mu", "0", "--json"], CUBIC, 0,
+     {"F": "t^3 - t", "shifts": [["1", 1], ["0", 1], ["-1", 1]], "residual": "1", "verified": True}),
+    (["saturate", "--gens", "2,0,0;0,2,0;0,0,2;1,1,0", "--json"], None, 0,
+     {"saturation_generators": [[0, 0, 1], [0, 1, 0], [1, 0, 0]], "is_saturated": False}),
+    (["saturate", "--gens", MONOMIALS, "--json"], None, 0,
+     {"saturation_generators": [[0, 1], [1, 0]], "is_saturated": True}),
+    # empty chunks are skipped
+    (["saturate", "--gens", "1,0;;1,3;", "--json"], None, 0,
+     {"generators": [[1, 0], [1, 3]], "saturation_generators": [[1, 0], [1, 1], [1, 2], [1, 3]]}),
+    (["saturate", "--gens", ";"], None, 2, "error: no generators supplied\n"),
+], ids=["mixed-denominators-unpruned", "negative-leading", "negative-leading-unpruned",
+        "sparse-24-unpruned", "huge-exponent-newton", "huge-exponent-unpruned", "one-term-newton",
+        "long-exponent", "family-square", "family-cubic", "saturate-three-variables",
+        "saturate-monomials-to-100", "saturate-empty-chunks", "saturate-no-generators"])
+def test_command(capsys, argv, stdin, code, expected):
+    """One call: its exit code, and its JSON fields or its exact stderr, in under 60 s."""
+    start = time.perf_counter()
+    got = run(capsys, *argv, stdin=stdin)
+    assert time.perf_counter() - start < 60
+    if isinstance(expected, dict):
+        assert (got[0], got[2]) == (code, "")
+        payload = json.loads(got[1])
+        assert {key: payload[key] for key in expected} == expected
+    else:
+        assert got == (code, "", expected)

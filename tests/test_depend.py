@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -124,3 +125,15 @@ def test_decomposition_certificate(ex1, deg6):
         for i in range(1, f.nvars):
             for j in range(i + 1, f.nvars + 1):
                 assert apply_derivation(f, i, j, r.h).is_zero()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: jacobian_minors(P("x1 + x2"), MultiPoly.constant(2, 3)),
+     "jacobian minors require non-constant polynomials"),
+    (lambda: jacobian_minors(MultiPoly.constant(2, 3), P("x1 + x2")),
+     "jacobian minors require non-constant polynomials"),
+    (lambda: apply_derivation(P("x1*x2"), 1, 2, P("x1 + x3")), "variable-count mismatch"),
+], ids=["constant-g", "constant-f", "derivation-variable-count"])
+def test_rejected_input(call, message):
+    with pytest.raises(PolyError, match=f"^{re.escape(message)}$"):
+        call()

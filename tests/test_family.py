@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from math import isqrt, lcm
@@ -6,7 +7,7 @@ from math import isqrt, lcm
 import pytest
 
 import closedpoly.family
-from closedpoly.decompose import generative
+from closedpoly.decompose import DecompositionResult, generative
 from closedpoly.family import (
     DataFormatError,
     DecompositionData,
@@ -17,12 +18,16 @@ from closedpoly.family import (
     rational_roots,
     stein_check,
 )
+from closedpoly.orders import OrderSpec
 from closedpoly.poly import PolyError, UniPoly, compose_uni
 
 from conftest import P, product_identity_holds, random_closed_normalized, random_outer
 
 
 class TestRationalRoots:
+    def test_nonzero_constant_has_no_roots(self):
+        assert rational_roots(UniPoly([5])) == []
+
     def test_difference_of_squares(self):
         assert rational_roots(UniPoly([-1, 0, 1])) == [
             (Fraction(1), 1),
@@ -312,3 +317,24 @@ class TestDataParsing:
     def test_nonpositive_factor(self):
         with pytest.raises(DataFormatError):
             stein_check(parse_decomposition_data("0: 0^1\n"), "h")
+
+
+def hand_built(F):
+    return DecompositionResult(h=P("x1"), F=F, closed=False, trace=(), order=OrderSpec())
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: factor_shift(hand_built(UniPoly([2])), 1), PolyError, "F + mu must be non-constant"),
+    (lambda: factor_shift(hand_built(UniPoly([1])), -1), PolyError, "F + mu must be non-constant"),
+    (lambda: stein_check(DecompositionData(entries=()), "h"), DataFormatError,
+     "no decomposition entries supplied"),
+    (lambda: stein_check(DecompositionData(entries=(ShiftEntry(None, ()),)), "h"), DataFormatError,
+     "entry with no factors"),
+    (lambda: stein_check(parse_decomposition_data("*: 3\n", d=0), "f"), DataFormatError,
+     "d must be positive"),
+    (lambda: parse_decomposition_data("1: 2,,3\n"), DataFormatError, "line 1: empty factor"),
+], ids=["constant-F-plus-mu", "zero-F-plus-mu", "no-entries", "entry-without-factors", "zero-d",
+        "empty-factor"])
+def test_rejected_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

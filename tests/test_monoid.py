@@ -300,6 +300,25 @@ class TestInvariants:
         doubled = gens2(*vectors, bound=2 * g.bound)
         assert saturation_generators(g) == saturation_generators(doubled)
 
+    def test_explicit_bound_cuts_the_default_answer(self):
+        # the bound only filters the candidates before the sieve, which reduces
+        # a point by basis elements of lower degree: every bound gives exactly
+        # the basis elements of degree up to it, and is_saturated up to it
+        rng = random.Random(2031)
+        for _ in range(60):
+            nvars = rng.randint(3, 4)
+            draws = (tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(2, 5)))
+            vectors = frozenset(v for v in draws if any(v))
+            if not vectors:
+                continue
+            full = MonoidGens(nvars=nvars, gens=vectors)
+            basis = saturation_generators(full)
+            for bound in range(max(map(sum, vectors)), full.bound + 1):
+                g = MonoidGens(nvars=nvars, gens=vectors, bound=bound)
+                cut = {x for x in basis if sum(x) <= bound}
+                assert saturation_generators(g) == cut, (vectors, bound)
+                assert is_saturated(g) is (cut <= vectors), (vectors, bound)
+
 
 class TestElimination:
     def test_agrees_with_rational_reduction(self):
@@ -371,7 +390,9 @@ class TestValidation:
         (-1, {()}, "nvars -1 is not a positive integer"),
         (2, {5}, "generators are not sequences of integers"),
         (2, 5, "generators are not sequences of integers"),
-    ], ids=["float-nvars", "zero-nvars", "negative-nvars", "int-generator", "int-gens"])
+        (2, {(1, 2, 3)}, r"generator \(1, 2, 3\) has wrong dimension"),
+    ], ids=["float-nvars", "zero-nvars", "negative-nvars", "int-generator", "int-gens",
+            "wrong-dimension"])
     def test_malformed_nvars_or_generator_rejected(self, nvars, gens, message):
         with pytest.raises(MonoidError, match=message):
             MonoidGens(nvars=nvars, gens=gens)

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -383,3 +384,15 @@ class TestDualCharacterization:
                 if not any(lm):
                     continue
                 assert multiplicity(lm) % d1 == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: v0_set(MultiPoly.constant(2, 3)), "V0 requires a non-constant polynomial"),
+    (lambda: divisor_sequence(MultiPoly.constant(2, 3), GL),
+     "divisor sequence requires a non-constant polynomial"),
+    (lambda: newton_summary(MultiPoly.constant(2, 3), GL),
+     "newton summary requires a non-constant polynomial"),
+], ids=["v0_set", "divisor_sequence", "newton_summary"])
+def test_constant_rejected(call, message):
+    with pytest.raises(PolyError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -166,3 +167,16 @@ class TestOrderLaws:
             mq, _ = leading_term(q, order)
             mpq, _ = leading_term(p * q, order)
             assert mpq == tuple(x + y for x, y in zip(mp, mq))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: OrderSpec(kind="lex"), OrderError, "unknown order kind 'lex'"),
+    (lambda: OrderSpec(kind=WEIGHTED, weights=(1, 0)), OrderError, "weights must be positive"),
+    (lambda: OrderSpec(kind=GRLEX, weights=(1, 2)), OrderError, "grlex order takes no weights"),
+    (lambda: sort_key((1, 2, 3), OrderSpec(kind=WEIGHTED, weights=(1, 2))), OrderError,
+     "weight vector length does not match monomial"),
+    (lambda: compare((1, 2), (1,), GL), PolyError, "monomial length mismatch"),
+], ids=["unknown-kind", "zero-weight", "grlex-with-weights", "weight-length", "compare-lengths"])
+def test_rejected_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,6 @@
+import operator
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -327,10 +329,12 @@ def test_arithmetic_results_are_validated_form():
         (lambda: UniPoly([1, "2"]), "coefficient '2' is not"),
         (lambda: MultiPoly(2.0, {(1, 0): 1}), "nvars must be an int, got 2.0"),
         (lambda: MultiPoly.constant(2.0, 1), "nvars must be an int"),
+        (lambda: MultiPoly(2, {(1,): 1}), r"^monomial \(1,\) has length 1, expected 2$"),
+        (lambda: MultiPoly(2, {(1, -1): 1}), r"^negative exponent in monomial \(1, -1\)$"),
     ],
     ids=["float-exponent", "int-monomial", "str-exponent", "from_term-float-exponent",
          "float-coefficient", "from_term-float-coefficient", "unipoly-float", "unipoly-str",
-         "float-nvars", "constant-float-nvars"],
+         "float-nvars", "constant-float-nvars", "monomial-length", "negative-exponent"],
 )
 def test_constructor_rejects_malformed_input(build, match):
     """Only tuples of ints as monomials, ints or Fractions as coefficients and an
@@ -349,6 +353,56 @@ def test_evaluate_rejects_non_rational_point(evaluate):
     """A float point value would become its binary fraction, 3602879701896397/2^55 for 0.1."""
     with pytest.raises(PolyError, match="point value .* is not an int or a Fraction"):
         evaluate()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mono_pow((1, 2), -1), "negative monomial power"),
+        (lambda: P("x1*x2").coefficient((1,)), "monomial length mismatch"),
+        (lambda: P("x1") ** -1, "negative polynomial power"),
+        (lambda: P("x1*x2").evaluate([1]), "evaluation point has wrong dimension"),
+    ],
+    ids=["mono_pow-negative", "coefficient-length", "negative-power", "evaluate-dimension"],
+)
+def test_rejects_out_of_range_input(call, message):
+    with pytest.raises(PolyError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "op, operand, message",
+    [
+        (operator.add, 0.1, "unsupported operand type(s) for +: 'MultiPoly' and 'float'"),
+        (operator.sub, 0.1, "unsupported operand type(s) for -: 'MultiPoly' and 'float'"),
+        (operator.mul, 0.1, "unsupported operand type(s) for *: 'MultiPoly' and 'float'"),
+        (operator.add, "1", "unsupported operand type(s) for +: 'MultiPoly' and 'str'"),
+        (operator.sub, "1", "unsupported operand type(s) for -: 'MultiPoly' and 'str'"),
+        (operator.mul, "1", "can't multiply sequence by non-int of type 'MultiPoly'"),
+    ],
+    ids=["add-float", "sub-float", "mul-float", "add-str", "sub-str", "mul-str"],
+)
+def test_float_or_str_operand(op, operand, message):
+    """Arithmetic takes ints and Fractions only, as `p + 0.1` raises TypeError;
+    `==` with such an operand is False."""
+    p = P("x1 + 1")
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        op(p, operand)
+    assert (p == operand) is False
+
+
+def test_equality_with_scalars():
+    assert MultiPoly.constant(2, 3) == 3
+    assert MultiPoly.constant(2, Fraction(1, 2)) == Fraction(1, 2)
+    assert P("x1 + 1") != 1
+
+
+def test_repr_reparses():
+    p, F = P("2*x1^2 - 1/3*x1*x2 + 1"), UniPoly([1, 0, Fraction(-2, 3)])
+    assert repr(p) == "MultiPoly('2*x1^2 - 1/3*x1*x2 + 1')"
+    assert repr(F) == "UniPoly('-2/3*t^2 + 1')"
+    assert P(repr(p)[len("MultiPoly('"):-2]) == p
+    assert P(repr(F)[len("UniPoly('"):-2].replace("t", "x1")) == F
 
 
 def test_monomial_enumeration_count():
@@ -417,6 +471,7 @@ class TestUniPoly:
 
     def test_one_variable_multipoly_with_the_same_terms(self):
         assert UniPoly([1, 0, 2]) == P("2*x1^2 + 1")
+        assert hash(UniPoly([1, 0, 2])) == hash(P("2*x1^2 + 1"))
         assert UniPoly([0, 1]) + P("x1") == UniPoly([0, 2])
 
     def test_inherited_constructors(self):
