@@ -98,7 +98,7 @@ def _cmd_is_closed(args) -> tuple:
     f = _load_poly(args.poly)
     order = OrderSpec(kind=args.order)
     closed = is_closed(f, order)
-    # normalizing f keeps its leading monomial, so this is the multiplicity generative sees
+    # generative reads d(lm) from f as given, so this is its d(lm) = 1 return
     fast = multiplicity(leading_term(f, order)[0]) == 1
     payload = {
         "command": "is-closed",

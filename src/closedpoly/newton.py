@@ -7,7 +7,8 @@ is dropped when a front point dominates it coordinatewise, and in this order a
 dominating point always comes first.  Then one dominance LP per front point,
 with the other front points as columns, decides it (Motzkin's transposition
 theorem): v is outside V0 iff some convex combination of them is
-coordinatewise >= v, and each such exclusion witness is checked exactly.
+coordinatewise >= v, and each such exclusion witness is checked exactly, in
+integers.
 This gives the V0 of the LP over all support points:
 - a dropped point v is excluded by a point u >= v, u != v, exact integer data;
 - a dominating convex combination over all points moves onto the front by
@@ -17,13 +18,22 @@ This gives the V0 of the LP over all support points:
 Two other routes to V0, the strict weight argmax and the hull vertices that
 the polytope does not dominate, are test oracles in `tests/oracles.py`;
 criterion 6 compares them.
+
+The pruned divisor sequence needs only d1, the gcd of d(v) over V0, so it
+starts from g = d(lm) and runs the LP only for a front point v with g not
+dividing d(v), stopping at g = 1.  This is exact:
+- the LP never excludes lm, whatever the monomial order: if sum lambda_u*u >=
+  lm with every u < lm, clearing denominators by N makes x^(sum N*lambda_u*u)
+  a multiple of x^(N*lm), so not below it, yet a product of N monomials each
+  below lm;
+- a point whose multiplicity g divides cannot change the gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 from .linprog import feasible_point
@@ -67,9 +77,16 @@ def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[tuple]:
     if y is None:
         return None
     weights = tuple(Fraction(1) + yi for yi in y)
-    if min(weights) <= 0 or any(sum(w * e for w, e in zip(weights, diff)) <= 0 for diff in A_ge):
+    _, scaled = _integer_multiple(weights)  # den > 0 keeps every sign
+    if min(scaled) <= 0 or any(sum(w * e for w, e in zip(scaled, diff)) <= 0 for diff in A_ge):
         raise RuntimeError(f"realizing weights for {v} failed their check")
     return weights
+
+
+def _integer_multiple(xs) -> tuple:
+    """(den, den*xs as ints) for Fractions xs, den the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def _dominated(v: Monomial, by: Monomial) -> bool:
@@ -86,28 +103,42 @@ def _dominating_combination(v: Monomial, others: list) -> Optional[list]:
     return feasible_point(len(others), A_eq=[[1] * len(others)], b_eq=[1], A_ge=A_ge, b_ge=v)
 
 
+def _pareto_front(f: MultiPoly) -> list:
+    """The support points no other point dominates, in descending lex order:
+    a point above v comes before v in this order."""
+    front = []
+    for v in sorted(f.support(), reverse=True):
+        if not any(_dominated(v, by=u) for u in front):
+            front.append(v)
+    return front
+
+
+def _in_v0(v: Monomial, front: list) -> bool:
+    """Whether the front point v is in V0: no convex combination of the other
+    front points dominates it.  An exclusion witness lambda is checked in
+    integers, scaled by den, the lcm of its denominators: lambda >= 0,
+    sum lambda = den and sum lambda_u*u >= den*v; RuntimeError if it fails."""
+    others = [q for q in front if q != v]
+    lam = _dominating_combination(v, others)
+    if lam is None:
+        return True
+    den, scaled = _integer_multiple(lam)
+    if not (
+        min(scaled) >= 0
+        and sum(scaled) == den
+        and all(sum(x * q[s] for x, q in zip(scaled, others)) >= den * e for s, e in enumerate(v))
+    ):
+        raise RuntimeError(f"dominance witness excluding {v} from V0 failed its check")
+    return False
+
+
 def v0_set(f: MultiPoly) -> set:
     """Support points that are the leading monomial for some monomial order.
     Raises RuntimeError when an exclusion witness fails its exact check."""
     if f.is_zero() or f.is_constant():
         raise PolyError("V0 requires a non-constant polynomial")
-    front = []  # the Pareto front: a point above v comes before v in this order
-    for v in sorted(f.support(), reverse=True):
-        if not any(_dominated(v, by=u) for u in front):
-            front.append(v)
-    out = set()
-    for v in front:
-        others = [q for q in front if q != v]
-        lam = _dominating_combination(v, others)
-        if lam is None:
-            out.add(v)
-        elif not (
-            all(x >= 0 for x in lam)
-            and sum(lam) == 1
-            and all(sum(x * q[s] for x, q in zip(lam, others)) >= e for s, e in enumerate(v))
-        ):
-            raise RuntimeError(f"dominance witness excluding {v} from V0 failed its check")
-    return out
+    front = _pareto_front(f)
+    return {v for v in front if _in_v0(v, front)}
 
 
 def _descending_divisors(d: int) -> tuple:
@@ -116,14 +147,6 @@ def _descending_divisors(d: int) -> tuple:
     small = [k for k in range(1, isqrt(d) + 1) if d % k == 0]
     large = [d // k for k in small if k * k != d]
     return tuple(k for k in large + small[::-1] if k > 1)
-
-
-def _gcd_multiplicity(v0: set) -> int:
-    """d1 of a non-constant f.  Its V0 lacks the unit point, which every other
-    point dominates, and holds the lex-largest point v: a convex combination
-    >= v of the other points, all lex-below v, could weigh only points that
-    match v coordinate by coordinate, and there are none."""
-    return gcd(*map(multiplicity, v0))
 
 
 def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tuple:
@@ -137,8 +160,14 @@ def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tu
     d = multiplicity(lm)
     if d == 1:
         return ()
-    if pruned:
-        d = _gcd_multiplicity(v0_set(f))
+    if pruned:  # d becomes d1: only a point of V0 whose multiplicity d does not divide lowers it
+        front = _pareto_front(f)
+        for v in front:
+            dv = multiplicity(v)
+            if dv % d and _in_v0(v, front):
+                d = gcd(d, dv)
+                if d == 1:
+                    break
     return _descending_divisors(d)
 
 
@@ -148,7 +177,7 @@ def newton_summary(f: MultiPoly, order: OrderSpec) -> NewtonSummary:
         raise PolyError("newton summary requires a non-constant polynomial")
     v0 = v0_set(f)
     d_leading = multiplicity(lm)
-    d1 = _gcd_multiplicity(v0)
+    d1 = gcd(*map(multiplicity, v0))  # V0 holds lm, not the unit point
     return NewtonSummary(
         support=frozenset(f.support()),
         v0=frozenset(v0),

@@ -3,6 +3,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -16,12 +17,24 @@ from closedpoly.newton import (
     v0_set,
 )
 from closedpoly.orders import GREVLEX, WEIGHTED, OrderSpec, leading_term
-from closedpoly.poly import MultiPoly, PolyError
+from closedpoly.poly import MultiPoly, PolyError, compose_uni
 
-from conftest import P, random_poly
+from conftest import P, random_outer, random_poly
 from oracles import v0_combinatorial, v0_lp
 
 GL = OrderSpec()
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return feasible_point(*args, **kwargs)
+
+    monkeypatch.setattr("closedpoly.newton.feasible_point", counting)
+    return calls
 
 
 def _independent_solution(columns, rhs):
@@ -155,17 +168,6 @@ class TestV0:
     def test_degree_six(self, deg6):
         assert v0_set(deg6) == {(2, 4)}
 
-    @pytest.fixture
-    def lp_calls(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return feasible_point(*args, **kwargs)
-
-        monkeypatch.setattr("closedpoly.newton.feasible_point", counting)
-        return calls
-
     def test_one_lp_per_front_point(self, lp_calls):
         # front (4,0), (2,2), (0,4); (2,0), (1,1) and the origin are dominated
         f = P("x1^4 + x1^2*x2^2 + x2^4 + x1^2 + x1*x2 + 1")
@@ -193,14 +195,31 @@ class TestV0:
         assert time.perf_counter() - start < 1.0  # the target is 0.1 s
         assert_sampled_argmax_in(v0, f, rng)
 
-    def test_bogus_exclusion_witness_raises(self, monkeypatch, ex1):
+    @pytest.mark.parametrize("call", [
+        v0_set,
+        # d(lm) = 4 does not divide d(2, 1) = 1, so (2, 1) gets an LP
+        lambda f: divisor_sequence(f, GL, pruned=True),
+    ], ids=["v0_set", "divisor_sequence"])
+    def test_bogus_exclusion_witness_raises(self, monkeypatch, ex1, call):
         # all weight on the first other point, which never dominates v in ex1
         def bogus(n, **kwargs):
             return [Fraction(1)] + [Fraction(0)] * (n - 1)
 
         monkeypatch.setattr("closedpoly.newton.feasible_point", bogus)
         with pytest.raises(RuntimeError, match="dominance witness"):
-            v0_set(ex1)
+            call(ex1)
+
+    @pytest.mark.parametrize("lam", [
+        # 1/4*(4,0) + 3/4*(0,2) = (1, 3/2) does not dominate (2,1), though the
+        # integer multiple (4, 6) does: the check compares it with 4*(2,1)
+        [Fraction(1, 4), Fraction(3, 4)],
+        # (4,0) + (0,2) dominates (2,1), but the weights sum to 2
+        [Fraction(1), Fraction(1)],
+    ], ids=["scaled", "sum-two"])
+    def test_witness_is_checked_in_integers(self, monkeypatch, ex1, lam):
+        monkeypatch.setattr("closedpoly.newton.feasible_point", lambda n, **kwargs: lam)
+        with pytest.raises(RuntimeError, match=r"excluding \(2, 1\) from V0"):
+            divisor_sequence(ex1, GL, pruned=True)
 
 
 class TestDivisorSequence:
@@ -209,6 +228,19 @@ class TestDivisorSequence:
 
     def test_pruned(self, ex1):
         assert divisor_sequence(ex1, GL, pruned=True) == (2,)
+
+    @pytest.mark.parametrize("text, divisors, columns", [
+        # front (4,0), (2,2), (0,4): only (2,2) has a multiplicity 4 does not
+        # divide, and the midpoint of the other two excludes it
+        ("x1^4 + x1^2*x2^2 + x2^4 + x1^2 + x1*x2 + 1", (4, 2), [2]),
+        # lm (0,3,0): (2,0,0) is in V0 and brings g to 1, so (0,0,2) gets no LP
+        ("x1^2 + x2^3 + x3^2", (), [2]),
+        # lm (4,2), front (4,2), (0,4): 2 divides both multiplicities
+        ("x1^4*x2^2 + x1^2*x2^2 + x2^4 + x1^2", (2,), []),
+    ], ids=["exclusion", "stops-at-one", "all-divisible"])
+    def test_pruned_lp_count(self, lp_calls, text, divisors, columns):
+        assert divisor_sequence(P(text), GL, pruned=True) == divisors
+        assert [args[0] for args in lp_calls] == columns  # front size - 1 columns each
 
     def test_multiplicity_one_fast_path(self):
         assert divisor_sequence(P("x1*x2 + x1"), GL) == ()
@@ -258,7 +290,8 @@ class TestRealizingWeights:
     @pytest.mark.parametrize("y", [
         [0, 0],  # weights (1, 1): (4, 0) scores 4 > 2
         [-1, 0],  # weights (0, 1): (0, 2) is the strict argmax, but a weight is 0
-    ], ids=["not-argmax", "not-positive"])
+        [0, 1],  # weights (1, 2): all three points score 4
+    ], ids=["not-argmax", "not-positive", "tie"])
     def test_bogus_lp_answer_raises(self, ex1, monkeypatch, y):
         monkeypatch.setattr(
             "closedpoly.newton.feasible_point", lambda n, **kw: [Fraction(c) for c in y]
@@ -384,6 +417,48 @@ class TestDualCharacterization:
                 if not any(lm):
                     continue
                 assert multiplicity(lm) % d1 == 0
+
+
+def multiple_support_poly(rng, nvars, max_points=10):
+    """Random points, each scaled by 1, 2, 3, 4 or 6, so that multiplicities
+    above 1, and gcds between 1 and d(lm), are common."""
+    terms = {}
+    for _ in range(rng.randint(1, max_points)):
+        k = rng.choice((1, 2, 3, 4, 6))
+        terms[tuple(k * rng.randint(0, 3) for _ in range(nvars))] = Fraction(rng.randint(1, 5))
+    p = MultiPoly(nvars, terms)
+    if p.is_constant():
+        p = p + MultiPoly.from_term(nvars, (2,) + (0,) * (nvars - 1), 1)
+    return p
+
+
+def test_pruned_divisors_are_those_of_the_v0_gcd():
+    """divisor_sequence(pruned=True) lists the divisors of gcd d(v) over the
+    weight-LP V0, under grlex, lex (a weighted order with weights B^(n-i)
+    above every exponent) and the weights realizing a random V0 point, whose
+    lm need not be the lex-largest point."""
+    rng = random.Random(2406)
+    cases = [multiple_support_poly(rng, rng.randint(1, 6)) for _ in range(120)]
+    for _ in range(40):
+        h = random_poly(rng, rng.randint(1, 4), 3, 4)
+        cases.append(compose_uni(random_outer(rng, 3), h))
+    pruning, lm_not_lex_max = 0, 0
+    for f in cases:
+        v0 = v0_lp(f)
+        expected = _descending_divisors(gcd(*map(multiplicity, v0)))
+        top = 1 + max(map(max, f.support()))
+        lex = tuple(Fraction(top ** (f.nvars - 1 - i)) for i in range(f.nvars))
+        v = rng.choice(sorted(v0))
+        orders = [GL, OrderSpec(kind=WEIGHTED, weights=lex),
+                  OrderSpec(kind=WEIGHTED, weights=realizing_weights(f, v))]
+        for order in orders:
+            assert divisor_sequence(f, order, pruned=True) == expected, (f.terms, order)
+            lm = leading_term(f, order)[0]
+            pruning += multiplicity(lm) > gcd(*map(multiplicity, v0))
+            lm_not_lex_max += lm != max(f.support())
+        assert leading_term(f, orders[1])[0] == max(f.support())
+        assert leading_term(f, orders[2])[0] == v
+    assert pruning > 100 and lm_not_lex_max > 40, (pruning, lm_not_lex_max)
 
 
 @pytest.mark.parametrize("call, message", [
