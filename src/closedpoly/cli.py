@@ -74,20 +74,22 @@ def _cmd_decompose(args) -> tuple:
         trace = "(empty; leading multiplicity 1)"
     else:  # only pruning can leave no divisor of a leading multiplicity > 1
         trace = "(empty; d1 = 1 after Newton pruning)"
+    f_text = render_poly(f, order)
+    h_text, F_text = render_poly(result.h, order), render_uni(result.F)
     payload = {
         "command": "decompose",
-        "input": render_poly(f, order),
+        "input": f_text,
         "order": order.kind,
         "pruned": not args.no_newton,
-        "h": render_poly(result.h, order),
-        "F": render_uni(result.F),
+        "h": h_text,
+        "F": F_text,
         "closed": result.closed,
         "trace": [[k, outcome] for k, outcome in result.trace],
     }
     human = [
-        f"input:  {render_poly(f, order)}",
-        f"h:      {render_poly(result.h, order)}",
-        f"F(t):   {render_uni(result.F)}",
+        f"input:  {f_text}",
+        f"h:      {h_text}",
+        f"F(t):   {F_text}",
         f"closed: {result.closed}",
         f"trace:  {trace}",
     ]
@@ -157,17 +159,15 @@ def _cmd_depend(args) -> tuple:
     g = parse_poly(_read_source(args.g), min_nvars=f.nvars).poly
     if g.nvars > f.nvars:
         f = parse_poly(f_text, min_nvars=g.nvars).poly
-    nonzero = {ij: m for ij, m in jacobian_minors(f, g).items() if not m.is_zero()}
+    minors = {f"({i},{j})": render_poly(m)
+              for (i, j), m in sorted(jacobian_minors(f, g).items()) if not m.is_zero()}
     payload = {
         "command": "depend",
-        "dependent": not nonzero,
-        "nonzero_minors": {
-            f"({i},{j})": render_poly(m) for (i, j), m in sorted(nonzero.items())
-        },
+        "dependent": not minors,
+        "nonzero_minors": minors,
     }
-    human = [f"algebraically dependent: {not nonzero}"]
-    for (i, j), m in sorted(nonzero.items()):
-        human.append(f"  minor ({i},{j}) = {render_poly(m)}")
+    human = [f"algebraically dependent: {not minors}"]
+    human += [f"  minor {ij} = {text}" for ij, text in minors.items()]
     return payload, human
 
 
@@ -182,23 +182,25 @@ def _cmd_family(args) -> tuple:
     mu = _number_arg("--mu", args.mu)
     result = generative(f, order)
     fam = factor_shift(result, mu)
+    h_text, F_text = render_poly(result.h, order), render_uni(result.F)
+    residual = render_uni(fam.residual)
     payload = {
         "command": "family",
         "mu": str(fam.mu),
-        "h": render_poly(result.h, order),
-        "F": render_uni(result.F),
+        "h": h_text,
+        "F": F_text,
         "alpha": str(fam.alpha),
         "shifts": [[str(lam), mult] for lam, mult in fam.shifts],
-        "residual": render_uni(fam.residual),
+        "residual": residual,
         "verified": True,  # factor_shift raises unless the identity holds
     }
     human = [
-        f"h:        {render_poly(result.h, order)}",
-        f"F(t):     {render_uni(result.F)}",
+        f"h:        {h_text}",
+        f"F(t):     {F_text}",
         f"mu:       {fam.mu!s}",
         f"alpha:    {fam.alpha!s}",
         "shifts:   " + (", ".join(_shift_str(lam, mult) for lam, mult in fam.shifts) or "(none)"),
-        f"residual: {render_uni(fam.residual)}",
+        f"residual: {residual}",
         "verified: True",
     ]
     if args.eh is not None:

@@ -2,24 +2,19 @@
 
 The instances this package generates are tiny (a few dozen constraints), so
 a dense tableau is simple and fast enough; Bland's anticycling rule
-guarantees termination.  Only this module knows how LP numbers are held:
-callers pass ints or `Fraction`s and get `Fraction`s back.
+guarantees termination.
 
-The tableau is fraction-free (Edmonds 1967, Bareiss 1968): integers over one
-common denominator d, updated by `pivot`, which `monoid` uses too.  Each
-division is exact, because every entry (objective row included) stays a
-minor of the initial integer matrix [A | I | b] and d is the determinant of
-the current basis.
-`feasible_point` makes the rows integer by one common denominator, not one
-per row: a common scale multiplies the phase-1 objective uniformly, so
-Bland's rule makes the same pivots and returns the same vertex as on the
-rational rows, while per-row scales reweight the artificial variables.
+LP numbers are integers throughout.  The tableau is fraction-free (Edmonds
+1967, Bareiss 1968): integers over one common denominator d, updated by
+`pivot`, which `monoid` uses too.  Each division is exact, because every
+entry (objective row included) stays a minor of the initial integer matrix
+[A | I | b] and d is the determinant of the current basis.  d starts at 1
+and each pivot element is positive, so d > 0.  A solution is returned as it
+is held: d and the integer numerators of x over it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 
@@ -36,10 +31,11 @@ def pivot(rows: list, r: int, c: int, d: int) -> int:
     return p
 
 
-def _phase_one(rows: list, n: int) -> Optional[list]:
+def _phase_one(rows: list, n: int) -> Optional[tuple]:
     """Find x >= 0 with A x = b, given integer rows [a_1, ..., a_n, b].
 
-    Returns a feasible x of length n, or None when the system is infeasible.
+    Returns (d, numerators) of a feasible x of length n, or None when the
+    system is infeasible.
     """
     m = len(rows)
     total = n + m  # real columns then one artificial per row
@@ -74,11 +70,11 @@ def _phase_one(rows: list, n: int) -> Optional[list]:
 
     if tableau[m][total] != 0:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(tableau[i][total], d)
-    return x
+            x[var] = tableau[i][total]
+    return d, x
 
 
 def feasible_point(
@@ -87,17 +83,16 @@ def feasible_point(
     b_eq: Sequence = (),
     A_ge: Sequence[Sequence] = (),
     b_ge: Sequence = (),
-) -> Optional[list]:
+) -> Optional[tuple]:
     """Find x >= 0 (length n) with A_eq x = b_eq and A_ge x >= b_ge, or None.
 
-    Entries are ints or Fractions.  Inequalities get surplus variables;
-    everything is solved by one phase-1 run.
+    Entries are ints.  A solution comes back as (d, numerators): d > 0 and
+    x = numerators / d.  Inequalities get surplus variables; everything is
+    solved by one phase-1 run.
     """
     n_ge = len(A_ge)
     rows = [[*row, *[0] * n_ge, r] for row, r in zip(A_eq, b_eq)]
     for i, (row, r) in enumerate(zip(A_ge, b_ge)):
         rows.append([*row, *(-int(k == i) for k in range(n_ge)), r])
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    sol = _phase_one([[x.numerator * (scale // x.denominator) for x in row] for row in rows],
-                     n + n_ge)
-    return None if sol is None else sol[:n]
+    sol = _phase_one(rows, n + n_ge)
+    return None if sol is None else (sol[0], sol[1][:n])

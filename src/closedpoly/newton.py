@@ -8,7 +8,7 @@ dominating point always comes first.  Then one dominance LP per front point,
 with the other front points as columns, decides it (Motzkin's transposition
 theorem): v is outside V0 iff some convex combination of them is
 coordinatewise >= v, and each such exclusion witness is checked exactly, in
-integers.
+the integers the LP returns.
 This gives the V0 of the LP over all support points:
 - a dropped point v is excluded by a point u >= v, u != v, exact integer data;
 - a dominating convex combination over all points moves onto the front by
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Optional
 
 from .linprog import feasible_point
@@ -65,6 +65,8 @@ def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[tuple]:
     Returns None when no such weights exist, i.e. v is not in V0.  Strictness
     is encoded as a >= 1 margin; any feasible solution scales.  A one-term
     support leaves the LP no rows, and its zero point makes every weight 1.
+    The LP's answer (d, y) is checked in integers, on W = d + y, the weights
+    times d: d > 0, min W > 0 and W.(v - u) > 0 for every other support u.
     """
     v = tuple(v)
     support = f.support()
@@ -73,30 +75,24 @@ def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[tuple]:
     # substitute w = 1 + y with y >= 0 so the LP variables are nonnegative:
     # <w, v-u> >= 1  becomes  <y, v-u> >= 1 - <1, v-u>.
     A_ge = [[a - b for a, b in zip(v, u)] for u in support if u != v]
-    y = feasible_point(f.nvars, A_ge=A_ge, b_ge=[1 - sum(diff) for diff in A_ge])
-    if y is None:
+    sol = feasible_point(f.nvars, A_ge=A_ge, b_ge=[1 - sum(diff) for diff in A_ge])
+    if sol is None:
         return None
-    weights = tuple(Fraction(1) + yi for yi in y)
-    _, scaled = _integer_multiple(weights)  # den > 0 keeps every sign
-    if min(scaled) <= 0 or any(sum(w * e for w, e in zip(scaled, diff)) <= 0 for diff in A_ge):
+    d, y = sol
+    W = [d + yi for yi in y]
+    if d <= 0 or min(W) <= 0 or any(sum(w * e for w, e in zip(W, diff)) <= 0 for diff in A_ge):
         raise RuntimeError(f"realizing weights for {v} failed their check")
-    return weights
-
-
-def _integer_multiple(xs) -> tuple:
-    """(den, den*xs as ints) for Fractions xs, den the lcm of their denominators."""
-    den = lcm(*(x.denominator for x in xs))
-    return den, [x.numerator * (den // x.denominator) for x in xs]
+    return tuple(Fraction(w, d) for w in W)
 
 
 def _dominated(v: Monomial, by: Monomial) -> bool:
     return all(b >= a for a, b in zip(v, by))
 
 
-def _dominating_combination(v: Monomial, others: list) -> Optional[list]:
+def _dominating_combination(v: Monomial, others: list) -> Optional[tuple]:
     """Convex weights over the points `others` whose combination is
-    coordinatewise >= v, or None.  Equivalent to the shifted Newton polytope
-    meeting the nonnegative orthant away from the origin."""
+    coordinatewise >= v, as the LP's (d, numerators), or None.  Equivalent to
+    the shifted Newton polytope meeting the nonnegative orthant off the origin."""
     if not others:
         return None
     A_ge = [[q[s] for q in others] for s in range(len(v))]
@@ -115,18 +111,18 @@ def _pareto_front(f: MultiPoly) -> list:
 
 def _in_v0(v: Monomial, front: list) -> bool:
     """Whether the front point v is in V0: no convex combination of the other
-    front points dominates it.  An exclusion witness lambda is checked in
-    integers, scaled by den, the lcm of its denominators: lambda >= 0,
-    sum lambda = den and sum lambda_u*u >= den*v; RuntimeError if it fails."""
+    front points dominates it.  An exclusion witness (d, lambda), the weights
+    lambda/d, is checked in integers: d > 0, lambda >= 0, sum lambda = d and
+    sum lambda_u*u >= d*v; RuntimeError if it fails."""
     others = [q for q in front if q != v]
-    lam = _dominating_combination(v, others)
-    if lam is None:
+    sol = _dominating_combination(v, others)
+    if sol is None:
         return True
-    den, scaled = _integer_multiple(lam)
+    d, lam = sol
     if not (
-        min(scaled) >= 0
-        and sum(scaled) == den
-        and all(sum(x * q[s] for x, q in zip(scaled, others)) >= den * e for s, e in enumerate(v))
+        0 < d == sum(lam)
+        and min(lam) >= 0
+        and all(sum(x * q[s] for x, q in zip(lam, others)) >= d * e for s, e in enumerate(v))
     ):
         raise RuntimeError(f"dominance witness excluding {v} from V0 failed its check")
     return False

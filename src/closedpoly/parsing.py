@@ -115,7 +115,8 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
         raise _error(text, bad.start(), f"unexpected character {bad.group()!r}")
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end of input
-    terms: dict = {}  # {sorted ((index, exponent), ...): coefficient}
+    terms = []  # (exps, coefficient) per term, exps {index: exponent}
+    top = min_nvars  # the largest variable index seen
     sign = -1 if tokens[0] == "-" else 1
     i = 1 if tokens[0] in ("+", "-") else 0
     while True:
@@ -149,6 +150,8 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
                 text, i, digits, MAX_VARIABLES, "variable index {0} exceeds the supported bound {1}")
             if index == 0:
                 raise _fail(text, i, "variable index 0 is not allowed")
+            if index > top:
+                top = index
             var_i = i
             i += 1
             power = 1
@@ -166,8 +169,7 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
             exps[index] = power
             factors = tokens[i] == "*" and tokens[i + 1][:1] == "x"
             i += factors  # past the '*'
-        key = tuple(sorted(exps.items()))
-        terms[key] = terms[key] + coeff if key in terms else coeff
+        terms.append((exps, coeff))
         tok = tokens[i]
         if not tok:
             break
@@ -175,13 +177,13 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
             raise _fail(text, i, f"expected '+' or '-', got {tok!r}")
         sign = -1 if tok == "-" else 1
         i += 1
-    nvars = check_nvars(max([min_nvars] + [idx for key in terms for idx, _ in key]))
+    nvars = check_nvars(top)
     full = {}
-    for key, coeff in terms.items():
-        exps = [0] * nvars
-        for idx, power in key:
-            exps[idx - 1] = power
-        m = tuple(exps)  # keys that differ only in x_i^0 factors share m
+    for exps, coeff in terms:
+        dense = [0] * nvars
+        for idx, power in exps.items():
+            dense[idx - 1] = power
+        m = tuple(dense)  # the one merge: factor order, repeats and x_i^0 factors do not split m
         full[m] = full[m] + coeff if m in full else Fraction(coeff)
     # every check of the MultiPoly constructor is made above, so build unchecked
     return ParsedInput(poly=MultiPoly._checked(nvars, full), nvars=nvars)

@@ -2,7 +2,6 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -494,7 +493,7 @@ class TestExitCodes:
             real = closedpoly.newton.feasible_point
             monkeypatch.setattr(
                 "closedpoly.newton.feasible_point",
-                lambda n, **kw: real(n, **kw) if "A_eq" in kw else [Fraction(0)] * n,
+                lambda n, **kw: real(n, **kw) if "A_eq" in kw else (1, [0] * n),
             )
         code, out, err = run(capsys, "newton", "--poly", poly_file(EX1))
         assert (code, out, err) == (3, "", f"internal error: {message}\n")

@@ -75,22 +75,21 @@ def _feasible_by_enumeration(n, A_eq, b_eq, A_ge, b_ge):
 class TestLinprog:
     def test_feasible_equalities(self):
         # x + y = 3, x - y = 1 has the nonnegative solution (2, 1)
-        x = feasible_point(2, A_eq=[[1, 1], [1, -1]], b_eq=[3, 1])
-        assert x == [2, 1]
+        d, x = feasible_point(2, A_eq=[[1, 1], [1, -1]], b_eq=[3, 1])
+        assert d > 0 and x == [2 * d, d]
 
     def test_infeasible(self):
         assert feasible_point(1, A_eq=[[1]], b_eq=[-2]) is None
 
     def test_inequalities(self):
-        x = feasible_point(2, A_ge=[[1, 1]], b_ge=[5])
-        assert x is not None and x[0] + x[1] >= 5
+        d, x = feasible_point(2, A_ge=[[1, 1]], b_ge=[5])
+        assert d > 0 and x[0] + x[1] >= 5 * d
 
     def test_mixed(self):
-        x = feasible_point(
-            2, A_eq=[[1, 1]], b_eq=[1], A_ge=[[1, -1]], b_ge=[Fraction(1, 2)]
-        )
-        assert x is not None
-        assert x[0] + x[1] == 1 and x[0] - x[1] >= Fraction(1, 2)
+        # x + y = 1 and x - y >= 1/2, the second row scaled by 2
+        d, x = feasible_point(2, A_eq=[[1, 1]], b_eq=[1], A_ge=[[2, -2]], b_ge=[1])
+        assert d > 0
+        assert x[0] + x[1] == d and 2 * (x[0] - x[1]) >= d
 
     def test_infeasible_inequalities(self):
         # x <= 1 and x >= 2 cannot both hold
@@ -105,7 +104,7 @@ class TestLinprog:
                 return 0
             if k < 0.6:
                 return rng.randint(-5, 5)
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            return rng.randint(-30, 30)
 
         feasible = 0
         for _ in range(600):
@@ -114,12 +113,15 @@ class TestLinprog:
             A_ge = [[entry() for _ in range(n)] for _ in range(rng.randint(0, 3))]
             b_eq = [entry() for _ in A_eq]
             b_ge = [entry() for _ in A_ge]
-            x = feasible_point(n, A_eq=A_eq, b_eq=b_eq, A_ge=A_ge, b_ge=b_ge)
-            assert (x is not None) == _feasible_by_enumeration(n, A_eq, b_eq, A_ge, b_ge)
-            if x is None:
+            sol = feasible_point(n, A_eq=A_eq, b_eq=b_eq, A_ge=A_ge, b_ge=b_ge)
+            assert (sol is not None) == _feasible_by_enumeration(n, A_eq, b_eq, A_ge, b_ge)
+            if sol is None:
                 continue
             feasible += 1
-            assert len(x) == n and all(type(v) is Fraction and v >= 0 for v in x)
+            d, numerators = sol
+            assert type(d) is int and d > 0
+            assert len(numerators) == n and all(type(v) is int and v >= 0 for v in numerators)
+            x = [Fraction(v, d) for v in numerators]
             for row, b in zip(A_eq, b_eq):
                 assert sum(a * v for a, v in zip(row, x)) == b
             for row, b in zip(A_ge, b_ge):
@@ -127,17 +129,20 @@ class TestLinprog:
         assert 150 < feasible < 450
 
     def test_returned_vertex_is_pinned(self):
-        # Bland's rule on rows scaled by one common denominator ends at the
-        # vertex of the unscaled LP; scaling each row by its own denominator
-        # would end at [19, 43/3, 0, 0, 0, 0].
-        x = feasible_point(
+        # the LP with rows [-2, 3, -2, -3, -6, -1/7] >= 5 and
+        # [1, 6, -2, -6, 9, 4] >= 7/3, every row scaled by 21 to integers:
+        # one common scale multiplies the phase-1 objective uniformly, so
+        # Bland's rule ends at the vertex of the unscaled LP; scaling each row
+        # by its own denominator would end at [19, 43/3, 0, 0, 0, 0].
+        d, x = feasible_point(
             6,
-            A_eq=[[7, -9, -2, 5, -5, 2]],
-            b_eq=[4],
-            A_ge=[[-2, 3, -2, -3, -6, Fraction(-1, 7)], [1, 6, -2, -6, 9, 4]],
-            b_ge=[5, Fraction(7, 3)],
+            A_eq=[[147, -189, -42, 105, -105, 42]],
+            b_eq=[84],
+            A_ge=[[-42, 63, -42, -63, -126, -3], [21, 126, -42, -126, 189, 84]],
+            b_ge=[105, 49],
         )
-        assert x == [0, Fraction(74, 33), 0, 0, 0, Fraction(133, 11)]
+        assert d > 0
+        assert [Fraction(v, d) for v in x] == [0, Fraction(74, 33), 0, 0, 0, Fraction(133, 11)]
 
 
 class TestMultiplicity:
@@ -203,23 +208,32 @@ class TestV0:
     def test_bogus_exclusion_witness_raises(self, monkeypatch, ex1, call):
         # all weight on the first other point, which never dominates v in ex1
         def bogus(n, **kwargs):
-            return [Fraction(1)] + [Fraction(0)] * (n - 1)
+            return 1, [1] + [0] * (n - 1)
 
         monkeypatch.setattr("closedpoly.newton.feasible_point", bogus)
         with pytest.raises(RuntimeError, match="dominance witness"):
             call(ex1)
 
-    @pytest.mark.parametrize("lam", [
+    @pytest.mark.parametrize("sol", [
         # 1/4*(4,0) + 3/4*(0,2) = (1, 3/2) does not dominate (2,1), though the
-        # integer multiple (4, 6) does: the check compares it with 4*(2,1)
-        [Fraction(1, 4), Fraction(3, 4)],
+        # numerators' combination (4, 6) does: the check compares it with 4*(2,1)
+        (4, [1, 3]),
         # (4,0) + (0,2) dominates (2,1), but the weights sum to 2
-        [Fraction(1), Fraction(1)],
-    ], ids=["scaled", "sum-two"])
-    def test_witness_is_checked_in_integers(self, monkeypatch, ex1, lam):
-        monkeypatch.setattr("closedpoly.newton.feasible_point", lambda n, **kwargs: lam)
+        (1, [1, 1]),
+        # no weight at all over d = 0 passes every other check
+        (0, [0, 0]),
+    ], ids=["scaled", "sum-two", "zero-denominator"])
+    def test_witness_is_checked_in_integers(self, monkeypatch, ex1, sol):
+        monkeypatch.setattr("closedpoly.newton.feasible_point", lambda n, **kwargs: sol)
         with pytest.raises(RuntimeError, match=r"excluding \(2, 1\) from V0"):
             divisor_sequence(ex1, GL, pruned=True)
+
+    def test_negative_witness_weight_raises(self, monkeypatch, ex1):
+        # 2*(2,1) - (0,2) = (4,0) dominates (4,0) and the weights sum to d = 1,
+        # but one of them is negative
+        monkeypatch.setattr("closedpoly.newton.feasible_point", lambda n, **kwargs: (1, [2, -1]))
+        with pytest.raises(RuntimeError, match=r"excluding \(4, 0\) from V0"):
+            v0_set(ex1)
 
 
 class TestDivisorSequence:
@@ -287,15 +301,16 @@ class TestRealizingWeights:
             order = OrderSpec(kind=WEIGHTED, weights=realizing_weights(ex1, v))
             assert leading_term(ex1, order)[0] == v
 
-    @pytest.mark.parametrize("y", [
-        [0, 0],  # weights (1, 1): (4, 0) scores 4 > 2
-        [-1, 0],  # weights (0, 1): (0, 2) is the strict argmax, but a weight is 0
-        [0, 1],  # weights (1, 2): all three points score 4
-    ], ids=["not-argmax", "not-positive", "tie"])
-    def test_bogus_lp_answer_raises(self, ex1, monkeypatch, y):
-        monkeypatch.setattr(
-            "closedpoly.newton.feasible_point", lambda n, **kw: [Fraction(c) for c in y]
-        )
+    @pytest.mark.parametrize("sol", [
+        (1, [0, 0]),  # weights (1, 1): (4, 0) scores 4 > 2
+        (1, [-1, 0]),  # weights (0, 1): (0, 2) is the strict argmax, but a weight is 0
+        (1, [0, 1]),  # weights (1, 2): all three points score 4
+        # W = d + y = (1, 3) passes every other check, but the weights W/d
+        # are (-1, -3)
+        (-1, [2, 4]),
+    ], ids=["not-argmax", "not-positive", "tie", "negative-denominator"])
+    def test_bogus_lp_answer_raises(self, ex1, monkeypatch, sol):
+        monkeypatch.setattr("closedpoly.newton.feasible_point", lambda n, **kw: sol)
         with pytest.raises(RuntimeError, match=r"realizing weights for \(0, 2\) failed their check"):
             realizing_weights(ex1, (0, 2))
 

@@ -48,6 +48,10 @@ class TestParse:
         assert parse_poly("x1*x2^0 + x1").poly == MultiPoly(2, {(1, 0): 2})
         assert parse_poly("x2^0*x1 - x1").poly.is_zero()
         assert parse_poly("2 + x3^0").nvars == 3
+        # so are terms whose factors differ in order or repeat
+        assert parse_poly("x2*x1 + x1*x2").poly == MultiPoly(2, {(1, 1): 2})
+        assert parse_poly("x1*x1 - x1^2").poly.is_zero()
+        assert parse_poly("x3^0*x2*x1 + x1*x2").nvars == 3
 
     def test_min_nvars(self):
         assert parse_poly("x1", min_nvars=3).poly.nvars == 3
