@@ -41,8 +41,8 @@ from math import comb, gcd, lcm
 from operator import add, lt
 from typing import Optional
 
-from .newton import divisor_sequence, multiplicity
-from .orders import OrderSpec, monomials_below, normalize, sort_key
+from .newton import d1_bound, descending_divisors, divisor_sequence, multiplicity
+from .orders import OrderError, OrderSpec, monomials_below, normalize, sort_key
 from .poly import MultiPoly, PolyError, UniPoly, compose_uni, mono_pow
 
 VERIFIED = "verified"
@@ -168,15 +168,46 @@ def generative(
 ) -> DecompositionResult:
     """Compute the generative polynomial h and outer F with f = F(h).
 
-    The divisors are tried on f itself; when none verifies, f is closed and
-    h is its leading-monic, constant-free core.  With ``pruned`` the divisor
-    sequence is restricted by the Newton-polytope bound d1(f).
+    The divisors are tried on f itself, in descending order, and the first
+    that verifies wins; when none does, f is closed and h is its
+    leading-monic, constant-free core.  Without ``pruned`` they are the
+    divisors of d(lm).  With it, the trace is that of the divisors of the
+    Newton-polytope bound d1(f), reached without deciding d1 when the first
+    attempt verifies:
+    - the attempts run over the divisors of g0 (`newton.d1_bound`), a multiple
+      of d1 found with no LP.  A verified k divides d1, since every V0 point
+      of F(h) with deg F = k is k times a point of supp h, so the first k
+      that verifies is the same;
+    - d1 is decided (`divisor_sequence`) only at the first attempt that does
+      not verify.  A mismatched k that does not divide d1 is dropped from the
+      trace, and the divisors of g0 that do not divide d1 are not tried;
+    - an attempt that raises OrderError (a weighted order, or the monomial
+      cap) at a k that does not divide d1 is dropped the same way; at a k
+      that divides d1 the error is raised.
     """
     if f.is_zero() or f.is_constant():
         raise PolyError("cannot decompose a constant polynomial")
+    # kept: the divisors of d1 once decided; without pruning, every candidate
+    if pruned:
+        candidates, kept = descending_divisors(d1_bound(f, order)), None
+    else:
+        candidates = kept = divisor_sequence(f, order)
     trace = []
-    for k in divisor_sequence(f, order, pruned=pruned):
-        result = attempt_divisor(f, k, order)
+    for k in candidates:
+        if kept is not None and k not in kept:
+            continue
+        error = None
+        try:
+            result = attempt_divisor(f, k, order)
+        except OrderError as exc:
+            result, error = None, exc
+        if not result:
+            if kept is None:
+                kept = divisor_sequence(f, order, pruned=True)
+            if k not in kept:
+                continue
+            if error:
+                raise error
         trace.append((k, VERIFIED if result else MISMATCH))
         if result:
             h, F = result

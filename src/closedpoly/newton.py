@@ -19,13 +19,18 @@ Two other routes to V0, the strict weight argmax and the hull vertices that
 the polytope does not dominate, are test oracles in `tests/oracles.py`;
 criterion 6 compares them.
 
-The pruned divisor sequence needs only d1, the gcd of d(v) over V0, so it
-starts from g = d(lm) and runs the LP only for a front point v with g not
-dividing d(v), stopping at g = 1.  This is exact:
-- the LP never excludes lm, whatever the monomial order: if sum lambda_u*u >=
-  lm with every u < lm, clearing denominators by N makes x^(sum N*lambda_u*u)
-  a multiple of x^(N*lm), so not below it, yet a product of N monomials each
-  below lm;
+The pruned divisor sequence needs only d1, the gcd of d(v) over V0.  It
+starts from g0, the gcd of d(lm) and of d(v_i) for each variable i, where v_i
+maximizes (v_i, v) over the support, v compared lexicographically.  g0 takes
+two scans per variable and no LP, and d1 divides it.  Then the LP runs only
+for a front point v with g not dividing d(v), stopping at g = 1.  This is
+exact:
+- the LP never excludes the leading monomial m of any monomial order: if
+  sum lambda_u*u >= m with every u < m, clearing denominators by N makes
+  x^(sum N*lambda_u*u) a multiple of x^(N*m), so not below it, yet a product
+  of N monomials each below m;
+- v_i is the leading monomial under the monomial order "x_i-degree, then
+  lex", so lm and every v_i are in V0;
 - a point whose multiplicity g divides cannot change the gcd.
 """
 
@@ -34,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import Optional
 
 from .linprog import feasible_point
@@ -137,7 +143,7 @@ def v0_set(f: MultiPoly) -> set:
     return {v for v in front if _in_v0(v, front)}
 
 
-def _descending_divisors(d: int) -> tuple:
+def descending_divisors(d: int) -> tuple:
     """The divisors k > 1 of d, descending: each k <= isqrt(d) that divides d
     pairs with d // k."""
     small = [k for k in range(1, isqrt(d) + 1) if d % k == 0]
@@ -145,18 +151,31 @@ def _descending_divisors(d: int) -> tuple:
     return tuple(k for k in large + small[::-1] if k > 1)
 
 
+def d1_bound(f: MultiPoly, order: OrderSpec) -> int:
+    """g0, a multiple of d1 found with no LP: the gcd of d(lm) and of d(v_i),
+    v_i the support point maximizing (v_i, v) (module docstring)."""
+    g = multiplicity(leading_term(f, order)[0])
+    for i in range(f.nvars):
+        if g == 1:
+            break
+        top = max(map(itemgetter(i), f.terms))
+        g = gcd(g, multiplicity(max(u for u in f.terms if u[i] == top)))
+    return g
+
+
 def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tuple:
     """Descending divisors (> 1) of d(leading monomial), or of d1 when pruned.
+    The pruned walk lowers g0 (`d1_bound`) to d1 with one dominance LP per
+    front point whose multiplicity the running gcd does not divide.
 
     An empty sequence means f is immediately closed.
     """
     if f.is_zero() or f.is_constant():
         raise PolyError("divisor sequence requires a non-constant polynomial")
-    lm, _ = leading_term(f, order)
-    d = multiplicity(lm)
-    if d == 1:
-        return ()
-    if pruned:  # d becomes d1: only a point of V0 whose multiplicity d does not divide lowers it
+    if not pruned:
+        return descending_divisors(multiplicity(leading_term(f, order)[0]))
+    d = d1_bound(f, order)
+    if d > 1:
         front = _pareto_front(f)
         for v in front:
             dv = multiplicity(v)
@@ -164,7 +183,7 @@ def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tu
                 d = gcd(d, dv)
                 if d == 1:
                     break
-    return _descending_divisors(d)
+    return descending_divisors(d)
 
 
 def newton_summary(f: MultiPoly, order: OrderSpec) -> NewtonSummary:
@@ -179,6 +198,6 @@ def newton_summary(f: MultiPoly, order: OrderSpec) -> NewtonSummary:
         v0=frozenset(v0),
         d_leading=d_leading,
         d1=d1,
-        divisors_plain=_descending_divisors(d_leading),
-        divisors_pruned=_descending_divisors(d1),
+        divisors_plain=descending_divisors(d_leading),
+        divisors_pruned=descending_divisors(d1),
     )

@@ -2,7 +2,9 @@
 
 Nothing in the library calls them.  `v0_lp` (strict weight argmax) and
 `v0_combinatorial` (hull vertices that the polytope does not dominate) decide
-V0 two other ways than `newton.v0_set`; `monoid_members` lists a bounded
+V0 two other ways than `newton.v0_set`; `generative_d1_first` decides d1 from
+the whole V0 before any divisor attempt, against which the attempt-first
+`generative(pruned=True)` is checked; `monoid_members` lists a bounded
 piece of the generated monoid by dynamic programming; `row_reduce` is
 Gauss–Jordan elimination over Q, against which `monoid._eliminate` is checked.
 The `dense_*` functions are univariate arithmetic and rendering on coefficient
@@ -10,11 +12,21 @@ lists, lowest degree first, against which the sparse `UniPoly` is checked.
 """
 
 from fractions import Fraction
+from math import gcd
 
+from closedpoly.decompose import MISMATCH, VERIFIED, DecompositionResult, attempt_divisor
 from closedpoly.linprog import feasible_point
 from closedpoly.monoid import MonoidGens
-from closedpoly.newton import _dominated, _dominating_combination, realizing_weights
-from closedpoly.poly import Monomial, MultiPoly
+from closedpoly.newton import (
+    _dominated,
+    _dominating_combination,
+    descending_divisors,
+    multiplicity,
+    realizing_weights,
+    v0_set,
+)
+from closedpoly.orders import OrderSpec, leading_term, normalize
+from closedpoly.poly import Monomial, MultiPoly, PolyError, UniPoly
 
 
 def _is_hull_vertex(p: Monomial, points: list) -> bool:
@@ -48,6 +60,27 @@ def v0_combinatorial(f: MultiPoly) -> set:
         if _dominating_combination(v, [q for q in points if q != v]) is None:
             out.add(v)
     return out
+
+
+def generative_d1_first(f: MultiPoly, order: OrderSpec) -> DecompositionResult:
+    """The pruned generative pair in the paper's order: d1, the gcd of d(v)
+    over the whole V0, first, then one attempt per divisor of d1, descending,
+    up to the first that verifies."""
+    if f.is_zero() or f.is_constant():
+        raise PolyError("cannot decompose a constant polynomial")
+    d = multiplicity(leading_term(f, order)[0])
+    d1 = gcd(d, *map(multiplicity, v0_set(f))) if d > 1 else 1
+    trace = []
+    for k in descending_divisors(d1):
+        result = attempt_divisor(f, k, order)
+        trace.append((k, VERIFIED if result else MISMATCH))
+        if result:
+            h, F = result
+            break
+    else:
+        nf = normalize(f, order)
+        h, F = nf.core, nf.leading_scalar * UniPoly.identity() + nf.constant_term
+    return DecompositionResult(h=h, F=F, closed=F.degree() == 1, trace=tuple(trace), order=order)
 
 
 def monoid_members(gens: MonoidGens) -> set:

@@ -81,6 +81,15 @@ class TestDecompose:
         assert out.splitlines()[-1] == f"trace:  {trace}"
         assert run_json(capsys, "decompose", "--poly", poly_file(text), *extra)["trace"] == []
 
+    def test_attempt_over_the_cap_is_dropped(self, capsys, poly_file):
+        # d(lm) = 24, g0 = 2, d1 = 1: the attempt at k = 2 would list the
+        # monomials below x1^12 in 9 variables, over the cap
+        text = "x1^24 + 2*x1^12*x9 + x9^2 + x2^4 + x3^4 + x2^3*x3^3\n"
+        code, out, err = run(capsys, "decompose", "--poly", poly_file(text), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["closed"], payload["trace"]) == (True, [])
+
     def test_grevlex(self, capsys, poly_file):
         payload = run_json(
             capsys, "decompose", "--poly", poly_file(EX1), "--order", "grevlex"

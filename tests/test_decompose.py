@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -9,11 +10,12 @@ from closedpoly.decompose import (
     generative,
     is_closed,
 )
-from closedpoly.newton import divisor_sequence
-from closedpoly.orders import GREVLEX, OrderSpec, leading_term, normalize
+from closedpoly.newton import d1_bound, divisor_sequence, multiplicity
+from closedpoly.orders import GREVLEX, WEIGHTED, OrderError, OrderSpec, leading_term, normalize
 from closedpoly.poly import MultiPoly, PolyError, UniPoly, compose_uni
 
 from conftest import P, random_closed_normalized, random_outer, random_poly
+from oracles import generative_d1_first
 
 GL = OrderSpec()
 GR = OrderSpec(kind=GREVLEX)
@@ -380,3 +382,93 @@ class TestAgainstReference:
         assert r.closed and r.h == f
         assert len(r.trace) == divisors
         assert r.trace == tuple((k, "mismatch") for k in divisor_sequence(f, GL))
+
+
+# d(lm) = 24 and g0 = 2, but x2^3*x3^3 is in V0, so d1 = 1; the attempt at
+# k = 2 would list the monomials below x1^12 in 9 variables, over the cap
+CAP_HAZARD = "x1^24 + 2*x1^12*x9 + x9^2 + x2^4 + x3^4 + x2^3*x3^3"
+W12 = OrderSpec(kind=WEIGHTED, weights=(1, 2))
+
+
+def outcome(call):
+    """(h, F, trace, closed) of a call, or its exception's type and message."""
+    try:
+        r = call()
+    except (OrderError, PolyError) as exc:
+        return type(exc), str(exc)
+    return r.h, r.F, r.trace, r.closed
+
+
+def corner_poly(rng, nvars):
+    """Pure powers x_i^(t_i), each t_i a multiple of k in {2, 3, 4, 6}, and one
+    or two points past the midpoints of two edges, some scaled by a divisor of
+    k: d(lm) > 1 is common, and such a point in V0, which is no coordinate
+    argmax, often makes d1 smaller than g0."""
+    k = rng.choice((2, 3, 4, 6))
+    tops = [k * rng.randint(1, 3) for _ in range(nvars)]
+    terms = {tuple(t * (j == i) for j in range(nvars)): Fraction(1) for i, t in enumerate(tops)}
+    for _ in range(rng.randint(1, 2)):
+        pair = rng.sample(range(nvars), 2)
+        s = rng.choice([s for s in (1, 1, 2, 3) if k % s == 0])
+        m = tuple(rng.randint((t + 1) // 2, t - 1) // s * s if i in pair else 0
+                  for i, t in enumerate(tops))
+        if any(m):
+            terms[m] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+    return MultiPoly(nvars, terms)
+
+
+class TestAttemptFirst:
+    def test_matches_the_d1_first_reference(self):
+        """Seeded composites in 1-4 variables and corner supports in 2-4, under
+        grlex, grevlex and a weighted order: the same (h, F, trace, closed),
+        or the same exception, as deciding d1 before any attempt."""
+        rng = random.Random(2601)
+        cases = []
+        for _ in range(60):
+            h = random_poly(rng, rng.randint(1, 4), 3, 4)
+            cases.append(rng.randint(1, 3) * compose_uni(random_outer(rng, 4), h) + rng.randint(0, 2))
+            cases.append(corner_poly(rng, rng.randint(2, 4)))
+        closed_divisible = bound_above_d1 = raised = 0
+        for f in cases:
+            weights = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(f.nvars))
+            for order in (GL, GR, OrderSpec(kind=WEIGHTED, weights=weights)):
+                got = outcome(lambda: generative(f, order))
+                assert got == outcome(lambda: generative_d1_first(f, order)), (f.terms, order)
+                d1 = (divisor_sequence(f, order, pruned=True) or (1,))[0]
+                bound_above_d1 += d1_bound(f, order) > d1
+                raised += len(got) == 2
+                closed_divisible += got[-1] is True and multiplicity(leading_term(f, order)[0]) > 1
+        assert closed_divisible > 60 and bound_above_d1 > 30 and raised > 40, (
+            closed_divisible, bound_above_d1, raised)
+
+    def test_cap_hazard_is_closed(self):
+        f = P(CAP_HAZARD)
+        assert d1_bound(f, GL) == 2
+        assert outcome(lambda: generative(f)) == (f, UniPoly.identity(), (), True)
+        assert outcome(lambda: generative_d1_first(f, GL)) == outcome(lambda: generative(f))
+
+    def test_weighted_order_error_at_a_divisor_of_d1(self):
+        # lm x2^6, g0 = d1 = 3: the attempt at k = 3 raises, as with d1 first
+        f = P("x2^6 + x1^3")
+        message = "monomials_below requires a graded (degree-compatible) order"
+        with pytest.raises(OrderError, match=f"^{re.escape(message)}$"):
+            generative(f, W12)
+        assert outcome(lambda: generative_d1_first(f, W12)) == (OrderError, message)
+
+    def test_weighted_order_closed_without_attempts(self):
+        # lm x2^3 and the x1-argmax x1^4 give g0 = 1
+        f = P("x1^4 + x2^3")
+        assert outcome(lambda: generative(f, W12)) == (f, UniPoly.identity(), (), True)
+        assert outcome(lambda: generative_d1_first(f, W12)) == outcome(lambda: generative(f, W12))
+
+    def test_large_support_verifies_fast(self):
+        # h = sum x_i^2*x_(i+1) + x1, cyclic in 8 variables; g = h^4 + 2h^2 has
+        # 540 terms, most of them on the Pareto front, and g0 = d(lm) = 4
+        h = P(" + ".join(f"x{i}^2*x{i % 8 + 1}" for i in range(1, 9)) + " + x1")
+        F = UniPoly([0, 0, 2, 0, 1])
+        g = compose_uni(F, h)
+        assert len(g.terms) == 540
+        start = time.perf_counter()
+        r = generative(g)
+        assert time.perf_counter() - start < 1.0
+        assert (r.h, r.F, r.trace) == (h, F, ((4, "verified"),))

@@ -7,9 +7,10 @@ from math import gcd
 
 import pytest
 
+from closedpoly.decompose import generative
 from closedpoly.linprog import feasible_point
 from closedpoly.newton import (
-    _descending_divisors,
+    descending_divisors,
     divisor_sequence,
     multiplicity,
     newton_summary,
@@ -247,21 +248,39 @@ class TestDivisorSequence:
         # front (4,0), (2,2), (0,4): only (2,2) has a multiplicity 4 does not
         # divide, and the midpoint of the other two excludes it
         ("x1^4 + x1^2*x2^2 + x2^4 + x1^2 + x1*x2 + 1", (4, 2), [2]),
-        # lm (0,3,0): (2,0,0) is in V0 and brings g to 1, so (0,0,2) gets no LP
-        ("x1^2 + x2^3 + x3^2", (), [2]),
+        # lm (0,3,0): (2,0,0) is the x1-argmax, so g0 = 1 and no LP runs
+        ("x1^2 + x2^3 + x3^2", (), []),
+        # lm (6,0,0), g0 = 2 from the argmaxes x2^4 and x3^4: (0,3,3) is in V0
+        # but no coordinate argmax, and its LP brings g to 1
+        ("x1^6 + x2^4 + x3^4 + x2^3*x3^3", (), [3]),
         # lm (4,2), front (4,2), (0,4): 2 divides both multiplicities
         ("x1^4*x2^2 + x1^2*x2^2 + x2^4 + x1^2", (2,), []),
-    ], ids=["exclusion", "stops-at-one", "all-divisible"])
+    ], ids=["exclusion", "stops-at-one", "lp-stops-at-one", "all-divisible"])
     def test_pruned_lp_count(self, lp_calls, text, divisors, columns):
         assert divisor_sequence(P(text), GL, pruned=True) == divisors
         assert [args[0] for args in lp_calls] == columns  # front size - 1 columns each
+
+    @pytest.mark.parametrize("text, trace, columns", [
+        # g0 = 2 from the x2-argmax: the first attempt verifies, and d1 is not
+        # decided (the walk from d(lm) = 4 would run an LP for (2,1))
+        ("x1^4 + 2*x1^2*x2 + x2^2", ((2, "verified"),), []),
+        # g0 = 4: k = 4 mismatches, and the LP that excludes (2,2) keeps d1 = 4,
+        # so the mismatch stays in the trace
+        ("x1^4 + 2*x1^2*x2^2 + x2^4", ((4, "mismatch"), (2, "verified")), [2]),
+        # g0 = 2: k = 2 mismatches, and the LP that keeps (0,3,3) in V0 brings
+        # d1 to 1, so the mismatch is dropped
+        ("x1^6 + x2^4 + x3^4 + x2^3*x3^3", (), [3]),
+    ], ids=["verified-first", "mismatch-kept", "mismatch-dropped"])
+    def test_generative_lp_count(self, lp_calls, text, trace, columns):
+        assert generative(P(text)).trace == trace
+        assert [args[0] for args in lp_calls] == columns
 
     def test_multiplicity_one_fast_path(self):
         assert divisor_sequence(P("x1*x2 + x1"), GL) == ()
 
     def test_divisors_match_brute_force(self):
         for d in range(1, 3001):
-            assert _descending_divisors(d) == tuple(k for k in range(d, 1, -1) if d % k == 0), d
+            assert descending_divisors(d) == tuple(k for k in range(d, 1, -1) if d % k == 0), d
 
     def test_huge_leading_multiplicity_is_fast(self):
         # 2147483646 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331 has 192 divisors
@@ -460,7 +479,7 @@ def test_pruned_divisors_are_those_of_the_v0_gcd():
     pruning, lm_not_lex_max = 0, 0
     for f in cases:
         v0 = v0_lp(f)
-        expected = _descending_divisors(gcd(*map(multiplicity, v0)))
+        expected = descending_divisors(gcd(*map(multiplicity, v0)))
         top = 1 + max(map(max, f.support()))
         lex = tuple(Fraction(top ** (f.nvars - 1 - i)) for i in range(f.nvars))
         v = rng.choice(sorted(v0))
