@@ -38,12 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import nlargest
 from math import comb, gcd, lcm
-from operator import add, lt
+from operator import add
 from typing import Optional
 
 from .newton import d1_bound, descending_divisors, divisor_sequence, multiplicity
 from .orders import OrderError, OrderSpec, monomials_below, normalize, sort_key
-from .poly import MultiPoly, PolyError, UniPoly, compose_uni, mono_pow
+from .poly import MultiPoly, PolyError, UniPoly, compose_uni
 
 VERIFIED = "verified"
 MISMATCH = "mismatch"
@@ -103,11 +103,12 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
     if order.is_graded and len(top) == 2 and any(top[1]):
         t = top[1]
         l, rem = divmod(sum(t), sum(m1))
-        is_power = not rem and 1 <= l < k and t == mono_pow(m1, l)
-        if not is_power and any(map(lt, t, mono_pow(m1, k - 1))):
+        is_power = not rem and 1 <= l < k and t == tuple(e * l for e in m1)
+        if not is_power and any(a < e * (k - 1) for a, e in zip(t, m1)):
             return None
 
-    m1_pows = [mono_pow(m1, i) for i in range(k + 1)]
+    # each m1^i divides lm, so no power exceeds the exponent bound
+    m1_pows = [tuple(e * i for e in m1) for i in range(k + 1)]
     a = f.terms[lm]
     L = lcm(*(c.denominator for c in f.terms.values()))
     if a < 0:
@@ -137,8 +138,9 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
 
     # Step: solve for core = G(h), G(t) = t^k + beta_{k-1} t^{k-1} + ... +
     # beta_1 t, by peeling each beta_p * h^p off the residual R/S = B/D, from
-    # p = k down (beta_k = R[m1^k]/S = 1); then F = lc(f) * G + f(0).
-    G = {}
+    # p = k down (beta_k = R[m1^k]/S = 1); F = lc(f) * G + f(0) gains each
+    # term as it is peeled.
+    F = {}
     S = D * Ek
     residual = {m: b * Ek for m, b in B.items()}
     for p in range(k, 0, -1):
@@ -147,7 +149,7 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
             raise RuntimeError("leading power of candidate h is not monic")
         r = residual.get(m1_pows[p], 0)
         if r:
-            G[(p,)] = Fraction(r, S)
+            F[(p,)] = a * Fraction(r, S)
             g = gcd(r, Ep)
             if g < Ep:
                 q = Ep // g
@@ -159,8 +161,9 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
 
     if any(residual.values()):
         return None
+    F[(0,)] = f.constant_term()
     h = {m: Fraction(c, E) for m, c in powers[1].items()}
-    return MultiPoly._checked(f.nvars, h), a * UniPoly._checked(1, G) + f.constant_term()
+    return MultiPoly._checked(f.nvars, h), UniPoly._checked(1, F)
 
 
 def generative(
@@ -215,7 +218,7 @@ def generative(
     else:
         nf = normalize(f, order)
         h = nf.core
-        F = nf.leading_scalar * UniPoly.identity() + nf.constant_term
+        F = UniPoly._checked(1, {(1,): nf.leading_scalar, (0,): nf.constant_term})
     return DecompositionResult(
         h=h,
         F=F,

@@ -44,7 +44,7 @@ from typing import Optional
 
 from .linprog import feasible_point
 from .orders import OrderSpec, leading_term
-from .poly import Monomial, MultiPoly, PolyError, mono_unit
+from .poly import Monomial, MultiPoly, PolyError
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,9 @@ def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tu
 
 
 def newton_summary(f: MultiPoly, order: OrderSpec) -> NewtonSummary:
-    lm, _ = leading_term(f, order)
-    if lm == mono_unit(f.nvars):
+    if f.is_zero() or f.is_constant():
         raise PolyError("newton summary requires a non-constant polynomial")
+    lm, _ = leading_term(f, order)
     v0 = v0_set(f)
     d_leading = multiplicity(lm)
     d1 = gcd(*map(multiplicity, v0))  # V0 holds lm, not the unit point

@@ -20,7 +20,6 @@ from .poly import (
     NormalizedForm,
     PolyError,
     check_scalar,
-    mono_deg,
     monomials_of_degree,
 )
 
@@ -67,14 +66,14 @@ class OrderSpec:
 def sort_key(m: Monomial, order: OrderSpec):
     """A key tuple whose natural comparison realizes the order."""
     if order.kind == GRLEX:
-        return (mono_deg(m), m)
+        return (sum(m), m)
     if order.kind == GREVLEX:
-        return (mono_deg(m), tuple(-e for e in reversed(m)))
+        return (sum(m), tuple(-e for e in reversed(m)))
     weights = order.weights
     if len(weights) != len(m):
         raise OrderError("weight vector length does not match monomial")
     w = sum(wi * e for wi, e in zip(weights, m))
-    return (w, mono_deg(m), m)
+    return (w, sum(m), m)
 
 
 def compare(m1: Monomial, m2: Monomial, order: OrderSpec) -> int:
@@ -103,7 +102,7 @@ def monomials_below(m1: Monomial, order: OrderSpec) -> list:
     if not order.is_graded:
         raise OrderError("monomials_below requires a graded (degree-compatible) order")
     nvars = len(m1)
-    bound = mono_deg(m1)
+    bound = sum(m1)
     estimate = comb(bound + nvars, nvars)
     if estimate > DEFAULT_MONOMIAL_CAP:
         raise MonomialCapExceeded(

@@ -13,7 +13,7 @@ Fraction); the parser enforces the same checks as it reads and builds its
 result without repeating them.  Arithmetic on checked operands builds its
 result unchecked, except for the exponent bound, which a product can
 overflow: one check per product bounds the sum of the two operands'
-largest exponents in each variable (`mono_pow` checks its result).
+largest exponents in each variable.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ def mono_unit(nvars: int) -> Monomial:
     return (0,) * nvars
 
 
-def mono_deg(m: Monomial) -> int:
-    return sum(m)
-
-
 def _check_exponent(e: int) -> int:
     if e > MAX_EXPONENT:
         raise PolyError(f"exponent {e} exceeds the supported bound {MAX_EXPONENT}")
@@ -67,12 +63,6 @@ def check_scalar(c, what: str = "coefficient") -> Fraction:
     if not isinstance(c, (int, Fraction)):
         raise PolyError(f"{what} {c!r} is not an int or a Fraction")
     return Fraction(c)
-
-
-def mono_pow(m: Monomial, k: int) -> Monomial:
-    if k < 0:
-        raise PolyError("negative monomial power")
-    return tuple(_check_exponent(e * k) for e in m)
 
 
 class MultiPoly:
@@ -143,7 +133,7 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == mono_unit(self.nvars) for m in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_term(self) -> Fraction:
         return self.terms.get(mono_unit(self.nvars), Fraction(0))
@@ -159,7 +149,7 @@ class MultiPoly:
     def total_degree(self) -> int:
         if not self.terms:
             raise PolyError("the zero polynomial has no degree")
-        return max(mono_deg(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -90,6 +90,40 @@ class TestGenerative:
         with pytest.raises(PolyError):
             generative(MultiPoly.constant(2, 3))
 
+    @pytest.mark.parametrize("pruned", [True, False], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])
+    def test_validates_only_at_the_boundary(self, monkeypatch, order, pruned):
+        """On parsed input, generative builds h and F without a validating
+        constructor: both exits build F once, through UniPoly._checked."""
+        fs = [
+            P("3*x1^4 + 6*x1^2*x2 + 3*x2^2 + 5"),  # verified, lc(f) = 3, f(0) = 5
+            P("2*x1^2 + x2 + 7"),  # closed, f(0) = 7
+            compose_uni(UniPoly([7, 0, 0, 2]), P("x1^2 + x2^2")),  # k = 6 mismatches, k = 3 verifies
+        ]
+        calls = []
+
+        def counted(init):
+            def wrapper(self, *args, **kwargs):
+                calls.append(type(self).__name__)
+                init(self, *args, **kwargs)
+            return wrapper
+
+        for cls in (MultiPoly, UniPoly):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        results = [generative(f, order, pruned) for f in fs]
+        assert calls == []
+        monkeypatch.undo()
+        assert [(r.h, r.F) for r in results] == [
+            (P("x1^2 + x2"), UniPoly([5, 0, 3])),
+            (P("x1^2 + 1/2*x2"), UniPoly([7, 2])),
+            (P("x1^2 + x2^2"), UniPoly([7, 0, 0, 2])),
+        ]
+        assert [r.trace for r in results] == [
+            ((2, "verified"),) if pruned else ((4, "mismatch"), (2, "verified")),
+            () if pruned else ((2, "mismatch"),),
+            ((6, "mismatch"), (3, "verified")),
+        ]
+
 
 class TestIsClosed:
     def test_fast_path(self):
@@ -170,7 +204,6 @@ class TestInvariants:
         # monomials m1^{k-1} m_j of the composed polynomial come only from
         # the top power h^k, never from lower beta_i h^{k-i} contributions
         from closedpoly.orders import monomials_below
-        from closedpoly.poly import mono_pow
 
         cases = [
             (P("x1^2 + x2"), UniPoly([0, Fraction(3, 2), 1])),
@@ -182,8 +215,9 @@ class TestInvariants:
             m1, _ = leading_term(h, GL)
             top = h**k
             lower = compose_uni(F, h) - top
+            top_power = tuple(e * (k - 1) for e in m1)
             for mj in monomials_below(m1, GL):
-                probe = tuple(x + y for x, y in zip(mono_pow(m1, k - 1), mj))
+                probe = tuple(x + y for x, y in zip(top_power, mj))
                 assert lower.coefficient(probe) == 0
 
 
@@ -191,12 +225,11 @@ def reference_attempt(f, k, order):
     """The attempt without the early exit, in MultiPoly arithmetic: every power
     of the candidate is recomputed from h after each solved term."""
     from closedpoly.orders import monomials_below
-    from closedpoly.poly import mono_pow
 
     lm, _ = leading_term(f, order)
     m1 = tuple(e // k for e in lm)
     h = MultiPoly.from_term(f.nvars, m1)
-    top = mono_pow(m1, k - 1)
+    top = tuple(e * (k - 1) for e in m1)
     for mj in monomials_below(m1, order):
         target = tuple(a + b for a, b in zip(top, mj))
         diff = f.coefficient(target) - (h**k).coefficient(target)
@@ -205,7 +238,7 @@ def reference_attempt(f, k, order):
     coeffs = [Fraction(0)] * k + [Fraction(1)]
     residual = f - h**k
     for l in range(k - 1, 0, -1):
-        coeffs[l] = residual.coefficient(mono_pow(m1, l))
+        coeffs[l] = residual.coefficient(tuple(e * l for e in m1))
         residual = residual - coeffs[l] * h**l
     return (h, UniPoly(coeffs)) if residual.is_zero() else None
 

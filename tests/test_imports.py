@@ -1,0 +1,35 @@
+"""Every name a `closedpoly` module imports is used in that module.
+
+`__init__.py` is left out: it imports names to re-export them.
+"""
+
+import ast
+from pathlib import Path
+
+import closedpoly
+
+# (module file, name) -> why the module keeps an import it does not use
+ALLOWED_UNUSED = {
+    ("family.py", "compose_uni"):
+        "perfbench/spans.py binds closedpoly.family:compose_uni (ROADMAP item 2)",
+}
+
+
+def unused_imports(path: Path) -> set:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_import_is_used():
+    package = Path(closedpoly.__file__).parent
+    unused = {(path.name, name)
+              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+              for name in unused_imports(path)}
+    assert unused == set(ALLOWED_UNUSED)

@@ -501,7 +501,9 @@ def test_pruned_divisors_are_those_of_the_v0_gcd():
      "divisor sequence requires a non-constant polynomial"),
     (lambda: newton_summary(MultiPoly.constant(2, 3), GL),
      "newton summary requires a non-constant polynomial"),
-], ids=["v0_set", "divisor_sequence", "newton_summary"])
+    (lambda: newton_summary(MultiPoly.zero(2), GL),
+     "newton summary requires a non-constant polynomial"),
+], ids=["v0_set", "divisor_sequence", "newton_summary", "newton_summary-zero"])
 def test_constant_rejected(call, message):
     with pytest.raises(PolyError, match=f"^{re.escape(message)}$"):
         call()
