@@ -28,7 +28,7 @@ class FamilyFactorization:
     mu: Fraction
     alpha: Fraction  # leading scalar
     shifts: tuple  # ((lambda, multiplicity), ...), lambda descending
-    residual: UniPoly  # monic, no rational roots; UniPoly([1]) when fully split
+    residual: UniPoly  # monic, no rational roots; the constant 1 when fully split
 
     def shift_count(self) -> int:
         return sum(mult for _, mult in self.shifts)
@@ -72,7 +72,7 @@ def _split(G: UniPoly) -> tuple:
     if G.is_zero():
         raise PolyError("the zero polynomial has every root")
     if G.degree() == 0:
-        return [], UniPoly([1])
+        return [], UniPoly._checked(1, {(0,): Fraction(1)})
     coeffs = G.coeffs
     L = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (L // c.denominator) for c in coeffs]
@@ -95,7 +95,7 @@ def _split(G: UniPoly) -> tuple:
         if mult:
             roots.append((Fraction(u, lead), mult))
     m = len(q) - 1
-    return roots, UniPoly([Fraction(a, lead ** (m - i)) for i, a in enumerate(q)])
+    return roots, UniPoly._checked(1, {(i,): Fraction(a, lead ** (m - i)) for i, a in enumerate(q)})
 
 
 def rational_roots(G: UniPoly) -> list:
@@ -116,7 +116,7 @@ def factor_shift(result: DecompositionResult, mu) -> FamilyFactorization:
     shifts = [(-root, mult) for root, mult in reversed(roots)]  # so the shifts -root descend
     product = residual * alpha
     for lam, mult in shifts:
-        product = product * UniPoly([lam, 1]) ** mult
+        product = product * UniPoly._checked(1, {(0,): lam, (1,): Fraction(1)}) ** mult
     if product != G:
         raise RuntimeError("product identity for f + mu failed to verify")
     return FamilyFactorization(mu=mu, alpha=alpha, shifts=tuple(shifts), residual=residual)

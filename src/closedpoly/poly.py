@@ -13,7 +13,10 @@ Fraction); the parser enforces the same checks as it reads and builds its
 result without repeating them.  Arithmetic on checked operands builds its
 result unchecked, except for the exponent bound, which a product can
 overflow: one check per product bounds the sum of the two operands'
-largest exponents in each variable.
+largest exponents in each variable, and `p ** k` checks k times p's
+largest exponents once, before any product.  An int or Fraction operand
+of `+`, `-` or `==` is wrapped unchecked, as is every polynomial the
+library builds below the public constructors (through `_checked`).
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ class MultiPoly:
     @classmethod
     def _checked(cls, nvars: int, terms: dict) -> "MultiPoly":
         """Wrap terms already known valid (an arithmetic result of checked
-        operands, or the parser's output) whose coefficients are Fractions;
-        only zeros are dropped."""
+        operands, a scalar operand, or the parser's output) whose
+        coefficients are Fractions; only zeros are dropped."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "terms", {m: c for m, c in terms.items() if c})
@@ -161,7 +164,7 @@ class MultiPoly:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
+            other = self._checked(self.nvars, {mono_unit(self.nvars): Fraction(other)})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_ring(other)
@@ -176,9 +179,7 @@ class MultiPoly:
         return self._checked(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, (int, Fraction, MultiPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -207,6 +208,9 @@ class MultiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise PolyError("negative polynomial power")
+        # the x_i-leading part of self is nonzero, so its k-th power reaches k * top_i
+        for top in map(max, zip(*self.terms)):
+            _check_exponent(k * top)
         result = self._checked(self.nvars, {mono_unit(self.nvars): Fraction(1)})
         base = self
         while k:
@@ -219,12 +223,14 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
+            other = self._checked(self.nvars, {mono_unit(self.nvars): Fraction(other)})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        if self.is_constant():  # equal to its constant term, so hashed as it
+            return hash(self.constant_term())
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
@@ -308,7 +314,7 @@ class UniPoly(MultiPoly):
 
 def compose_uni(F: UniPoly, h: MultiPoly) -> MultiPoly:
     """Exact F(h) via Horner's scheme."""
-    acc = MultiPoly.zero(h.nvars)
+    acc = MultiPoly._checked(h.nvars, {})
     for c in reversed(F.coeffs):
         acc = acc * h + c
     return acc

@@ -27,6 +27,25 @@ def deg6():
     )
 
 
+@pytest.fixture
+def count_validating_inits(monkeypatch):
+    """Start counting the validating constructors: the call returns a list that
+    gets the class name of each later MultiPoly.__init__ or UniPoly.__init__ call."""
+    def start():
+        calls = []
+
+        def counted(init):
+            def wrapper(self, *args, **kwargs):
+                calls.append(type(self).__name__)
+                init(self, *args, **kwargs)
+            return wrapper
+
+        for cls in (MultiPoly, UniPoly):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        return calls
+    return start
+
+
 def product_identity_holds(result, fam):
     """Oracle for factor_shift, which checks its identity in ℚ[t]: expand
     alpha * prod (h + lambda)^e * residual(h) in ℚ[x] and compare it with f + mu."""

@@ -1,0 +1,74 @@
+"""Validation happens at the API boundary only.
+
+Below the public constructors (`MultiPoly(...)`, `UniPoly(coeffs)`,
+`constant`, `zero`, `variable`, `from_term`, `identity`), the library
+builds every polynomial from already-checked data through `_checked`.
+"""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import closedpoly
+from closedpoly.decompose import generative
+from closedpoly.depend import jacobian_minors
+from closedpoly.family import factor_shift
+from closedpoly.orders import GREVLEX, GRLEX, OrderSpec, normalize
+
+from conftest import P
+
+VALIDATING_CLASSES = {"MultiPoly", "UniPoly"}
+VALIDATING_METHODS = {"constant", "zero", "variable", "from_term", "identity"}
+
+
+def validating_calls(path: Path) -> list:
+    """(line, call) for each validating constructor the module calls."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in VALIDATING_CLASSES:
+            found.append((node.lineno, f"{func.id}(...)"))
+        elif isinstance(func, ast.Attribute) and func.attr in VALIDATING_METHODS:
+            found.append((node.lineno, f".{func.attr}(...)"))
+    return found
+
+
+def test_only_poly_calls_validating_constructors():
+    package = Path(closedpoly.__file__).parent
+    calls = {path.name: validating_calls(path)
+             for path in sorted(package.glob("*.py")) if path.name != "poly.py"}
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
+f = P("x1^4 + 2*x1^2*x2 + x2^2")  # (x1^2 + x2)^2
+r = generative(f)
+shifted = P("3*x1^2*x2 - x2 + 5")
+p = P("x1^2 - 1/2*x2")
+CASES = {
+    "factor_shift-rational-roots": lambda: factor_shift(r, -4),
+    "factor_shift-no-rational-root": lambda: factor_shift(r, 2),
+    "reconstruct": lambda: r.reconstruct(),
+    "normalize-reconstruct-grlex": lambda: normalize(shifted, OrderSpec(kind=GRLEX)).reconstruct(),
+    "normalize-reconstruct-grevlex": lambda: normalize(shifted, OrderSpec(kind=GREVLEX)).reconstruct(),
+    "jacobian_minors": lambda: jacobian_minors(f, p),
+}
+for c in (3, Fraction(-2, 3)):
+    kind = type(c).__name__
+    CASES.update({
+        f"p+{kind}": lambda c=c: p + c,
+        f"{kind}+p": lambda c=c: c + p,
+        f"p-{kind}": lambda c=c: p - c,
+        f"{kind}-p": lambda c=c: c - p,
+        f"p=={kind}": lambda c=c: p == c,
+    })
+
+
+@pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
+def test_no_validating_constructor_on_parsed_input(count_validating_inits, build):
+    calls = count_validating_inits()
+    build()
+    assert calls == []

@@ -92,7 +92,7 @@ class TestGenerative:
 
     @pytest.mark.parametrize("pruned", [True, False], ids=["pruned", "unpruned"])
     @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])
-    def test_validates_only_at_the_boundary(self, monkeypatch, order, pruned):
+    def test_validates_only_at_the_boundary(self, count_validating_inits, order, pruned):
         """On parsed input, generative builds h and F without a validating
         constructor: both exits build F once, through UniPoly._checked."""
         fs = [
@@ -100,19 +100,9 @@ class TestGenerative:
             P("2*x1^2 + x2 + 7"),  # closed, f(0) = 7
             compose_uni(UniPoly([7, 0, 0, 2]), P("x1^2 + x2^2")),  # k = 6 mismatches, k = 3 verifies
         ]
-        calls = []
-
-        def counted(init):
-            def wrapper(self, *args, **kwargs):
-                calls.append(type(self).__name__)
-                init(self, *args, **kwargs)
-            return wrapper
-
-        for cls in (MultiPoly, UniPoly):
-            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        calls = count_validating_inits()
         results = [generative(f, order, pruned) for f in fs]
         assert calls == []
-        monkeypatch.undo()
         assert [(r.h, r.F) for r in results] == [
             (P("x1^2 + x2"), UniPoly([5, 0, 3])),
             (P("x1^2 + 1/2*x2"), UniPoly([7, 2])),

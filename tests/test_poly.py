@@ -217,6 +217,19 @@ def test_exponent_overflow_rejected():
         MultiPoly.from_term(1, (2**30,)) ** 2
 
 
+def test_power_bound_checked_before_any_product(monkeypatch):
+    """(x1 + 1) ** 2**31 would square up to 2^30 + 1 terms before a product's
+    check fired; the power checks k times each largest exponent up front."""
+    def no_product(*args):
+        raise AssertionError("a product was attempted")
+
+    p = P("x1 + x2^2 + 1")
+    monkeypatch.setattr(MultiPoly, "__mul__", no_product)
+    for base, k in [(p, 2**31), (p, 2**30), (P("x1"), 2**31)]:
+        with pytest.raises(PolyError, match=f"^exponent {2**31} exceeds the supported bound"):
+            base ** k
+
+
 def test_product_matches_naive_product_at_the_exponent_bound():
     """The product checks the bound once, on the largest exponents; it must
     agree with a term-by-term product that checks every monomial."""
@@ -391,6 +404,23 @@ def test_equality_with_scalars():
     assert MultiPoly.constant(2, 3) == 3
     assert MultiPoly.constant(2, Fraction(1, 2)) == Fraction(1, 2)
     assert P("x1 + 1") != 1
+
+
+@pytest.mark.parametrize("c", [3, Fraction(-2, 3), 0], ids=["int", "Fraction", "zero"])
+def test_scalar_operands_act_as_constants(c):
+    p, constant = P("x1^2 - 1/2*x2"), MultiPoly.constant(2, c)
+    assert p + c == c + p == p + constant
+    assert p - c == p - constant
+    assert c - p == constant - p
+    assert (p - p) + c == c and p != c
+
+
+def test_constant_hashes_as_the_scalar_it_equals():
+    for p, c in [(MultiPoly.constant(2, 3), 3), (UniPoly([Fraction(1, 2)]), Fraction(1, 2)),
+                 (MultiPoly.zero(3), 0), (P("x1 - x1 + 5"), 5)]:
+        assert p == c and hash(p) == hash(c)
+        assert {c: "c"}.get(p) == "c"
+        assert len({p, c}) == 1
 
 
 def test_repr_reparses():
