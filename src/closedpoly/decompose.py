@@ -16,7 +16,12 @@ k*alpha*m1^(k-1)*m2 of h^k - m1^k and beta_l*m1^l of beta_l*h^l have
 pairwise distinct monomials, so none cancel and T is one of them: under a
 graded order, m1^(k-1) divides T or T = beta*m1^l.  This is the
 approximate-root step of Kozen-Landau (1989) and von zur Gathen (1990),
-used only as a rejection test.
+which also leads the solve.  No beta_l*h^l with l < k reaches the band
+above degree (k-1)*deg m1, so there core - h^k is the whole residual.  Its
+multiples m1^(k-1)*m_j, the only terms a solve clears, are a heap of
+negated sort keys of m_j (lazy deletion) fed by B and by the monomials each
+solved term adds to H^k; the final check decides the rest.  Until ROADMAP
+item 2, `orders.check_enumerable` refuses a large m1 (the dense cap).
 
 Both steps are fraction-free, in the manner of Bareiss (1968).  core = B/D
 with B the integer numerators of f's non-constant terms over L, the lcm of
@@ -36,13 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import nlargest
+from heapq import heapify, heappop, heappush, nlargest
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, ge, neg, sub
 from typing import Optional
 
 from .newton import d1_bound, descending_divisors, divisor_sequence, multiplicity
-from .orders import OrderError, OrderSpec, monomials_below, normalize, sort_key
+from .orders import OrderError, OrderSpec, check_enumerable, normalize, sort_key
+from .orders import monomials_below  # noqa: F401 -- kept for the benchmark's binding (ROADMAP item 2)
 from .poly import MultiPoly, PolyError, UniPoly, compose_uni
 
 VERIFIED = "verified"
@@ -61,9 +67,9 @@ class DecompositionResult:
         return compose_uni(self.F, self.h)
 
 
-def _powers_with_term(powers: list, mono, coeff: int, k: int) -> None:
+def _powers_with_term(powers: list, mono, coeff: int, k: int) -> list:
     """Given powers[p] = q^p as term dicts for p in 0..k, update them in place
-    to the powers of q + c*m.
+    to the powers of q + c*m, and return the monomials that q^k gains.
 
     (q + c*m)^p = q^p + sum_i C(p, i) c^i m^i q^(p-i), so each power gains
     scaled, shifted copies of the lower ones; from p = k down, the lower
@@ -74,6 +80,7 @@ def _powers_with_term(powers: list, mono, coeff: int, k: int) -> None:
     through MultiPoly._checked.
     """
     shifts = [tuple(e * i for e in mono) for i in range(k + 1)]
+    known = len(powers[k])
     for p in range(k, 0, -1):
         acc = powers[p]
         for i in range(1, p + 1):
@@ -82,6 +89,18 @@ def _powers_with_term(powers: list, mono, coeff: int, k: int) -> None:
             for m, c in powers[p - i].items():
                 m = tuple(map(add, m, shift))
                 acc[m] = acc[m] + scale * c if m in acc else scale * c
+    return list(powers[k])[known:]  # no term is ever removed
+
+
+def _band_entries(monos, base, low: int, order: OrderSpec) -> list:
+    """Heap entries (key, m/base, m), ≻-largest first: each m above degree low that base divides."""
+    entries = []
+    for m in monos:
+        if sum(m) > low and all(map(ge, m, base)):
+            q = tuple(map(sub, m, base))
+            d, t = sort_key(q, order)
+            entries.append((-d, tuple(map(neg, t)), q, m))
+    return entries
 
 
 def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
@@ -107,6 +126,7 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
         if not is_power and any(a < e * (k - 1) for a, e in zip(t, m1)):
             return None
 
+    check_enumerable(m1, order)
     # each m1^i divides lm, so no power exceeds the exponent bound
     m1_pows = [tuple(e * i for e in m1) for i in range(k + 1)]
     a = f.terms[lm]
@@ -116,25 +136,30 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
     B = {m: c.numerator * (L // c.denominator) for m, c in f.terms.items() if any(m)}
     D = B[lm]
 
-    # Step: solve for h = m1 + sum alpha_j m_j, coefficient by coefficient.
+    # Step: solve for h = m1 + sum alpha_j m_j, led by the band of B*E^k - D*H^k.
     # powers[p] = H^p; H's coefficient at m_j is E*alpha_j = num / (k*D*E^(k-1)).
     E = Ek = 1
     powers = [{m: 1} for m in m1_pows]
-    for mj in monomials_below(m1, order):
-        target = tuple(map(add, m1_pows[k - 1], mj))
+    base, low = m1_pows[k - 1], (k - 1) * sum(m1)
+    band = _band_entries(B, base, low, order)
+    heapify(band)
+    while band:
+        _, _, mj, target = heappop(band)
         num = B.get(target, 0) * Ek - D * powers[k].get(target, 0)
-        if num:
-            den = k * D * (Ek // E)
-            g = gcd(num, den)
-            num //= g
-            den //= g
-            if den > 1:  # E becomes lcm(E, denominator of alpha_j)
-                for p in range(1, k + 1):
-                    scale = den**p
-                    powers[p] = {m: c * scale for m, c in powers[p].items()}
-                E *= den
-                Ek = E**k
-            _powers_with_term(powers, mj, num, k)
+        if not num:  # cancelled, or a repeated entry
+            continue
+        den = k * D * (Ek // E)
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        if den > 1:  # E becomes lcm(E, denominator of alpha_j)
+            for p in range(1, k + 1):
+                scale = den**p
+                powers[p] = {m: c * scale for m, c in powers[p].items()}
+            E *= den
+            Ek = E**k
+        for entry in _band_entries(_powers_with_term(powers, mj, num, k), base, low, order):
+            heappush(band, entry)
 
     # Step: solve for core = G(h), G(t) = t^k + beta_{k-1} t^{k-1} + ... +
     # beta_1 t, by peeling each beta_p * h^p off the residual R/S = B/D, from

@@ -92,6 +92,17 @@ def leading_term(f: MultiPoly, order: OrderSpec) -> tuple:
     return m, f.terms[m]
 
 
+def check_enumerable(m1: Monomial, order: OrderSpec) -> None:
+    """Raise what monomials_below(m1, order) refuses, before it lists any."""
+    if not order.is_graded:
+        raise OrderError("monomials_below requires a graded (degree-compatible) order")
+    estimate = comb(sum(m1) + len(m1), len(m1))
+    if estimate > DEFAULT_MONOMIAL_CAP:
+        raise MonomialCapExceeded(
+            f"enumeration of ~{estimate} monomials exceeds the cap of {DEFAULT_MONOMIAL_CAP}"
+        )
+
+
 def monomials_below(m1: Monomial, order: OrderSpec) -> list:
     """All monomials m with m1 ≻ m ≻ 1, strictly descending under the order.
 
@@ -99,15 +110,9 @@ def monomials_below(m1: Monomial, order: OrderSpec) -> list:
     degree level by degree level from deg(m1) down.  A level is descending lex
     under grlex, and ascending lex on reversed tuples under grevlex.
     """
-    if not order.is_graded:
-        raise OrderError("monomials_below requires a graded (degree-compatible) order")
+    check_enumerable(m1, order)
     nvars = len(m1)
     bound = sum(m1)
-    estimate = comb(bound + nvars, nvars)
-    if estimate > DEFAULT_MONOMIAL_CAP:
-        raise MonomialCapExceeded(
-            f"enumeration of ~{estimate} monomials exceeds the cap of {DEFAULT_MONOMIAL_CAP}"
-        )
     below = []
     for d in range(bound, 0, -1):
         level = list(monomials_of_degree(nvars, d))

@@ -4,7 +4,10 @@ Nothing in the library calls them.  `v0_lp` (strict weight argmax) and
 `v0_combinatorial` (hull vertices that the polytope does not dominate) decide
 V0 two other ways than `newton.v0_set`; `generative_d1_first` decides d1 from
 the whole V0 before any divisor attempt, against which the attempt-first
-`generative(pruned=True)` is checked; `monoid_members` lists a bounded
+`generative(pruned=True)` is checked; `reference_attempt` is the dense
+divisor attempt, solving h at every monomial of `monomials_below` in
+`MultiPoly` arithmetic, against which the residual-led `attempt_divisor` is
+checked; `monoid_members` lists a bounded
 piece of the generated monoid by dynamic programming; `row_reduce` is
 Gauss–Jordan elimination over Q, against which `monoid._eliminate` is checked.
 The `dense_*` functions are univariate arithmetic and rendering on coefficient
@@ -25,7 +28,7 @@ from closedpoly.newton import (
     realizing_weights,
     v0_set,
 )
-from closedpoly.orders import OrderSpec, leading_term, normalize
+from closedpoly.orders import OrderSpec, leading_term, monomials_below, normalize
 from closedpoly.poly import Monomial, MultiPoly, PolyError, UniPoly
 
 
@@ -81,6 +84,26 @@ def generative_d1_first(f: MultiPoly, order: OrderSpec) -> DecompositionResult:
         nf = normalize(f, order)
         h, F = nf.core, nf.leading_scalar * UniPoly.identity() + nf.constant_term
     return DecompositionResult(h=h, F=F, closed=F.degree() == 1, trace=tuple(trace), order=order)
+
+
+def reference_attempt(f: MultiPoly, k: int, order: OrderSpec):
+    """The attempt without the early exit, in MultiPoly arithmetic: every power
+    of the candidate is recomputed from h after each solved term."""
+    lm, _ = leading_term(f, order)
+    m1 = tuple(e // k for e in lm)
+    h = MultiPoly.from_term(f.nvars, m1)
+    top = tuple(e * (k - 1) for e in m1)
+    for mj in monomials_below(m1, order):
+        target = tuple(a + b for a, b in zip(top, mj))
+        diff = f.coefficient(target) - (h**k).coefficient(target)
+        if diff:
+            h = h + MultiPoly.from_term(f.nvars, mj, diff / k)
+    coeffs = [Fraction(0)] * k + [Fraction(1)]
+    residual = f - h**k
+    for l in range(k - 1, 0, -1):
+        coeffs[l] = residual.coefficient(tuple(e * l for e in m1))
+        residual = residual - coeffs[l] * h**l
+    return (h, UniPoly(coeffs)) if residual.is_zero() else None
 
 
 def monoid_members(gens: MonoidGens) -> set:

@@ -5,17 +5,26 @@ from fractions import Fraction
 
 import pytest
 
+import closedpoly.decompose as dec
 from closedpoly.decompose import (
     attempt_divisor,
     generative,
     is_closed,
 )
 from closedpoly.newton import d1_bound, divisor_sequence, multiplicity
-from closedpoly.orders import GREVLEX, WEIGHTED, OrderError, OrderSpec, leading_term, normalize
+from closedpoly.orders import (
+    GREVLEX,
+    WEIGHTED,
+    MonomialCapExceeded,
+    OrderError,
+    OrderSpec,
+    leading_term,
+    normalize,
+)
 from closedpoly.poly import MultiPoly, PolyError, UniPoly, compose_uni
 
 from conftest import P, random_closed_normalized, random_outer, random_poly
-from oracles import generative_d1_first
+from oracles import generative_d1_first, reference_attempt
 
 GL = OrderSpec()
 GR = OrderSpec(kind=GREVLEX)
@@ -211,28 +220,6 @@ class TestInvariants:
                 assert lower.coefficient(probe) == 0
 
 
-def reference_attempt(f, k, order):
-    """The attempt without the early exit, in MultiPoly arithmetic: every power
-    of the candidate is recomputed from h after each solved term."""
-    from closedpoly.orders import monomials_below
-
-    lm, _ = leading_term(f, order)
-    m1 = tuple(e // k for e in lm)
-    h = MultiPoly.from_term(f.nvars, m1)
-    top = tuple(e * (k - 1) for e in m1)
-    for mj in monomials_below(m1, order):
-        target = tuple(a + b for a, b in zip(top, mj))
-        diff = f.coefficient(target) - (h**k).coefficient(target)
-        if diff:
-            h = h + MultiPoly.from_term(f.nvars, mj, diff / k)
-    coeffs = [Fraction(0)] * k + [Fraction(1)]
-    residual = f - h**k
-    for l in range(k - 1, 0, -1):
-        coeffs[l] = residual.coefficient(tuple(e * l for e in m1))
-        residual = residual - coeffs[l] * h**l
-    return (h, UniPoly(coeffs)) if residual.is_zero() else None
-
-
 class TestAgainstReference:
     def test_seeded_pairs(self):
         """Verified and mismatching (f, k) in 1-4 variables: f = F(h) for a
@@ -376,18 +363,60 @@ class TestAgainstReference:
             assert not got or all(got[0].terms.values())
         assert attempt_divisor(f, F.degree(), order) == (h, F)
 
-    def test_sparse_family_enumerates_once(self, monkeypatch):
-        # every divisor but 2 is rejected from the second term 2*x1^12*x8
-        import closedpoly.decompose as dec
+    @pytest.fixture
+    def no_listing(self, monkeypatch):
+        import closedpoly.orders
+        import closedpoly.poly
 
-        calls = []
-        real = dec.monomials_below
-        monkeypatch.setattr(dec, "monomials_below", lambda m1, order: calls.append(m1) or real(m1, order))
-        r = generative(P("x1^24 + 2*x1^12*x8 + x8^2"), pruned=False)
+        def refuse(nvars, d):
+            raise AssertionError("a monomial listing was requested")
+
+        monkeypatch.setattr(closedpoly.poly, "monomials_of_degree", refuse)
+        monkeypatch.setattr(closedpoly.orders, "monomials_of_degree", refuse)
+
+    def test_sparse_family_lists_no_monomials(self, no_listing):
+        # every divisor but 2 is rejected from the second term 2*x1^12*x8; at
+        # k = 2 the band holds 2*x1^12*x8, which solves h's one other term
+        f = P("x1^24 + 2*x1^12*x8 + x8^2")
+        start = time.perf_counter()
+        r = generative(f, pruned=False)
+        assert time.perf_counter() - start < 0.1
         assert r.h == P("x1^12 + x8")
         assert r.trace == ((24, "mismatch"), (12, "mismatch"), (8, "mismatch"), (6, "mismatch"),
                            (4, "mismatch"), (3, "mismatch"), (2, "verified"))
-        assert calls == [(12,) + (0,) * 7]
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_sparse_family(self, n):
+        # the size refusal still holds from n = 9 on, though nothing is listed
+        f = P(f"x1^24 + 2*x1^12*x{n} + x{n}^2")
+        if n <= 8:
+            r = generative(f, pruned=False)
+            assert (r.h, r.F) == (P(f"x1^12 + x{n}"), UniPoly([0, 0, 1]))
+            assert r.trace[-1] == (2, "verified")
+            return
+        estimate = {9: 293930, 10: 646646, 11: 1352078, 12: 2704156}[n]
+        message = f"enumeration of ~{estimate} monomials exceeds the cap of 200000"
+        with pytest.raises(MonomialCapExceeded, match=f"^{re.escape(message)}$"):
+            generative(f, pruned=False)
+
+    def test_band_term_off_the_multiples_is_a_mismatch(self, monkeypatch, no_listing):
+        # at k = 2 the band's second term x2^13 is no multiple of m1 = x1^12, so
+        # no solve can clear it: one solve (x8), then the final check refuses
+        calls = []
+        real = dec._powers_with_term
+        monkeypatch.setattr(dec, "_powers_with_term", lambda *args: calls.append(args[1]) or real(*args))
+        f = P("x1^24 + 2*x1^12*x8 + x2^13 + x8^2")
+        assert attempt_divisor(f, 2, GL) is None
+        assert calls == [(0,) * 7 + (1,)]
+        r = generative(f, pruned=False)
+        assert r.closed and r.h == f
+        assert r.trace == tuple((k, "mismatch") for k in (24, 12, 8, 6, 4, 3, 2))
+
+    @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])
+    def test_band_mismatch_matches_the_dense_route(self, order):
+        g = P("x1^24 + 2*x1^12*x4 + x2^13 + x4^2")
+        got = attempt_divisor(g, 2, order)
+        assert got is None and got == reference_attempt(g, 2, order)
 
     def test_rejected_before_the_cap(self):
         # listing the monomials below x1^12 in 9 variables would exceed the cap
