@@ -11,11 +11,16 @@ Grammar (whitespace-insensitive):
 Integers are runs of the ASCII digits 0-9.  Variables are x1, x2, ...;
 the variable count is inferred as the largest index that appears.
 
-The parser is one scan.  One regex search finds the first character no
-token can start with, so an unexpected character is reported before any
-syntax error earlier in the text (``x1 x2 @`` fails at the ``@``).  The
-tokens are plain strings from one ``findall``, read by index in one loop;
-a token's line and column are computed only when an error is raised.
+Input is read one of two ways.  Accepted input takes one pass of a
+compiled term regex (``finditer``, each match starting where the last one
+ended), and each factor's text is read once per process (a bounded cache).
+Whatever that pass does not accept cleanly (a gap, a missing sign, a
+number out of bounds, a repeated variable) goes to the token scanner,
+the only code that words a ``ParseError``.  The scanner first searches for
+a character no token can start with, so an unexpected character is
+reported before any syntax error earlier in the text (``x1 x2 @`` fails
+at the ``@``); its tokens come from one ``findall``, and a token's line
+and column are computed only when an error is raised.
 
 Rendered output sorts terms descending under the requested monomial
 order and is always re-parseable.
@@ -28,6 +33,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 from .orders import OrderSpec, sort_key
@@ -50,10 +56,13 @@ class ParsedInput:
 
 _BAD_CHAR_RE = re.compile(r"x(?![0-9])|[^\sx0-9+\-*/^]")
 _TOKEN_RE = re.compile(r"x[0-9]+|[0-9]+|[-+*/^]")
+# one term of accepted input: blanks, a sign (required after the first
+# term), num[/den][*mono] or mono, blanks
+_FACTOR = r"x[0-9]+(?:\s*\^\s*[0-9]+)?"
+_MONO = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+_TERM_RE = re.compile(
+    rf"\s*([-+]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*({_MONO}))?|({_MONO}))\s*")
 _BOUND_DIGITS = len(str(max(MAX_EXPONENT, MAX_VARIABLES)))
-# a run of at most this many digits is below its bound, so it skips _bounded
-_INDEX_DIGITS = len(str(MAX_VARIABLES)) - 1
-_EXPONENT_DIGITS = len(str(MAX_EXPONENT)) - 1
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -107,16 +116,52 @@ def _bounded(text: str, i: int, digits: str, bound: int, message: str) -> int:
     return value
 
 
-def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
-    """Parse a polynomial expression; nvars is the largest variable index
-    seen (at least ``min_nvars``)."""
+@lru_cache(maxsize=1024)  # shared by calls, since few factor texts recur within a small input
+def _factor(text: str) -> tuple:
+    """(index, exponent) of a factor the term regex accepted; ValueError
+    when either is out of bounds or past the int-string limit."""
+    name, _, power = text.partition("^")
+    index, power = int(name.strip()[1:]), int(power or 1)
+    if not 0 < index <= MAX_VARIABLES or power > MAX_EXPONENT:
+        raise ValueError(text)
+    return index, power
+
+
+def _accepted(text: str):
+    """The terms of text as _scan gives them, read by one pass of the term regex;
+    None for any text it does not accept cleanly, which _scan then reads."""
+    terms = []
+    pos = 0
+    try:
+        for m in _TERM_RE.finditer(text):
+            sign, num, den, mono, bare = m.groups()
+            if m.start() != pos or (terms and not sign):
+                return None
+            pos = m.end()
+            coeff = int(sign + num) if num else -1 if sign == "-" else 1
+            if den:
+                coeff = Fraction(coeff, int(den))
+            mono = mono or bare
+            parts = mono.split("*") if mono else ()
+            exps = dict(map(_factor, parts))
+            if len(exps) < len(parts):
+                return None
+            terms.append((exps, coeff))
+    except (ValueError, ZeroDivisionError):  # a number out of bounds or too long; a zero denominator
+        return None
+    return terms if terms and pos == len(text) else None
+
+
+def _scan(text: str) -> list:
+    """The terms of text, token by token, as (exps {index: exponent},
+    coefficient) pairs; the ParseError of the first
+    fault otherwise, worded with its line and column."""
     bad = _BAD_CHAR_RE.search(text)
     if bad:
         raise _error(text, bad.start(), f"unexpected character {bad.group()!r}")
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end of input
-    terms = []  # (exps, coefficient) per term, exps {index: exponent}
-    top = min_nvars  # the largest variable index seen
+    terms = []
     sign = -1 if tokens[0] == "-" else 1
     i = 1 if tokens[0] in ("+", "-") else 0
     while True:
@@ -145,13 +190,10 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
             tok = tokens[i]
             if tok[:1] != "x":
                 raise _fail(text, i, f"expected a variable, got {tok or 'end of input'!r}")
-            digits = tok[1:]
-            index = int(digits) if len(digits) <= _INDEX_DIGITS else _bounded(
-                text, i, digits, MAX_VARIABLES, "variable index {0} exceeds the supported bound {1}")
+            index = _bounded(
+                text, i, tok[1:], MAX_VARIABLES, "variable index {0} exceeds the supported bound {1}")
             if index == 0:
                 raise _fail(text, i, "variable index 0 is not allowed")
-            if index > top:
-                top = index
             var_i = i
             i += 1
             power = 1
@@ -159,9 +201,7 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
                 i += 1
                 if not tokens[i][:1].isdigit():
                     raise _fail(text, i, "expected an exponent after '^'")
-                digits = tokens[i]
-                power = int(digits) if len(digits) <= _EXPONENT_DIGITS else _bounded(
-                    text, i, digits, MAX_EXPONENT, "exponent {0} exceeds the supported bound")
+                power = _bounded(text, i, tokens[i], MAX_EXPONENT, "exponent {0} exceeds the supported bound")
                 i += 1
             power += exps.get(index, 0)
             if power > MAX_EXPONENT:
@@ -177,15 +217,23 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
             raise _fail(text, i, f"expected '+' or '-', got {tok!r}")
         sign = -1 if tok == "-" else 1
         i += 1
-    nvars = check_nvars(top)
+    return terms
+
+
+def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
+    """Parse a polynomial expression; nvars is the largest variable index
+    seen (at least ``min_nvars``)."""
+    terms = _accepted(text) or _scan(text)
+    nvars = check_nvars(max([min_nvars] + [max(exps) for exps, _ in terms if exps]))
+    indices, zeros = range(1, nvars + 1), (0,) * nvars
     full = {}
     for exps, coeff in terms:
-        dense = [0] * nvars
-        for idx, power in exps.items():
-            dense[idx - 1] = power
-        m = tuple(dense)  # the one merge: factor order, repeats and x_i^0 factors do not split m
-        full[m] = full[m] + coeff if m in full else Fraction(coeff)
-    # every check of the MultiPoly constructor is made above, so build unchecked
+        # the one merge: factor order, repeats and x_i^0 factors do not split m
+        m = tuple(map(exps.get, indices, zeros))
+        full[m] = full[m] + coeff if m in full else coeff
+    # every check of the MultiPoly constructor is made above, so build unchecked;
+    # each coefficient becomes a Fraction once
+    full = {m: c if type(c) is Fraction else Fraction(c) for m, c in full.items()}
     return ParsedInput(poly=MultiPoly._checked(nvars, full), nvars=nvars)
 
 
