@@ -127,7 +127,7 @@ def _factor(text: str) -> tuple:
     return index, power
 
 
-def _accepted(text: str):
+def _accepted(text: str) -> list | None:
     """The terms of text as _scan gives them, read by one pass of the term regex;
     None for any text it does not accept cleanly, which _scan then reads."""
     terms = []
@@ -139,8 +139,7 @@ def _accepted(text: str):
                 return None
             pos = m.end()
             coeff = int(sign + num) if num else -1 if sign == "-" else 1
-            if den:
-                coeff = Fraction(coeff, int(den))
+            coeff = Fraction(coeff, int(den)) if den else Fraction(coeff)
             mono = mono or bare
             parts = mono.split("*") if mono else ()
             exps = dict(map(_factor, parts))
@@ -154,8 +153,8 @@ def _accepted(text: str):
 
 def _scan(text: str) -> list:
     """The terms of text, token by token, as (exps {index: exponent},
-    coefficient) pairs; the ParseError of the first
-    fault otherwise, worded with its line and column."""
+    Fraction coefficient) pairs; else the ParseError of the first fault,
+    worded with its line and column."""
     bad = _BAD_CHAR_RE.search(text)
     if bad:
         raise _error(text, bad.start(), f"unexpected character {bad.group()!r}")
@@ -209,7 +208,7 @@ def _scan(text: str) -> list:
             exps[index] = power
             factors = tokens[i] == "*" and tokens[i + 1][:1] == "x"
             i += factors  # past the '*'
-        terms.append((exps, coeff))
+        terms.append((exps, Fraction(coeff)))
         tok = tokens[i]
         if not tok:
             break
@@ -231,9 +230,7 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
         # the one merge: factor order, repeats and x_i^0 factors do not split m
         m = tuple(map(exps.get, indices, zeros))
         full[m] = full[m] + coeff if m in full else coeff
-    # every check of the MultiPoly constructor is made above, so build unchecked;
-    # each coefficient becomes a Fraction once
-    full = {m: c if type(c) is Fraction else Fraction(c) for m, c in full.items()}
+    # every check of the MultiPoly constructor is made above, so build unchecked
     return ParsedInput(poly=MultiPoly._checked(nvars, full), nvars=nvars)
 
 
