@@ -13,7 +13,7 @@ the variable count is inferred as the largest index that appears.
 
 Input is read one of two ways.  Accepted input takes one pass of a
 compiled term regex (``finditer``, each match starting where the last one
-ended), and each factor's text is read once per process (a bounded cache).
+ended), and factor texts are read through a bounded cache shared by calls.
 Whatever that pass does not accept cleanly (a gap, a missing sign, a
 number out of bounds, a repeated variable) goes to the token scanner,
 the only code that words a ``ParseError``.  The scanner first searches for

@@ -524,3 +524,59 @@ class TestAttemptFirst:
         r = generative(g)
         assert time.perf_counter() - start < 1.0
         assert (r.h, r.F, r.trace) == (h, F, ((4, "verified"),))
+
+
+def substitute(f, images):
+    """f with each x_i replaced by images[i - 1]."""
+    out = MultiPoly.zero(f.nvars)
+    for m, c in f.terms.items():
+        term = MultiPoly.constant(f.nvars, c)
+        for image, e in zip(images, m):
+            term = term * image**e
+        out = out + term
+    return out
+
+
+def is_scalar_multiple(p, q, order):
+    """Whether p == c*q for some nonzero scalar c."""
+    m, lc = leading_term(q, order)
+    c = p.coefficient(m) / lc
+    return c != 0 and p == c * q
+
+
+class TestGradedMetamorphic:
+    """Relations between generative's answers that need no second algorithm,
+    on seeded composites F(h); weighted orders wait on ROADMAP item 3."""
+
+    @staticmethod
+    def composites(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            h = random_poly(rng, rng.randint(1, 3), 3, 6)
+            yield rng, rng.randint(1, 3) * compose_uni(random_outer(rng, 3), h) + rng.randint(0, 2)
+
+    def test_grlex_and_grevlex_agree_up_to_a_scalar(self):
+        for _, f in self.composites(3101, 150):
+            assert is_scalar_multiple(generative(f, GR).h, generative(f, GL).h, GL), f.terms
+
+    @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])
+    def test_outer_composite_has_the_same_h(self, order):
+        # k[f] and k[G(f)] have the same algebraic closure
+        for rng, f in self.composites(3102, 80):
+            middle = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rng.randint(0, 1))]
+            G = UniPoly([rng.randint(-2, 2), *middle, rng.choice((-2, 1, 3))])  # degree 1 or 2
+            assert generative(compose_uni(G, f), order).h == generative(f, order).h, (f.terms, G)
+
+    @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])
+    def test_linear_change_of_variables_maps_h(self, order):
+        # phi: x_p(i) -> d_i*x_p(i) + sum_(j > i) a_ij*x_p(j), triangular after a
+        # permutation p with d_i != 0, so invertible; h∘phi is closed with no constant term
+        for rng, f in self.composites(3103, 80):
+            n = f.nvars
+            p = rng.sample(range(1, n + 1), n)
+            x = [MultiPoly.variable(n, i) for i in p]
+            images = [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2)) * x[i]
+                      + sum((rng.randint(-2, 2) * x[j] for j in range(i + 1, n)), MultiPoly.zero(n))
+                      for i in range(n)]
+            h = generative(f, order).h
+            assert is_scalar_multiple(generative(substitute(f, images), order).h, substitute(h, images), order)

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import closedpoly.parsing as parsing
 from closedpoly.orders import GREVLEX, OrderSpec
 from closedpoly.parsing import ParseError, parse_poly, render_poly
-from closedpoly.poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly
+from closedpoly.poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, PolyError, compose_uni
 
-from conftest import P, random_poly
+from conftest import P, random_outer, random_poly
 
 
 class TestParse:
@@ -182,21 +183,100 @@ class TestRoundTrip:
 
     def test_mutations_never_crash(self):
         rng = random.Random(71)
-        alphabet = "x123456789+-*/^ ()abc.\n"
         for _ in range(300):
             f = random_poly(rng, rng.randint(1, 3), 5, 5, allow_constant=True)
-            chars = list(render_poly(f))
-            for _ in range(rng.randint(1, 4)):
-                op = rng.randrange(3)
-                pos = rng.randrange(len(chars) + 1) if chars else 0
-                if op == 0 and chars:
-                    chars[min(pos, len(chars) - 1)] = rng.choice(alphabet)
-                elif op == 1:
-                    chars.insert(pos, rng.choice(alphabet))
-                elif op == 2 and chars:
-                    del chars[min(pos, len(chars) - 1)]
-            text = "".join(chars)
             try:
-                parse_poly(text)
+                parse_poly(mutated(rng, render_poly(f)))
             except ParseError:
                 pass
+
+
+def mutated(rng, text, alphabet="x123456789+-*/^ ()abc.\n"):
+    """text with one to four random characters replaced, inserted or deleted."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        op = rng.randrange(3)
+        pos = rng.randrange(len(chars) + 1) if chars else 0
+        if op == 0 and chars:
+            chars[min(pos, len(chars) - 1)] = rng.choice(alphabet)
+        elif op == 1:
+            chars.insert(pos, rng.choice(alphabet))
+        elif op == 2 and chars:
+            del chars[min(pos, len(chars) - 1)]
+    return "".join(chars)
+
+
+def outcome(text, min_nvars=1):
+    """What parse_poly gives for text: the parsed terms in order, with nvars and
+    each coefficient's type, or the error raised."""
+    try:
+        parsed = parse_poly(text, min_nvars)
+    except ParseError as e:
+        return "ParseError", e.message, e.line, e.column
+    except PolyError as e:
+        return "PolyError", str(e)
+    terms = parsed.poly.terms
+    return parsed.nvars, parsed.poly.nvars, list(terms.items()), [type(c) for c in terms.values()]
+
+
+TOKENS = ["-", "3", "/", "2", "*", "x1", "^", "2", "*", "x2", "+", "x13", "^", "0", "-", "7"]
+BLANKS = [" ", "\t", "\r\n", "\u00a0", "\u2003", "\u3000", " \t\n "]
+ZEROS = "0" * 5000
+EDGES = [(blank + blank.join(TOKENS) + blank, 1) for blank in BLANKS] + [(text, 1) for text in [
+    "x1*x1^2", "x2^3*x1*x2", "x1^0", "x2^0*x1 - x1", "2 + x3^0",
+    f"x{ZEROS}2^{ZEROS}3", "x1^0007 + 00012/0004*x2", f"{ZEROS}7*x1", f"1/{ZEROS}3", "1/00", "1/0",
+    "9" * 5000 + "*x1", "x1 + 1/" + "7" * 5000, "x1^" + "9" * 5000, "x" + "9" * 5000,
+    "x0", "x00", f"x{MAX_VARIABLES}", f"x{MAX_VARIABLES + 1}", f"x1^{MAX_EXPONENT}",
+    f"x1^{MAX_EXPONENT + 1}", f"x1*x1^{MAX_EXPONENT}", f"x1^{MAX_EXPONENT - 1}*x1",
+    "", " ", "+", "- -x1", "+x1", "-x1 -", "x1 x2", "2 3", "2*3", "x1*3", "3/", "x1^", "x1 @ x2",
+]] + [("x1", MAX_VARIABLES + 1), ("x1 x2", MAX_VARIABLES + 1), ("3", 0), ("x2", 0)]
+
+
+class TestAcceptedInputPass:
+    """The regex pass is checked against the token scanner, which is the
+    reference: both give the same parse, or the same error."""
+
+    @staticmethod
+    def assert_same_as_scanner(monkeypatch, text, min_nvars=1):
+        accepted = parsing._accepted(text)
+        if accepted is not None:  # the scanner gives the same terms, coefficient types too
+            scanned = parsing._scan(text)
+            assert scanned == accepted
+            assert [type(c) for _, c in scanned] == [type(c) for _, c in accepted]
+        got = outcome(text, min_nvars)
+        with monkeypatch.context() as patch:
+            patch.setattr(parsing, "_accepted", lambda text: None)
+            assert outcome(text, min_nvars) == got
+
+    @pytest.mark.parametrize("text, min_nvars", EDGES, ids=[repr(text[:30]) for text, _ in EDGES])
+    def test_edge_cases(self, monkeypatch, text, min_nvars):
+        self.assert_same_as_scanner(monkeypatch, text, min_nvars)
+
+    def test_rendered_and_mutated(self, monkeypatch):
+        rng = random.Random(72)
+        for _ in range(300):
+            f = random_poly(rng, rng.randint(1, 3), 5, 5, allow_constant=True)
+            text = render_poly(f)
+            self.assert_same_as_scanner(monkeypatch, text, f.nvars)
+            self.assert_same_as_scanner(monkeypatch, mutated(rng, text))
+
+    def test_rendered_input_never_reaches_the_scanner(self, monkeypatch):
+        def scanner(text):
+            raise AssertionError(f"the scanner read {text[:40]!r}")
+
+        rng = random.Random(73)
+        texts = [render_poly(random_poly(rng, rng.randint(1, 4), 6, 8, allow_constant=True))
+                 for _ in range(200)]
+        # a composite like the benchmark's largest: h of 10 terms in 6 variables, deg F 5
+        h = MultiPoly(6, {tuple(rng.randint(0, 2) for _ in range(6)):
+                          Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(10)})
+        F = random_outer(rng, 5)
+        while F.degree() < 5:
+            F = random_outer(rng, 5)
+        big = compose_uni(F, h)
+        assert len(big.terms) > 1000 and big.nvars == 6
+        assert any(c.denominator > 1 for c in big.terms.values())
+        monkeypatch.setattr(parsing, "_scan", scanner)
+        for text in texts:
+            parse_poly(text)
+        assert parse_poly(render_poly(big)).poly == big
