@@ -12,15 +12,13 @@ Integers are runs of the ASCII digits 0-9.  Variables are x1, x2, ...;
 the variable count is inferred as the largest index that appears.
 
 Input is read one of two ways.  Accepted input takes one pass of a
-compiled term regex (``finditer``, each match starting where the last one
-ended), and factor texts are read through a bounded cache shared by calls.
-Whatever that pass does not accept cleanly (a gap, a missing sign, a
-number out of bounds, a repeated variable) goes to the token scanner,
-the only code that words a ``ParseError``.  The scanner first searches for
-a character no token can start with, so an unexpected character is
-reported before any syntax error earlier in the text (``x1 x2 @`` fails
-at the ``@``); its tokens come from one ``findall``, and a token's line
-and column are computed only when an error is raised.
+compiled term regex, each match anchored where the last one ended.  At
+the first place that pass does not accept cleanly, the text goes to the
+token scanner, the only code that words a ``ParseError``.  The scanner
+first searches for a character no token can start with, so an unexpected
+character is reported before any syntax error earlier in the text
+(``x1 x2 @`` fails at the ``@``); a token's line and column are computed
+only when an error is raised.
 
 Rendered output sorts terms descending under the requested monomial
 order and is always re-parseable.
@@ -56,13 +54,12 @@ class ParsedInput:
 
 _BAD_CHAR_RE = re.compile(r"x(?![0-9])|[^\sx0-9+\-*/^]")
 _TOKEN_RE = re.compile(r"x[0-9]+|[0-9]+|[-+*/^]")
-# one term of accepted input: blanks, a sign (required after the first
-# term), num[/den][*mono] or mono, blanks
-_FACTOR = r"x[0-9]+(?:\s*\^\s*[0-9]+)?"
-_MONO = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
-_TERM_RE = re.compile(
-    rf"\s*([-+]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*({_MONO}))?|({_MONO}))\s*")
 _BOUND_DIGITS = len(str(max(MAX_EXPONENT, MAX_VARIABLES)))
+# a term: blanks, a sign (required after the first term), num[/den][*mono] or mono,
+# blanks; a longer digit run in a factor leaves a digit where no term can start
+_FACTOR = rf"x[0-9]{{1,{_BOUND_DIGITS}}}(?:\^[0-9]{{1,{_BOUND_DIGITS}}})?"
+_MONO = rf"{_FACTOR}(?:\*{_FACTOR})*"
+_TERM_RE = re.compile(rf"\s*(?:([-+])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*({_MONO}))?|({_MONO}))\s*")
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -118,37 +115,35 @@ def _bounded(text: str, i: int, digits: str, bound: int, message: str) -> int:
 
 @lru_cache(maxsize=1024)  # shared by calls, since few factor texts recur within a small input
 def _factor(text: str) -> tuple:
-    """(index, exponent) of a factor the term regex accepted; ValueError
-    when either is out of bounds or past the int-string limit."""
+    """(index, exponent) of a factor the term regex accepted; ValueError past a bound."""
     name, _, power = text.partition("^")
-    index, power = int(name.strip()[1:]), int(power or 1)
+    index, power = int(name[1:]), int(power or 1)
     if not 0 < index <= MAX_VARIABLES or power > MAX_EXPONENT:
         raise ValueError(text)
     return index, power
 
 
 def _accepted(text: str) -> list | None:
-    """The terms of text as _scan gives them, read by one pass of the term regex;
-    None for any text it does not accept cleanly, which _scan then reads."""
-    terms = []
-    pos = 0
+    """The terms of text as _scan gives them, read by the term regex; None at
+    the first place it does not accept cleanly, and _scan then reads text."""
+    terms, pos = [], 0
     try:
-        for m in _TERM_RE.finditer(text):
-            sign, num, den, mono, bare = m.groups()
-            if m.start() != pos or (terms and not sign):
+        while pos < len(text):
+            m = _TERM_RE.match(text, pos)
+            if not m or (terms and not m[1]):  # a gap, or a term without its sign
                 return None
+            sign, num, den, mono, bare = m.groups()
             pos = m.end()
-            coeff = int(sign + num) if num else -1 if sign == "-" else 1
+            coeff = int((sign or "") + num) if num else -1 if sign == "-" else 1
             coeff = Fraction(coeff, int(den)) if den else Fraction(coeff)
-            mono = mono or bare
-            parts = mono.split("*") if mono else ()
+            parts = (mono or bare).split("*") if mono or bare else ()
             exps = dict(map(_factor, parts))
             if len(exps) < len(parts):
                 return None
             terms.append((exps, coeff))
     except (ValueError, ZeroDivisionError):  # a number out of bounds or too long; a zero denominator
         return None
-    return terms if terms and pos == len(text) else None
+    return terms or None
 
 
 def _scan(text: str) -> list:

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,28 @@ class TestAcceptedInputPass:
             text = render_poly(f)
             self.assert_same_as_scanner(monkeypatch, text, f.nvars)
             self.assert_same_as_scanner(monkeypatch, mutated(rng, text))
+
+    @pytest.mark.parametrize("text", [
+        "x1 +" + " " * 20000, " " * 20000, "\n" * 20000, "2 *" + " " * 20000,
+        "2" + " " * 20000 + "/" + " " * 20000 + "x", "x1" + " " * 20000 + "+" + " " * 20000 + "@",
+    ], ids=["sign", "blanks", "newlines", "star", "slash", "gap"])
+    def test_long_blank_runs_fail_fast(self, monkeypatch, text):
+        # one way to split a blank run, and the pass stops at its first miss: no cubic search
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_poly(text)
+        assert time.perf_counter() - start < 1.0
+        self.assert_same_as_scanner(monkeypatch, text)
+
+    def test_cached_factor_texts_are_short(self, monkeypatch):
+        # the factor cache outlives a call, so no long run of the input may become a key
+        seen = []
+        factor = parsing._factor
+        monkeypatch.setattr(parsing, "_factor", lambda text: seen.append(text) or factor(text))
+        for text in ["x1" + " " * 5000 + "^2", "x1 *" + " " * 5000 + "x2", f"x{ZEROS}1 + x2",
+                     f"x1^{ZEROS}2*x2", f"x2*x1^{MAX_EXPONENT} - 3*x{MAX_VARIABLES}"]:
+            parse_poly(text)
+        assert seen and max(map(len, seen)) <= 2 * parsing._BOUND_DIGITS + 2
 
     def test_rendered_input_never_reaches_the_scanner(self, monkeypatch):
         def scanner(text):
