@@ -39,12 +39,11 @@ exact.  F = lc(f)*G + f(0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, nlargest
 from math import comb, gcd, lcm
 from operator import add, ge, neg, sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .newton import d1_bound, descending_divisors, divisor_sequence, multiplicity
 from .orders import OrderError, OrderSpec, check_enumerable, normalize, sort_key
@@ -55,8 +54,7 @@ VERIFIED = "verified"
 MISMATCH = "mismatch"
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     h: MultiPoly  # generative polynomial: closed, h(0)=0, leading coeff 1
     F: UniPoly  # outer polynomial with f = F(h)
     closed: bool  # deg F == 1

@@ -8,10 +8,9 @@ image of the (user-supplied) exceptional set of h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .decompose import DecompositionResult
 from .parsing import over_limit, short_number
@@ -23,8 +22,7 @@ class DataFormatError(ValueError):
     """Malformed decomposition-data input."""
 
 
-@dataclass(frozen=True)
-class FamilyFactorization:
+class FamilyFactorization(NamedTuple):
     mu: Fraction
     alpha: Fraction  # leading scalar
     shifts: tuple  # ((lambda, multiplicity), ...), lambda descending
@@ -135,20 +133,17 @@ H_FORM = "h"
 F_FORM = "f"
 
 
-@dataclass(frozen=True)
-class ShiftEntry:
+class ShiftEntry(NamedTuple):
     shift: Optional[Fraction]  # None marks the generic entry
     factors: tuple  # ((degree, multiplicity), ...)
 
 
-@dataclass(frozen=True)
-class DecompositionData:
+class DecompositionData(NamedTuple):
     entries: tuple
     d: Optional[int] = None  # generic factor degree (f-form only)
 
 
-@dataclass(frozen=True)
-class SteinReport:
+class SteinReport(NamedTuple):
     mode: str
     lhs: int
     rhs: int

@@ -19,11 +19,10 @@ elements above it, and `is_saturated` then holds only up to the bound.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, gcd
 from operator import ge, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linprog import feasible_point, pivot
 from .parsing import short_number
@@ -40,23 +39,37 @@ class EnumerationCapExceeded(MonoidError):
     pass
 
 
-@dataclass(frozen=True)
-class MonoidGens:
+class _MonoidFields(NamedTuple):
     nvars: int
     gens: frozenset  # nonzero vectors in Z_{>=0}^nvars
-    bound: Optional[int] = None  # max coordinate sum for enumeration; None = _complete_bound
+    bound: int  # max coordinate sum for enumeration; None given = _complete_bound
 
-    def __post_init__(self):
-        if not isinstance(self.nvars, int) or self.nvars < 1:
-            raise MonoidError(f"nvars {self.nvars!r} is not a positive integer")
+
+def _complete_bound(nvars: int, gens: frozenset) -> int:
+    """A bound that provably covers the whole basis: the largest generator
+    degree for nvars <= 2.  Beyond that, by Carathéodory, a Hilbert-basis
+    element that is not a generator is a sum of lambda_i g_i with
+    lambda_i < 1 over linearly independent g_i."""
+    degrees = sorted(sum(g) for g in gens)
+    if nvars <= 2:
+        return degrees[-1]
+    return max(degrees[-1], sum(degrees[-nvars:]) - 1)
+
+
+class MonoidGens(_MonoidFields):
+    __slots__ = ()
+
+    def __new__(cls, nvars: int, gens: frozenset, bound: Optional[int] = None):
+        if not isinstance(nvars, int) or nvars < 1:
+            raise MonoidError(f"nvars {nvars!r} is not a positive integer")
         try:
-            gens = frozenset(tuple(g) for g in self.gens)
+            gens = frozenset(tuple(g) for g in gens)
         except TypeError:  # a generator, or gens itself, is not iterable
             raise MonoidError("generators are not sequences of integers") from None
         if not gens:
             raise MonoidError("at least one generator is required")
         for g in gens:
-            if len(g) != self.nvars:
+            if len(g) != nvars:
                 raise MonoidError(f"generator {g} has wrong dimension")
             if not all(isinstance(e, int) for e in g):
                 raise MonoidError(f"generator {g} has an entry that is not an integer")
@@ -64,29 +77,21 @@ class MonoidGens:
                 raise MonoidError(f"generator {g} has a negative entry")
             if not any(g):
                 raise MonoidError("the zero vector is not a valid generator")
-        object.__setattr__(self, "gens", gens)
-        if self.bound is None:
-            object.__setattr__(self, "bound", self._complete_bound)
-        elif not isinstance(self.bound, int):
+        if bound is None:
+            bound = _complete_bound(nvars, gens)
+        elif not isinstance(bound, int):
             raise MonoidError("bound is not an integer")
-        elif self.bound < max(sum(g) for g in gens):
+        elif bound < max(sum(g) for g in gens):
             raise MonoidError("bound is below the largest generator degree")
+        return super().__new__(cls, nvars, gens, bound)
 
-    @property
-    def _complete_bound(self) -> int:
-        """A bound that provably covers the whole basis: the largest generator
-        degree for nvars <= 2.  Beyond that, by Carathéodory, a Hilbert-basis
-        element that is not a generator is a sum of lambda_i g_i with
-        lambda_i < 1 over linearly independent g_i."""
-        degrees = sorted(sum(g) for g in self.gens)
-        if self.nvars <= 2:
-            return degrees[-1]
-        return max(degrees[-1], sum(degrees[-self.nvars:]) - 1)
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def exact(self) -> bool:
         """Whether the bound provably covers the whole basis (always for nvars <= 2)."""
-        return self.bound >= self._complete_bound
+        return self.bound >= _complete_bound(self.nvars, self.gens)
 
 
 def cone_member(v, gens: MonoidGens) -> bool:

@@ -36,19 +36,17 @@ exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linprog import feasible_point
 from .orders import OrderSpec, leading_term
 from .poly import Monomial, MultiPoly, PolyError
 
 
-@dataclass(frozen=True)
-class NewtonSummary:
+class NewtonSummary(NamedTuple):
     support: frozenset
     v0: frozenset
     d_leading: int

@@ -10,9 +10,8 @@ the decomposition machinery ever compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .poly import (
     Monomial,
@@ -39,23 +38,29 @@ class MonomialCapExceeded(OrderError):
     """The requested enumeration would produce too many monomials."""
 
 
-@dataclass(frozen=True)
-class OrderSpec:
-    kind: str = GRLEX
-    weights: Optional[tuple] = None
+class _OrderFields(NamedTuple):
+    kind: str
+    weights: Optional[tuple]
 
-    def __post_init__(self):
-        if self.kind not in (GRLEX, GREVLEX, WEIGHTED):
-            raise OrderError(f"unknown order kind {self.kind!r}")
-        if self.kind == WEIGHTED:
-            if not self.weights:
+
+class OrderSpec(_OrderFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: str = GRLEX, weights: Optional[tuple] = None):
+        if kind not in (GRLEX, GREVLEX, WEIGHTED):
+            raise OrderError(f"unknown order kind {kind!r}")
+        if kind == WEIGHTED:
+            if not weights:
                 raise OrderError("weighted order requires a weight vector")
-            ws = tuple(check_scalar(w, "weight") for w in self.weights)
-            if any(w <= 0 for w in ws):
+            weights = tuple(check_scalar(w, "weight") for w in weights)
+            if any(w <= 0 for w in weights):
                 raise OrderError("weights must be positive")
-            object.__setattr__(self, "weights", ws)
-        elif self.weights is not None:
-            raise OrderError(f"{self.kind} order takes no weights")
+        elif weights is not None:
+            raise OrderError(f"{kind} order takes no weights")
+        return super().__new__(cls, kind, weights)
+
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def is_graded(self) -> bool:

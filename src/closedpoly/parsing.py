@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 from .orders import OrderSpec, sort_key
 from .poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, UniPoly, check_nvars
@@ -46,8 +46,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class ParsedInput:
+class ParsedInput(NamedTuple):
     poly: MultiPoly
     nvars: int
 

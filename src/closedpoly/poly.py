@@ -21,10 +21,9 @@ library builds below the public constructors (through `_checked`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Monomial = tuple  # exponent vector; length == nvars
 
@@ -332,8 +331,7 @@ def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class NormalizedForm:
+class NormalizedForm(NamedTuple):
     """f = leading_scalar * core + constant_term, with core leading-monic
     (w.r.t. the active order) and core(0,...,0) = 0."""
 

@@ -1,9 +1,11 @@
-"""Every name a `closedpoly` module imports is used in that module.
-
-`__init__.py` is left out: it imports names to re-export them.
+"""What `closedpoly` imports: every name a module imports is used in that
+module (`__init__.py` is left out: it imports names to re-export them), and
+start-up loads none of the stdlib introspection modules.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import closedpoly
@@ -35,3 +37,20 @@ def test_every_import_is_used():
               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
               for name in unused_imports(path)}
     assert unused == set(ALLOWED_UNUSED)
+
+
+# Unused by the library, and together about a third of its import time
+# (`dataclasses` pulls in the other four).
+NOT_AT_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_start_up_loads_no_introspection_modules():
+    """A fresh interpreter imports the package and its CLI.  Only modules the
+    import adds count, so a `site` that preloads one of them does not fail this."""
+    src = str(Path(closedpoly.__file__).parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+             "import closedpoly, closedpoly.cli; "
+             f"print(sorted((set(sys.modules) - before) & set({NOT_AT_START_UP!r})))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
