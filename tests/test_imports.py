@@ -39,8 +39,8 @@ def test_every_import_is_used():
     assert unused == set(ALLOWED_UNUSED)
 
 
-# Unused by the library, and together about a third of its import time
-# (`dataclasses` pulls in the other four).
+# The library calls none of these, and `dataclasses` alone pulls in the
+# other four, about 7 ms of start-up.
 NOT_AT_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 

@@ -43,10 +43,6 @@ def fields_of(record) -> dict:
     return {name: getattr(record, name) for name in record._fields}
 
 
-def test_the_ten_classes():
-    assert len(set(IDS)) == 10
-
-
 @records
 def test_keyword_construction(record):
     assert type(record)(**fields_of(record)) == record
