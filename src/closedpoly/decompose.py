@@ -18,10 +18,10 @@ graded order, m1^(k-1) divides T or T = beta*m1^l.  This is the
 approximate-root step of Kozen-Landau (1989) and von zur Gathen (1990),
 which also leads the solve.  No beta_l*h^l with l < k reaches the band
 above degree (k-1)*deg m1, so there core - h^k is the whole residual.  Its
-multiples m1^(k-1)*m_j, the only terms a solve clears, are a heap of
-negated sort keys of m_j (lazy deletion) fed by B and by the monomials each
-solved term adds to H^k; the final check decides the rest.  Until ROADMAP
-item 2, `orders.check_enumerable` refuses a large m1 (the dense cap).
+multiples m1^(k-1)*m_j, the only terms a solve clears, are a heap
+(lazy deletion) fed by B and by the monomials each solved term adds to H^k;
+the final check decides the rest.  Until ROADMAP item 2,
+`orders.check_enumerable` refuses a large m1 (the dense cap).
 
 Both steps are fraction-free, in the manner of Bareiss (1968).  core = B/D
 with B the integer numerators of f's non-constant terms over L, the lcm of
@@ -35,18 +35,28 @@ peeled off the residual R/S, starting from R = B*E^k and S = D*E^k:
 beta_p = R[m1^p]/S, and R/S - beta_p*H^p/E^p = (q*R - (R[m1^p]/g)*H^p) /
 (q*S) with g = gcd(R[m1^p], E^p) and q = E^p/g, in which every division is
 exact.  F = lc(f)*G + f(0).
+
+Under a graded order an attempt keys each monomial m by one int K(m), a
+packed exponent vector (Bachmann-Schoenemann 1998, Monagan-Pearce 2007).
+All it touches (f's terms, those of each H^p, each m_j) have exponents and
+degree at most d = deg lm, so each exponent gets a field of 8, 16, 32 or 64
+bits whose top (guard) bit d leaves clear.  K(m) = Q(m) + s*deg(m)*W, Q the
+fields (e_1 first and s = 1 under grlex, e_n and s = -1 under grevlex), W
+the weight above them: s*K rises with m in the order, K(m*m') = K(m) +
+K(m'), and with G the guard bits, ((K(m) | G) - K(base)) & G == G iff base
+divides m: no field borrows, and a guard bit clears iff m's exponent is less.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush, nlargest
+from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
-from operator import add, ge, neg, sub
+from struct import Struct
 from typing import NamedTuple, Optional
 
 from .newton import d1_bound, descending_divisors, divisor_sequence, multiplicity
-from .orders import OrderError, OrderSpec, check_enumerable, normalize, sort_key
+from .orders import GRLEX, OrderError, OrderSpec, check_enumerable, leading_term, normalize
 from .orders import monomials_below  # noqa: F401 -- kept for the benchmark's binding (ROADMAP item 2)
 from .poly import MultiPoly, PolyError, UniPoly, compose_uni
 
@@ -65,84 +75,91 @@ class DecompositionResult(NamedTuple):
         return compose_uni(self.F, self.h)
 
 
-def _powers_with_term(powers: list, mono, coeff: int, k: int) -> list:
+class _Packing:
+    """The keys K of the module docstring for monomials of degree at most d."""
+
+    def __init__(self, nvars: int, d: int, kind: str):
+        j = (d.bit_length() // 8).bit_length()  # 2^j bytes: the fewest that leave the guard bit clear
+        size, grlex = 1 << j, kind == GRLEX
+        self.byteorder = "big" if grlex else "little"  # e_1 or e_n most significant
+        self.struct = Struct(f"{'>' if grlex else '<'}{nvars}{'BHIQ'[j]}")
+        self.sign = 1 if grlex else -1
+        self.unit = self.sign << 8 * self.struct.size  # s*W
+        self.guard = int.from_bytes((b"\x80" + bytes(size - 1)) * nvars, "big")
+
+    def pack(self, monos) -> list:
+        pack, from_bytes, byteorder, unit = self.struct.pack, int.from_bytes, self.byteorder, self.unit
+        return [from_bytes(pack(*m), byteorder) + sum(m) * unit for m in monos]
+
+    def unpack(self, key: int) -> tuple:
+        return self.struct.unpack((key % abs(self.unit)).to_bytes(self.struct.size, self.byteorder))
+
+    def band(self, monos, base: int) -> list:
+        """Heap keys -s*K(m), ≻-largest first, of each m other than base that base divides."""
+        guard, flip = self.guard, -self.sign
+        return [flip * m for m in monos if m != base and ((m | guard) - base) & guard == guard]
+
+
+def _powers_with_term(powers: list, mono: int, coeff: int, k: int) -> list:
     """Given powers[p] = q^p as term dicts for p in 0..k, update them in place
     to the powers of q + c*m, and return the monomials that q^k gains.
 
     (q + c*m)^p = q^p + sum_i C(p, i) c^i m^i q^(p-i), so each power gains
     scaled, shifted copies of the lower ones; from p = k down, the lower
     powers still hold those of q.  attempt_divisor passes the integer
-    numerator H of the candidate and an integer c, so every product here is
-    an int product and nothing is divided.  The powers are scratch: a zero
-    left by cancellation compares equal to an absent term, and h leaves
-    through MultiPoly._checked.
+    numerator H of the candidate, an integer c and packed monomials, so every
+    product here is an int product, every monomial product an int sum, and
+    nothing is divided.  The powers are scratch: a zero left by cancellation
+    compares equal to an absent term, and h leaves through MultiPoly._checked.
     """
-    shifts = [tuple(e * i for e in mono) for i in range(k + 1)]
     known = len(powers[k])
     for p in range(k, 0, -1):
         acc = powers[p]
         for i in range(1, p + 1):
             scale = comb(p, i) * coeff**i
-            shift = shifts[i]
+            shift = i * mono
             for m, c in powers[p - i].items():
-                m = tuple(map(add, m, shift))
+                m += shift
                 acc[m] = acc[m] + scale * c if m in acc else scale * c
     return list(powers[k])[known:]  # no term is ever removed
-
-
-def _band_entries(monos, base, low: int, order: OrderSpec) -> list:
-    """Heap entries (key, m/base, m), ≻-largest first: each m above degree low that base divides."""
-    entries = []
-    for m in monos:
-        if sum(m) > low and all(map(ge, m, base)):
-            q = tuple(map(sub, m, base))
-            d, t = sort_key(q, order)
-            entries.append((-d, tuple(map(neg, t)), q, m))
-    return entries
 
 
 def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
     """One divisor attempt on a non-constant f.  Returns (h, F) with h(0) = 0,
     h leading-monic, deg F = k and f = F(h), or None on mismatch.  Both steps
-    run on integer numerators (module docstring).
+    run on integer numerators and packed monomials (module docstring).
     """
-    top = nlargest(2, f.terms, key=lambda m: sort_key(m, order))
-    if not top:
-        raise PolyError("the zero polynomial has no leading term")
-    lm = top[0]
+    lm, a = leading_term(f, order)  # the zero polynomial stops here
     if k <= 1 or multiplicity(lm) % k:
         raise PolyError(f"{k} does not divide the leading multiplicity")
-    m1 = tuple(e // k for e in lm)
+    if order.is_graded:  # a weighted order stops at check_enumerable
+        packing = _Packing(f.nvars, sum(lm), order.kind)
+        keys = packing.pack(f.terms)
+        pick = max if packing.sign > 0 else min  # the ≻-largest key
+        top = pick(keys)
+        m1, base = top // k, (k - 1) * top // k
+        # Early mismatch (module docstring): T = m1^l (1 <= l < k) iff K(T) = l*K(m1)
+        t = pick(filter(top.__ne__, keys), default=0)
+        if t:
+            l, rem = divmod(t, m1)
+            if (rem or not 1 <= l < k) and not packing.band([t], base):
+                return None
 
-    # Early mismatch (module docstring): T is the second non-constant term of
-    # f.  T = m1^l needs l = deg T / deg m1, so the k + 1 powers of m1 are
-    # listed only after it.
-    if order.is_graded and len(top) == 2 and any(top[1]):
-        t = top[1]
-        l, rem = divmod(sum(t), sum(m1))
-        is_power = not rem and 1 <= l < k and t == tuple(e * l for e in m1)
-        if not is_power and any(a < e * (k - 1) for a, e in zip(t, m1)):
-            return None
-
-    check_enumerable(m1, order)
-    # each m1^i divides lm, so no power exceeds the exponent bound
-    m1_pows = [tuple(e * i for e in m1) for i in range(k + 1)]
-    a = f.terms[lm]
+    check_enumerable(tuple(e // k for e in lm), order)
     L = lcm(*(c.denominator for c in f.terms.values()))
     if a < 0:
         L = -L
-    B = {m: c.numerator * (L // c.denominator) for m, c in f.terms.items() if any(m)}
-    D = B[lm]
+    B = {m: c.numerator * (L // c.denominator) for m, c in zip(keys, f.terms.values()) if m}
+    D = B[top]
 
     # Step: solve for h = m1 + sum alpha_j m_j, led by the band of B*E^k - D*H^k.
     # powers[p] = H^p; H's coefficient at m_j is E*alpha_j = num / (k*D*E^(k-1)).
     E = Ek = 1
-    powers = [{m: 1} for m in m1_pows]
-    base, low = m1_pows[k - 1], (k - 1) * sum(m1)
-    band = _band_entries(B, base, low, order)
+    powers = [{i * m1: 1} for i in range(k + 1)]
+    band = packing.band(B, base)
     heapify(band)
     while band:
-        _, _, mj, target = heappop(band)
+        target = -packing.sign * heappop(band)
         num = B.get(target, 0) * Ek - D * powers[k].get(target, 0)
         if not num:  # cancelled, or a repeated entry
             continue
@@ -156,7 +173,7 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
                 powers[p] = {m: c * scale for m, c in powers[p].items()}
             E *= den
             Ek = E**k
-        for entry in _band_entries(_powers_with_term(powers, mj, num, k), base, low, order):
+        for entry in packing.band(_powers_with_term(powers, target - base, num, k), base):
             heappush(band, entry)
 
     # Step: solve for core = G(h), G(t) = t^k + beta_{k-1} t^{k-1} + ... +
@@ -168,9 +185,9 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
     residual = {m: b * Ek for m, b in B.items()}
     for p in range(k, 0, -1):
         Ep = E**p
-        if powers[p][m1_pows[p]] != Ep:  # pragma: no cover - monic leading powers
+        if powers[p][p * m1] != Ep:  # pragma: no cover - monic leading powers
             raise RuntimeError("leading power of candidate h is not monic")
-        r = residual.get(m1_pows[p], 0)
+        r = residual.get(p * m1, 0)
         if r:
             F[(p,)] = a * Fraction(r, S)
             g = gcd(r, Ep)
@@ -185,7 +202,7 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
     if any(residual.values()):
         return None
     F[(0,)] = f.constant_term()
-    h = {m: Fraction(c, E) for m, c in powers[1].items()}
+    h = {packing.unpack(m): Fraction(c, E) for m, c in powers[1].items()}
     return MultiPoly._checked(f.nvars, h), UniPoly._checked(1, F)
 
 

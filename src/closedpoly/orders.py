@@ -93,7 +93,10 @@ def leading_term(f: MultiPoly, order: OrderSpec) -> tuple:
     """The ≻-maximal monomial of the support and its coefficient."""
     if f.is_zero():
         raise PolyError("the zero polynomial has no leading term")
-    m = max(f.terms, key=lambda mono: sort_key(mono, order))
+    if order.kind == GRLEX:  # the (degree, m) pairs are distinct: no key call per term
+        m = max(zip(map(sum, f.terms), f.terms))[1]
+    else:
+        m = max(f.terms, key=lambda mono: sort_key(mono, order))
     return m, f.terms[m]
 
 

@@ -96,6 +96,9 @@ class MultiPoly:
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):  # as the constructor's arguments, so that unpickling validates
+        return MultiPoly, (self.nvars, self.terms)
+
     @classmethod
     def _checked(cls, nvars: int, terms: dict) -> "MultiPoly":
         """Wrap terms already known valid (an arithmetic result of checked
@@ -272,6 +275,9 @@ class UniPoly(MultiPoly):
         object.__setattr__(self, "nvars", 1)
         object.__setattr__(self, "terms", terms)
 
+    def __reduce__(self):  # sparse: the coeffs of t^(2^31 - 1) are 2^31 entries
+        return _unipoly, (self.terms,)
+
     @property
     def coeffs(self) -> tuple:
         """Dense, lowest degree first, with no trailing zeros."""
@@ -309,6 +315,10 @@ class UniPoly(MultiPoly):
         from .parsing import render_uni
 
         return f"UniPoly({render_uni(self)!r})"
+
+
+def _unipoly(terms: dict) -> UniPoly:
+    return UniPoly._checked(1, MultiPoly(1, terms).terms)  # validated as MultiPoly(1, terms)
 
 
 def compose_uni(F: UniPoly, h: MultiPoly) -> MultiPoly:

@@ -407,7 +407,8 @@ class TestAgainstReference:
         monkeypatch.setattr(dec, "_powers_with_term", lambda *args: calls.append(args[1]) or real(*args))
         f = P("x1^24 + 2*x1^12*x8 + x2^13 + x8^2")
         assert attempt_divisor(f, 2, GL) is None
-        assert calls == [(0,) * 7 + (1,)]
+        packing = dec._Packing(8, 24, GL.kind)  # the monomials reach it packed
+        assert [packing.unpack(m) for m in calls] == [(0,) * 7 + (1,)]
         r = generative(f, pruned=False)
         assert r.closed and r.h == f
         assert r.trace == tuple((k, "mismatch") for k in (24, 12, 8, 6, 4, 3, 2))
@@ -434,6 +435,81 @@ class TestAgainstReference:
         assert r.closed and r.h == f
         assert len(r.trace) == divisors
         assert r.trace == tuple((k, "mismatch") for k in divisor_sequence(f, GL))
+
+
+class TestPacking:
+    """The packed monomials of attempt_divisor: every monomial an attempt
+    touches has its exponents and degree at most d = deg lm(f), and the
+    fields are sized from d alone."""
+
+    @staticmethod
+    def random_monomial(rng, nvars, d):
+        """A monomial of random degree t <= d, t split at random cut points."""
+        t = rng.randint(0, d)
+        cuts = [0, *sorted(rng.randint(0, t) for _ in range(nvars - 1)), t]
+        return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
+    @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])
+    def test_attempts_at_the_field_bounds(self, order):
+        """f = F(h) for h = x_a - x_(a+1) (x_1 in one variable) and F = t^d +
+        c*t^l, so that k = d puts d, the bound of every field, in x_a's
+        exponent, for d = 2^j - 1 and 2^j (j = 3..7; from 128 on a field is
+        two bytes) in 1..12 variables: the attempt gives (h, F), and on f with
+        one lower coefficient changed it agrees with the dense route (up to j =
+        6: the route takes seconds at 128)."""
+        rng = random.Random(33)
+        seen = {"verified": 0, "mismatch": 0}
+        for d in [2**j - s for j in range(3, 8) for s in (1, 0)]:
+            for n in range(1, 13) if d < 20 else rng.sample(range(1, 13), 3 if d < 40 else 1):
+                a = rng.randrange(max(n - 1, 1))
+                h = MultiPoly.variable(n, a + 1) - (MultiPoly.variable(n, a + 2) if n > 1 else 0)
+                F = UniPoly._checked(1, {(d,): Fraction(1), (rng.randint(1, d - 1),): Fraction(rng.choice([-5, -1, 2]), 3)})
+                f = compose_uni(F, h)
+                assert attempt_divisor(f, d, order) == (h, F), (d, n)
+                if d > 64:
+                    continue
+                g = dict(f.terms)
+                g[rng.choice([m for m in g if sum(m) < d])] += 1
+                g = MultiPoly(n, g)
+                got = attempt_divisor(g, d, order)
+                assert got == reference_attempt(g, d, order), (d, n)
+                seen["verified" if got else "mismatch"] += 1
+        assert min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 63, 64, 127, 128, 32767, 32768, 2**31 - 1, 2**32])
+    @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])
+    def test_keys_order_round_trip_and_divide_as_tuples(self, order, d):
+        """Random pairs in 1..12 variables with degree at most d, among them
+        pairs with equal fields, a zero base and exponents at d: the key order
+        is the monomial order, unpack inverts pack, and the band's guard-bit
+        test is the tuple test."""
+        from operator import ge
+
+        from closedpoly.orders import sort_key
+
+        rng = random.Random(d)
+        for trial in range(160):
+            n = 1 + trial % 12
+            packing = dec._Packing(n, d, order.kind)
+            if trial % 4 == 0:  # a zero base
+                base, m = (0,) * n, self.random_monomial(rng, n, d)
+            elif trial % 4 == 1:  # x_i^e and x_i^d, an exponent at the bound
+                i = rng.randrange(n)
+                base, m = ((rng.randint(0, d) if j == i else 0 for j in range(n)), (d * (j == i) for j in range(n)))
+                base, m = tuple(base), tuple(m)
+            else:  # fields equal with probability 0.4, others near them
+                base = self.random_monomial(rng, n, d if trial % 4 == 2 else min(d, 9))
+                m = tuple(e if rng.random() < 0.4 else rng.randint(0, e + 2) for e in base)
+                if sum(m) > d:
+                    m = base
+            kb, km = packing.pack([base, m])
+            assert packing.unpack(kb) == base and packing.unpack(km) == m
+            # the band's guard-bit test against the tuple test
+            assert packing.band([km], kb) == ([-packing.sign * km] if m != base and all(map(ge, m, base)) else [])
+            assert packing.band([kb], km) == ([-packing.sign * kb] if m != base and all(map(ge, base, m)) else [])
+            assert (packing.sign * km > packing.sign * kb) == (sort_key(m, order) > sort_key(base, order))
+            if km == kb:
+                assert m == base
 
 
 # d(lm) = 24 and g0 = 2, but x2^3*x3^3 is in V0, so d1 = 1; the attempt at

@@ -71,6 +71,17 @@ class TestLeadingTerm:
         with pytest.raises(PolyError):
             leading_term(MultiPoly.zero(2), GL)
 
+    @pytest.mark.parametrize("kind", [GRLEX, GREVLEX, WEIGHTED])
+    def test_seeded_against_the_sort_key(self, kind):
+        rng = random.Random(31)
+        for trial in range(200):
+            nvars = 1 + trial % 5
+            weights = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(nvars))
+            order = OrderSpec(kind=kind, weights=weights if kind == WEIGHTED else None)
+            f = random_poly(rng, nvars, rng.choice([2, 4, 9]), 12)
+            m = max(f.terms, key=lambda mono: sort_key(mono, order))
+            assert leading_term(f, order) == (m, f.terms[m]), (f.terms, order)
+
 
 class TestMonomialsBelow:
     def test_quadratic_ansatz(self):

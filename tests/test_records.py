@@ -13,6 +13,7 @@ from closedpoly.monoid import MonoidError, MonoidGens
 from closedpoly.newton import newton_summary
 from closedpoly.orders import GRLEX, WEIGHTED, OrderError, OrderSpec, normalize
 from closedpoly.parsing import parse_poly
+from closedpoly.poly import MAX_EXPONENT, MultiPoly, PolyError, UniPoly
 
 
 def _records():
@@ -76,13 +77,22 @@ def test_equal_fields_give_equal_objects_and_hashes(record):
     assert twin == record and hash(twin) == hash(record)
 
 
-# MultiPoly and UniPoly do not pickle, so neither do the records that hold one
-@pytest.mark.parametrize("record", [r for r in RECORDS if type(r).__name__ in (
-    "OrderSpec", "MonoidGens", "NewtonSummary", "ShiftEntry", "DecompositionData", "SteinReport")],
-    ids=lambda r: type(r).__name__)
+@records
 def test_pickle_round_trip(record):
     back = pickle.loads(pickle.dumps(record))
     assert type(back) is type(record) and back == record
+    polys = [(a, b) for a, b in zip(record, back) if isinstance(a, MultiPoly)]
+    assert all(type(b) is type(a) for a, b in polys)
+
+
+def test_polynomials_unpickle_through_the_constructor():
+    big = UniPoly.from_term(1, (MAX_EXPONENT,))  # rebuilt from its one term, not from coeffs
+    assert pickle.loads(pickle.dumps(big)) == big
+    for tampered in (MultiPoly._checked(2, {(1, -1): Fraction(1)}), UniPoly._checked(1, {(-1,): Fraction(1)})):
+        with pytest.raises(PolyError, match="negative exponent"):
+            pickle.loads(pickle.dumps(tampered))
+    with pytest.raises(PolyError, match="is not an int or a Fraction"):
+        pickle.loads(pickle.dumps(MultiPoly._checked(1, {(1,): 0.5})))
 
 
 def _unchecked(cls, *fields):
