@@ -494,9 +494,8 @@ class TestPacking:
             if trial % 4 == 0:  # a zero base
                 base, m = (0,) * n, self.random_monomial(rng, n, d)
             elif trial % 4 == 1:  # x_i^e and x_i^d, an exponent at the bound
-                i = rng.randrange(n)
-                base, m = ((rng.randint(0, d) if j == i else 0 for j in range(n)), (d * (j == i) for j in range(n)))
-                base, m = tuple(base), tuple(m)
+                i, e = rng.randrange(n), rng.randint(0, d)
+                base, m = tuple(e * (j == i) for j in range(n)), tuple(d * (j == i) for j in range(n))
             else:  # fields equal with probability 0.4, others near them
                 base = self.random_monomial(rng, n, d if trial % 4 == 2 else min(d, 9))
                 m = tuple(e if rng.random() < 0.4 else rng.randint(0, e + 2) for e in base)
