@@ -4,13 +4,42 @@ Two non-constant polynomials over ℚ are algebraically dependent exactly
 when every 2x2 minor of their Jacobian vanishes identically; the minors
 double as derivations D_ij whose common kernel contains f and any
 generative polynomial of f.
+
+A minor a·b − c·d is computed fraction-free: f and g, and so their partials,
+are held as integer numerators over the lcm of their denominators, and the
+two products accumulate in one int dict; each product first passes
+`MultiPoly.__mul__`'s exponent-bound check, a·b before c·d.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add
 
-from .poly import MultiPoly, PolyError
+from .poly import MultiPoly, PolyError, check_product
+
+
+def _partials(f: MultiPoly, indices) -> tuple:
+    """L, the lcm of f's denominators, and the numerators over L of df/dx_(i+1), i in indices."""
+    L = lcm(*(c.denominator for c in f.terms.values()))
+    num = {m: c.numerator * (L // c.denominator) for m, c in f.terms.items()}
+    return L, [{m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in num.items() if m[i]}
+               for i in indices]
+
+
+def _minor(nvars: int, den: int, a: dict, b: dict, c: dict, d: dict) -> MultiPoly:
+    """(a·b − c·d) / den, for integer numerators a, b, c and d."""
+    check_product(a, b)
+    check_product(c, d)
+    acc: dict = {}
+    for x, y in ((a, b), (c, {m: -v for m, v in d.items()})):
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                m = tuple(map(add, m1, m2))
+                acc[m] = acc.get(m, 0) + c1 * c2
+    return MultiPoly._checked(nvars, {m: Fraction(v, den) for m, v in acc.items() if v})
 
 
 def jacobian_minors(f: MultiPoly, g: MultiPoly) -> dict:
@@ -20,9 +49,10 @@ def jacobian_minors(f: MultiPoly, g: MultiPoly) -> dict:
     if f.is_constant() or g.is_constant():
         raise PolyError("jacobian minors require non-constant polynomials")
     n = f.nvars
-    df = [f.partial(i) for i in range(1, n + 1)]
-    dg = [g.partial(i) for i in range(1, n + 1)]
-    return {(i + 1, j + 1): df[i] * dg[j] - df[j] * dg[i] for i, j in combinations(range(n), 2)}
+    Lf, df = _partials(f, range(n))
+    Lg, dg = _partials(g, range(n))
+    return {(i + 1, j + 1): _minor(n, Lf * Lg, df[i], dg[j], df[j], dg[i])
+            for i, j in combinations(range(n), 2)}
 
 
 def alg_dependent(f: MultiPoly, g: MultiPoly) -> bool:
@@ -36,4 +66,6 @@ def apply_derivation(f: MultiPoly, i: int, j: int, g: MultiPoly) -> MultiPoly:
         raise PolyError(f"need 1 <= i < j <= {f.nvars}, got ({i}, {j})")
     if f.nvars != g.nvars:
         raise PolyError("variable-count mismatch")
-    return f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)
+    Lf, (fi, fj) = _partials(f, (i - 1, j - 1))
+    Lg, (gi, gj) = _partials(g, (i - 1, j - 1))
+    return _minor(f.nvars, Lf * Lg, fi, gj, fj, gi)

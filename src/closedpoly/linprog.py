@@ -11,6 +11,14 @@ entry (objective row included) stays a minor of the initial integer matrix
 [A | I | b] and d is the determinant of the current basis.  d starts at 1
 and each pivot element is positive, so d > 0.  A solution is returned as it
 is held: d and the integer numerators of x over it.
+
+Phase 1 stores only the equality rows' artificial columns.  That of a >=
+row i stays a_i = d·e_obj − sign_i·s_i, with s_i its surplus column and
+sign_i the sign that made its b nonnegative: the two start as e_i and
+−sign_i·e_i, objective entries 0 and sign_i, and each pivot on a constraint
+row keeps the relation with its new d.  Bland's rule reads a_i's reduced cost
+as d − sign_i·obj[s_i] at a_i's place in the column order, so every pivot is
+that of the tableau with all artificial columns stored.
 """
 
 from __future__ import annotations
@@ -18,63 +26,19 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 
-def pivot(rows: list, r: int, c: int, d: int) -> int:
-    """Pivot on rows[r][c] = p, in place: every other row, one with a zero in
-    column c too, becomes (p*row - row[c]*rows[r]) // d.  Returns p, the new
-    common denominator."""
+def pivot(rows: list, r: int, col: list, d: int) -> int:
+    """Pivot on p = col[r], where col holds the entering column's entries,
+    one per row, in place: every other row becomes (p*row - col[i]*rows[r])
+    // d, which is p*row // d when col[i] is 0, and the row itself when p is
+    d too.  Returns p, the new common denominator."""
     prow = rows[r]
-    p = prow[c]
-    for i, row in enumerate(rows):
-        if i != r:
-            f = row[c]
-            rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+    p = col[r]
+    for i, f in enumerate(col):
+        if f and i != r:
+            rows[i] = [(p * x - f * y) // d for x, y in zip(rows[i], prow)]
+        elif not f and p != d:
+            rows[i] = [p * x // d for x in rows[i]]
     return p
-
-
-def _phase_one(rows: list, n: int) -> Optional[tuple]:
-    """Find x >= 0 with A x = b, given integer rows [a_1, ..., a_n, b].
-
-    Returns (d, numerators) of a feasible x of length n, or None when the
-    system is infeasible.
-    """
-    m = len(rows)
-    total = n + m  # real columns then one artificial per row
-    tableau = []
-    for i, row in enumerate(rows):
-        sign = -1 if row[-1] < 0 else 1  # b must be nonnegative for the artificial start
-        unit = [int(k == i) for k in range(m)]
-        tableau.append([sign * x for x in row[:-1]] + unit + [sign * row[-1]])
-    basis = list(range(n, total))
-    # the last row is the objective: minimize the artificial sum; reduced
-    # costs with the artificial basis priced out.
-    tableau.append([-sum(t[j] for t in tableau) for j in range(n)] + [0] * m
-                   + [-sum(t[total] for t in tableau)])
-    d = 1  # the common denominator of the tableau
-
-    while True:
-        enter = next((j for j in range(total) if tableau[m][j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        for i, t in enumerate(tableau[:m]):
-            if t[enter] <= 0:
-                continue
-            if leave is not None:  # t[total] / t[enter] against the best ratio, cross-multiplied
-                diff = t[total] * tableau[leave][enter] - tableau[leave][total] * t[enter]
-            if leave is None or diff < 0 or (diff == 0 and basis[i] < basis[leave]):
-                leave = i
-        if leave is None:  # pragma: no cover - phase 1 is bounded below
-            raise RuntimeError("phase-1 simplex reported an unbounded direction")
-        d = pivot(tableau, leave, enter, d)
-        basis[leave] = enter
-
-    if tableau[m][total] != 0:
-        return None
-    x = [0] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[i][total]
-    return d, x
 
 
 def feasible_point(
@@ -90,9 +54,52 @@ def feasible_point(
     x = numerators / d.  Inequalities get surplus variables; everything is
     solved by one phase-1 run.
     """
-    n_ge = len(A_ge)
+    n_eq, n_ge = len(A_eq), len(A_ge)
+    m = n_eq + n_ge
     rows = [[*row, *[0] * n_ge, r] for row, r in zip(A_eq, b_eq)]
     for i, (row, r) in enumerate(zip(A_ge, b_ge)):
         rows.append([*row, *(-int(k == i) for k in range(n_ge)), r])
-    sol = _phase_one(rows, n + n_ge)
-    return None if sol is None else (sol[0], sol[1][:n])
+    real = n + n_ge  # x, then one surplus column per >= row
+    total = real + m  # Bland's column order: real columns, then one artificial per row
+    width = real + n_eq  # the stored columns: the >= rows' artificials are not stored
+    signs = [-1 if row[-1] < 0 else 1 for row in rows]  # b >= 0 for the artificial start
+    tableau = [[sign * x for x in row[:-1]] + [int(k == i) for k in range(n_eq)] + [sign * row[-1]]
+               for i, (sign, row) in enumerate(zip(signs, rows))]
+    basis = list(range(real, total))
+    # the last row is the objective: minimize the artificial sum; reduced
+    # costs with the artificial basis priced out.
+    tableau.append([-sum(t[j] for t in tableau) for j in range(real)] + [0] * n_eq
+                   + [-sum(t[-1] for t in tableau)])
+    d = 1  # the common denominator of the tableau
+
+    while True:
+        obj = tableau[m]
+        enter = next((j for j in range(width) if obj[j] < 0), None)
+        if enter is not None:
+            col = [t[enter] for t in tableau]
+        else:  # artificial j >= width belongs to row j - real, its surplus column is j - m
+            enter = next((j for j in range(width, total) if d < signs[j - real] * obj[j - m]), None)
+            if enter is None:
+                break
+            col = [-signs[enter - real] * t[enter - m] for t in tableau]
+            col[m] += d
+        leave = None
+        for i, t in enumerate(tableau[:m]):
+            if col[i] <= 0:
+                continue
+            if leave is not None:  # t[-1] / col[i] against the best ratio, cross-multiplied
+                diff = t[-1] * col[leave] - tableau[leave][-1] * col[i]
+            if leave is None or diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                leave = i
+        if leave is None:  # pragma: no cover - phase 1 is bounded below
+            raise RuntimeError("phase-1 simplex reported an unbounded direction")
+        d = pivot(tableau, leave, col, d)
+        basis[leave] = enter
+
+    if obj[-1] != 0:
+        return None
+    x = [0] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i][-1]
+    return d, x

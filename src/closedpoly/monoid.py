@@ -119,7 +119,7 @@ def _eliminate(rows, ncols: int):
         if p is None:
             continue
         rows[k], rows[p] = rows[p], rows[k]
-        d = pivot(rows, k, col, d)
+        d = pivot(rows, k, [row[col] for row in rows], d)
         pivots.append(col)
     return rows[: len(pivots)], pivots, d
 

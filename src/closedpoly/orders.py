@@ -11,6 +11,7 @@ the decomposition machinery ever compares.
 from __future__ import annotations
 
 from math import comb
+from operator import neg
 from typing import NamedTuple, Optional
 
 from .poly import (
@@ -95,6 +96,8 @@ def leading_term(f: MultiPoly, order: OrderSpec) -> tuple:
         raise PolyError("the zero polynomial has no leading term")
     if order.kind == GRLEX:  # the (degree, m) pairs are distinct: no key call per term
         m = max(zip(map(sum, f.terms), f.terms))[1]
+    elif order.kind == GREVLEX:  # the least (-degree, reversed m) pair, also distinct
+        m = min(zip(map(neg, map(sum, f.terms)), map(tuple, map(reversed, f.terms)), f.terms))[2]
     else:
         m = max(f.terms, key=lambda mono: sort_key(mono, order))
     return m, f.terms[m]

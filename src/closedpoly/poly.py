@@ -49,6 +49,13 @@ def _check_exponent(e: int) -> int:
     return e
 
 
+def check_product(s: Iterable[Monomial], t: Iterable[Monomial]) -> None:
+    """Raise PolyError if a product of the supports s and t exceeds the exponent bound."""
+    # a term pair overflows in x_i iff the two largest exponents of x_i do
+    for top1, top2 in zip(map(max, zip(*s)), map(max, zip(*t))):
+        _check_exponent(top1 + top2)
+
+
 def check_nvars(nvars: int) -> int:
     """Reject nvars outside 1..MAX_VARIABLES, before anything nvars long is built."""
     if not isinstance(nvars, int):
@@ -195,9 +202,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_ring(other)
-        # a term pair overflows in x_i iff the two largest exponents of x_i do
-        for top1, top2 in zip(map(max, zip(*self.terms)), map(max, zip(*other.terms))):
-            _check_exponent(top1 + top2)
+        check_product(self.terms, other.terms)
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

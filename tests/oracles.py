@@ -10,12 +10,19 @@ divisor attempt, solving h at every monomial of `monomials_below` in
 checked; `monoid_members` lists a bounded
 piece of the generated monoid by dynamic programming; `row_reduce` is
 Gauss–Jordan elimination over Q, against which `monoid._eliminate` is checked.
+`reference_feasible_point` is phase 1 with every artificial column stored,
+pivoting through `reference_pivot` by column index, against which
+`linprog.feasible_point` is checked; `reference_minors` and
+`reference_derivation` are the Jacobian minors and D_ij(g) in `MultiPoly`
+arithmetic, against which `depend` is checked.
 The `dense_*` functions are univariate arithmetic and rendering on coefficient
 lists, lowest degree first, against which the sparse `UniPoly` is checked.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
+from typing import Optional
 
 from closedpoly.decompose import MISMATCH, VERIFIED, DecompositionResult, attempt_divisor
 from closedpoly.linprog import feasible_point
@@ -104,6 +111,79 @@ def reference_attempt(f: MultiPoly, k: int, order: OrderSpec):
         coeffs[l] = residual.coefficient(tuple(e * l for e in m1))
         residual = residual - coeffs[l] * h**l
     return (h, UniPoly(coeffs)) if residual.is_zero() else None
+
+
+def reference_pivot(rows: list, r: int, c: int, d: int) -> int:
+    """Pivot on rows[r][c] = p, in place: every other row, one with a zero in
+    column c too, becomes (p*row - row[c]*rows[r]) // d.  Returns p."""
+    prow = rows[r]
+    p = prow[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+    return p
+
+
+def reference_phase_one(rows: list, n: int) -> Optional[tuple]:
+    """Phase 1 over integer rows [a_1, ..., a_n, b] with one stored artificial
+    column per row and Bland's rule: (d, numerators) of x >= 0 with A x = b,
+    or None."""
+    m = len(rows)
+    total = n + m
+    tableau = []
+    for i, row in enumerate(rows):
+        sign = -1 if row[-1] < 0 else 1
+        unit = [int(k == i) for k in range(m)]
+        tableau.append([sign * x for x in row[:-1]] + unit + [sign * row[-1]])
+    basis = list(range(n, total))
+    tableau.append([-sum(t[j] for t in tableau) for j in range(n)] + [0] * m
+                   + [-sum(t[total] for t in tableau)])
+    d = 1
+    while True:
+        enter = next((j for j in range(total) if tableau[m][j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i, t in enumerate(tableau[:m]):
+            if t[enter] <= 0:
+                continue
+            if leave is not None:
+                diff = t[total] * tableau[leave][enter] - tableau[leave][total] * t[enter]
+            if leave is None or diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                leave = i
+        d = reference_pivot(tableau, leave, enter, d)
+        basis[leave] = enter
+    if tableau[m][total] != 0:
+        return None
+    x = [0] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i][total]
+    return d, x
+
+
+def reference_feasible_point(n, A_eq=(), b_eq=(), A_ge=(), b_ge=()) -> Optional[tuple]:
+    """`linprog.feasible_point`'s rows, solved by `reference_phase_one`."""
+    n_ge = len(A_ge)
+    rows = [[*row, *[0] * n_ge, r] for row, r in zip(A_eq, b_eq)]
+    for i, (row, r) in enumerate(zip(A_ge, b_ge)):
+        rows.append([*row, *(-int(k == i) for k in range(n_ge)), r])
+    sol = reference_phase_one(rows, n + n_ge)
+    return None if sol is None else (sol[0], sol[1][:n])
+
+
+def reference_minors(f: MultiPoly, g: MultiPoly) -> dict:
+    """The 2x2 Jacobian minors of (f, g) in MultiPoly arithmetic, keyed (i, j)."""
+    n = f.nvars
+    df = [f.partial(i) for i in range(1, n + 1)]
+    dg = [g.partial(i) for i in range(1, n + 1)]
+    return {(i + 1, j + 1): df[i] * dg[j] - df[j] * dg[i] for i, j in combinations(range(n), 2)}
+
+
+def reference_derivation(f: MultiPoly, i: int, j: int, g: MultiPoly) -> MultiPoly:
+    """D_ij(g) = (df/dx_i)(dg/dx_j) - (df/dx_j)(dg/dx_i) in MultiPoly arithmetic."""
+    return f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)
 
 
 def monoid_members(gens: MonoidGens) -> set:

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -7,7 +8,8 @@ from closedpoly.decompose import generative
 from closedpoly.depend import alg_dependent, apply_derivation, jacobian_minors
 from closedpoly.poly import MultiPoly, PolyError, UniPoly, compose_uni
 
-from conftest import P, random_poly
+from conftest import P, random_outer, random_poly
+from oracles import reference_derivation, reference_minors
 
 
 class TestJacobianMinors:
@@ -137,3 +139,49 @@ def test_decomposition_certificate(ex1, deg6):
 def test_rejected_input(call, message):
     with pytest.raises(PolyError, match=f"^{re.escape(message)}$"):
         call()
+
+
+class TestAgainstTheReference:
+    """The fraction-free kernel against the minors and derivations in MultiPoly
+    arithmetic: equal polynomials, and the same error on exponent overflow."""
+
+    def test_seeded_pairs(self):
+        rng = random.Random(3406)
+        zero_partials = dependent = 0
+        for trial in range(300):
+            nvars = 1 + trial % 5
+            f = random_poly(rng, nvars, 4, 6)
+            g = random_poly(rng, nvars, 4, 6)
+            if trial % 3 == 0:  # g = F(f): every minor vanishes
+                g = compose_uni(random_outer(rng, 3), f) + rng.randint(-2, 2)
+            minors = jacobian_minors(f, g)
+            assert minors == reference_minors(f, g), (f, g)
+            dependent += nvars > 1 and all(m.is_zero() for m in minors.values())
+            zero_partials += sum(f.partial(i).is_zero() for i in range(1, nvars + 1))
+            for i, j in combinations(range(1, nvars + 1), 2):
+                assert apply_derivation(f, i, j, g) == reference_derivation(f, i, j, g)
+        assert zero_partials > 50 and dependent > 50, (zero_partials, dependent)
+
+    def test_one_variable(self):
+        f, g = P("1/2*x1^3 + x1"), P("2/3*x1^2")
+        assert jacobian_minors(f, g) == reference_minors(f, g) == {}
+        with pytest.raises(PolyError, match=re.escape("need 1 <= i < j <= 1, got (1, 2)")):
+            apply_derivation(f, 1, 2, g)
+
+    def test_exponent_overflow(self):
+        # df1*dg2 reaches x1^(2^31) and df2*dg1 x2^(2^31 + 3): the first product
+        # is checked first, as it is multiplied first in MultiPoly arithmetic
+        top = 2**31 - 1
+        f = P(f"x1^{top} + x2^{top}")
+        g = P("x1^2*x2^5")
+        with pytest.raises(PolyError) as expected:
+            reference_minors(f, g)
+        assert str(expected.value) == f"exponent {top + 1} exceeds the supported bound {top}"
+        with pytest.raises(PolyError, match=f"^{re.escape(str(expected.value))}$"):
+            jacobian_minors(f, g)
+        with pytest.raises(PolyError, match=f"^{re.escape(str(expected.value))}$"):
+            apply_derivation(f, 1, 2, g)
+        with pytest.raises(PolyError) as swapped:
+            reference_derivation(g, 1, 2, f)
+        with pytest.raises(PolyError, match=f"^{re.escape(str(swapped.value))}$"):
+            apply_derivation(g, 1, 2, f)

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from closedpoly import linprog
 from closedpoly.decompose import generative
 from closedpoly.linprog import feasible_point
 from closedpoly.newton import (
@@ -21,6 +22,7 @@ from closedpoly.orders import GREVLEX, WEIGHTED, OrderSpec, leading_term
 from closedpoly.poly import MultiPoly, PolyError, compose_uni
 
 from conftest import P, random_outer, random_poly
+import oracles
 from oracles import v0_combinatorial, v0_lp
 
 GL = OrderSpec()
@@ -144,6 +146,56 @@ class TestLinprog:
         )
         assert d > 0
         assert [Fraction(v, d) for v in x] == [0, Fraction(74, 33), 0, 0, 0, Fraction(133, 11)]
+
+    def test_pivots_as_the_stored_artificial_reference(self, monkeypatch):
+        """2,400 seeded LPs, 400 of each kind: the pivots (row, element) and the
+        answer equal those of phase 1 with every artificial column stored."""
+        rng = random.Random(3404)
+        seen = {"pivots": [], "reference_pivots": []}
+
+        def recording(real, key):
+            def wrapper(rows, r, c, d):
+                p = real(rows, r, c, d)
+                seen[key].append((r, p))
+                return p
+            return wrapper
+
+        monkeypatch.setattr("closedpoly.linprog.pivot", recording(linprog.pivot, "pivots"))
+        monkeypatch.setattr(oracles, "reference_pivot",
+                            recording(oracles.reference_pivot, "reference_pivots"))
+
+        def entry():
+            return rng.choice([0, rng.randint(-5, 5), rng.randint(-30, 30)])
+
+        kinds = {  # (equality rows, inequality rows)
+            "equality": (1, 3, 0, 0), "inequality": (0, 0, 1, 6), "mixed": (1, 3, 1, 6),
+            "no rows": (0, 0, 0, 0), "degenerate": (1, 2, 1, 4), "small": (0, 1, 0, 2),
+        }
+        counts = dict.fromkeys(("infeasible", "negative b", "zero b", "pivots"), 0)
+        for kind, (lo_eq, hi_eq, lo_ge, hi_ge) in kinds.items():
+            for _ in range(400):
+                n = rng.randint(1, 5)
+                A_eq = [[entry() for _ in range(n)] for _ in range(rng.randint(lo_eq, hi_eq))]
+                A_ge = [[entry() for _ in range(n)] for _ in range(rng.randint(lo_ge, hi_ge))]
+                b_eq = [entry() for _ in A_eq]
+                b_ge = [entry() for _ in A_ge]
+                if kind == "degenerate":  # repeated rows and a zero b tie the ratio test
+                    A_eq.append(list(A_eq[0]))
+                    b_eq.append(b_eq[0])
+                    A_ge.append([2 * a for a in A_ge[0]])
+                    b_ge.append(2 * b_ge[0])
+                    b_ge[rng.randrange(len(b_ge))] = 0
+                seen["pivots"].clear()
+                seen["reference_pivots"].clear()
+                sol = feasible_point(n, A_eq=A_eq, b_eq=b_eq, A_ge=A_ge, b_ge=b_ge)
+                expected = oracles.reference_feasible_point(n, A_eq, b_eq, A_ge, b_ge)
+                assert (sol, seen["pivots"]) == (expected, seen["reference_pivots"]), \
+                    (kind, n, A_eq, b_eq, A_ge, b_ge)
+                counts["infeasible"] += sol is None
+                counts["negative b"] += min([*b_eq, *b_ge, 0]) < 0
+                counts["zero b"] += 0 in [*b_eq, *b_ge]
+                counts["pivots"] += len(seen["pivots"])
+        assert min(counts.values()) > 300, counts
 
 
 class TestMultiplicity:
