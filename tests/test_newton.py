@@ -167,7 +167,7 @@ class TestLinprog:
         def entry():
             return rng.choice([0, rng.randint(-5, 5), rng.randint(-30, 30)])
 
-        kinds = {  # (equality rows, inequality rows)
+        kinds = {  # the ranges of the equality and of the inequality row counts
             "equality": (1, 3, 0, 0), "inequality": (0, 0, 1, 6), "mixed": (1, 3, 1, 6),
             "no rows": (0, 0, 0, 0), "degenerate": (1, 2, 1, 4), "small": (0, 1, 0, 2),
         }
