@@ -228,7 +228,7 @@ def generative(
       cap) at a k that does not divide d1 is dropped the same way; at a k
       that divides d1 the error is raised.
     """
-    if f.is_zero() or f.is_constant():
+    if f.is_constant():
         raise PolyError("cannot decompose a constant polynomial")
     # kept: the divisors of d1 once decided; without pruning, every candidate
     if pruned:

@@ -6,9 +6,10 @@ double as derivations D_ij whose common kernel contains f and any
 generative polynomial of f.
 
 A minor a·b − c·d is computed fraction-free: f and g, and so their partials,
-are held as integer numerators over the lcm of their denominators, and the
-two products accumulate in one int dict; each product first passes
-`MultiPoly.__mul__`'s exponent-bound check, a·b before c·d.
+are held as integer numerators over the lcm of their denominators.  Each
+product first passes `MultiPoly.__mul__`'s exponent-bound check, a·b before
+c·d; then `poly.add_product`, `__mul__`'s term-product loop, adds a·b and
+c·(−d) into one int dict.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import add
 
-from .poly import MultiPoly, PolyError, check_product
+from .poly import MultiPoly, PolyError, add_product, check_product
 
 
 def _partials(f: MultiPoly, indices) -> tuple:
@@ -34,11 +34,8 @@ def _minor(nvars: int, den: int, a: dict, b: dict, c: dict, d: dict) -> MultiPol
     check_product(a, b)
     check_product(c, d)
     acc: dict = {}
-    for x, y in ((a, b), (c, {m: -v for m, v in d.items()})):
-        for m1, c1 in x.items():
-            for m2, c2 in y.items():
-                m = tuple(map(add, m1, m2))
-                acc[m] = acc.get(m, 0) + c1 * c2
+    add_product(acc, a, b)
+    add_product(acc, c, {m: -v for m, v in d.items()})
     return MultiPoly._checked(nvars, {m: Fraction(v, den) for m, v in acc.items() if v})
 
 

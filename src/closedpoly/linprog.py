@@ -8,17 +8,18 @@ LP numbers are integers throughout.  The tableau is fraction-free (Edmonds
 1967, Bareiss 1968): integers over one common denominator d, updated by
 `pivot`, which `monoid` uses too.  Each division is exact, because every
 entry (objective row included) stays a minor of the initial integer matrix
-[A | I | b] and d is the determinant of the current basis.  d starts at 1
+[A | -I | b] and d is the determinant of the current basis.  d starts at 1
 and each pivot element is positive, so d > 0.  A solution is returned as it
 is held: d and the integer numerators of x over it.
 
-Phase 1 stores only the equality rows' artificial columns.  That of a >=
-row i stays a_i = d·e_obj − sign_i·s_i, with s_i its surplus column and
-sign_i the sign that made its b nonnegative: the two start as e_i and
-−sign_i·e_i, objective entries 0 and sign_i, and each pivot on a constraint
-row keeps the relation with its new d.  Bland's rule reads a_i's reduced cost
-as d − sign_i·obj[s_i] at a_i's place in the column order, so every pivot is
-that of the tableau with all artificial columns stored.
+Every row i, equality or >=, is sign_i·[a_i | −e_i | b_i]: s_i = n + i is
+its surplus column, and sign_i makes its b nonnegative.  No artificial
+column is stored: that of row i stays a_i = d·e_obj − sign_i·s_i, as the two
+start as e_i and −sign_i·e_i, objective entries 0 and sign_i, and each pivot
+on a constraint row keeps the relation with its new d.  Bland's rule reads
+a_i's reduced cost as d − sign_i·obj[s_i].  An equality row's surplus column
+never enters, so every pivot is that of the tableau with every artificial
+column stored and no surplus column for an equality row.
 """
 
 from __future__ import annotations
@@ -51,37 +52,33 @@ def feasible_point(
     """Find x >= 0 (length n) with A_eq x = b_eq and A_ge x >= b_ge, or None.
 
     Entries are ints.  A solution comes back as (d, numerators): d > 0 and
-    x = numerators / d.  Inequalities get surplus variables; everything is
+    x = numerators / d.  Every row gets a surplus variable; everything is
     solved by one phase-1 run.
     """
-    n_eq, n_ge = len(A_eq), len(A_ge)
-    m = n_eq + n_ge
-    rows = [[*row, *[0] * n_ge, r] for row, r in zip(A_eq, b_eq)]
-    for i, (row, r) in enumerate(zip(A_ge, b_ge)):
-        rows.append([*row, *(-int(k == i) for k in range(n_ge)), r])
-    real = n + n_ge  # x, then one surplus column per >= row
-    total = real + m  # Bland's column order: real columns, then one artificial per row
-    width = real + n_eq  # the stored columns: the >= rows' artificials are not stored
-    signs = [-1 if row[-1] < 0 else 1 for row in rows]  # b >= 0 for the artificial start
-    tableau = [[sign * x for x in row[:-1]] + [int(k == i) for k in range(n_eq)] + [sign * row[-1]]
-               for i, (sign, row) in enumerate(zip(signs, rows))]
-    basis = list(range(real, total))
+    rows = [*zip(A_eq, b_eq), *zip(A_ge, b_ge)]
+    m = len(rows)
+    signs = [-1 if r < 0 else 1 for _, r in rows]  # b >= 0 for the artificial start
+    tableau = [[*(sign * a for a in row), *(-sign * (k == i) for k in range(m)), sign * r]
+               for i, (sign, (row, r)) in enumerate(zip(signs, rows))]
     # the last row is the objective: minimize the artificial sum; reduced
     # costs with the artificial basis priced out.
-    tableau.append([-sum(t[j] for t in tableau) for j in range(real)] + [0] * n_eq
-                   + [-sum(t[-1] for t in tableau)])
+    tableau.append([-sum(t[j] for t in tableau) for j in range(n + m + 1)])
+    # Bland's column order: x, the >= rows' surplus columns, then row i's artificial as n + m + i
+    free = [*range(n), *range(n + len(A_eq), n + m)]
+    basis = list(range(n + m, n + 2 * m))
     d = 1  # the common denominator of the tableau
 
     while True:
         obj = tableau[m]
-        enter = next((j for j in range(width) if obj[j] < 0), None)
+        enter = next((j for j in free if obj[j] < 0), None)
         if enter is not None:
             col = [t[enter] for t in tableau]
-        else:  # artificial j >= width belongs to row j - real, its surplus column is j - m
-            enter = next((j for j in range(width, total) if d < signs[j - real] * obj[j - m]), None)
-            if enter is None:
+        else:
+            i = next((i for i, sign in enumerate(signs) if d < sign * obj[n + i]), None)
+            if i is None:
                 break
-            col = [-signs[enter - real] * t[enter - m] for t in tableau]
+            enter = n + m + i
+            col = [-signs[i] * t[n + i] for t in tableau]
             col[m] += d
         leave = None
         for i, t in enumerate(tableau[:m]):

@@ -135,7 +135,7 @@ def _in_v0(v: Monomial, front: list) -> bool:
 def v0_set(f: MultiPoly) -> set:
     """Support points that are the leading monomial for some monomial order.
     Raises RuntimeError when an exclusion witness fails its exact check."""
-    if f.is_zero() or f.is_constant():
+    if f.is_constant():
         raise PolyError("V0 requires a non-constant polynomial")
     front = _pareto_front(f)
     return {v for v in front if _in_v0(v, front)}
@@ -168,7 +168,7 @@ def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tu
 
     An empty sequence means f is immediately closed.
     """
-    if f.is_zero() or f.is_constant():
+    if f.is_constant():
         raise PolyError("divisor sequence requires a non-constant polynomial")
     if not pruned:
         return descending_divisors(multiplicity(leading_term(f, order)[0]))
@@ -185,7 +185,7 @@ def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tu
 
 
 def newton_summary(f: MultiPoly, order: OrderSpec) -> NewtonSummary:
-    if f.is_zero() or f.is_constant():
+    if f.is_constant():
         raise PolyError("newton summary requires a non-constant polynomial")
     lm, _ = leading_term(f, order)
     v0 = v0_set(f)

@@ -138,7 +138,7 @@ def monomials_below(m1: Monomial, order: OrderSpec) -> list:
 def normalize(f: MultiPoly, order: OrderSpec) -> NormalizedForm:
     """Split f as leading_scalar * core + constant_term with core
     leading-monic and constant-free."""
-    if f.is_zero() or f.is_constant():
+    if f.is_constant():
         raise PolyError("cannot normalize a constant polynomial")
     _, a = leading_term(f, order)
     core = MultiPoly._checked(f.nvars, {m: c / a for m, c in f.terms.items() if any(m)})

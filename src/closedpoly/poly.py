@@ -56,6 +56,14 @@ def check_product(s: Iterable[Monomial], t: Iterable[Monomial]) -> None:
         _check_exponent(top1 + top2)
 
 
+def add_product(acc: dict, s: Mapping, t: Mapping) -> None:
+    """Add the product of the term dicts s and t into acc, in place."""
+    for m1, c1 in s.items():
+        for m2, c2 in t.items():
+            m = tuple(map(add, m1, m2))
+            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+
+
 def check_nvars(nvars: int) -> int:
     """Reject nvars outside 1..MAX_VARIABLES, before anything nvars long is built."""
     if not isinstance(nvars, int):
@@ -204,10 +212,7 @@ class MultiPoly:
         self._require_same_ring(other)
         check_product(self.terms, other.terms)
         terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                terms[m] = terms[m] + c1 * c2 if m in terms else c1 * c2
+        add_product(terms, self.terms, other.terms)
         return self._checked(self.nvars, terms)
 
     __rmul__ = __mul__

@@ -171,7 +171,8 @@ class TestLinprog:
             "equality": (1, 3, 0, 0), "inequality": (0, 0, 1, 6), "mixed": (1, 3, 1, 6),
             "no rows": (0, 0, 0, 0), "degenerate": (1, 2, 1, 4), "small": (0, 1, 0, 2),
         }
-        counts = dict.fromkeys(("infeasible", "negative b", "zero b", "pivots"), 0)
+        counts = dict.fromkeys(("infeasible", "negative b", "zero b", "pivots",
+                                "negative equality b", "infeasible with equality rows"), 0)
         for kind, (lo_eq, hi_eq, lo_ge, hi_ge) in kinds.items():
             for _ in range(400):
                 n = rng.randint(1, 5)
@@ -195,6 +196,9 @@ class TestLinprog:
                 counts["negative b"] += min([*b_eq, *b_ge, 0]) < 0
                 counts["zero b"] += 0 in [*b_eq, *b_ge]
                 counts["pivots"] += len(seen["pivots"])
+                # sign_i = -1 in an equality row's implied artificial column
+                counts["negative equality b"] += min([*b_eq, 0]) < 0
+                counts["infeasible with equality rows"] += sol is None and bool(A_eq)
         assert min(counts.values()) > 300, counts
 
 
