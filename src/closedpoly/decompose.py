@@ -25,7 +25,7 @@ the final check decides the rest.  Until ROADMAP item 2,
 
 Both steps are fraction-free, in the manner of Bareiss (1968).  core = B/D
 with B the integer numerators of f's non-constant terms over L, the lcm of
-f's denominators taken with the sign of lc(f), and D = B[lm] = lc(f)*L > 0.
+f's denominators (`poly.integer_form`), times sign(lc(f)): D = B[lm] > 0.
 The candidate is h = H/E with E the lcm of the denominators of h's
 coefficients so far; the powers H^p are integer term dicts.  At m_j, with
 T = m1^(k-1)*m_j, H's new coefficient is (B[T]*E^k - D*H^k[T]) /
@@ -51,14 +51,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, lcm
+from math import comb, gcd
 from struct import Struct
 from typing import NamedTuple, Optional
 
 from .newton import d1_bound, descending_divisors, divisor_sequence, multiplicity
 from .orders import GRLEX, OrderError, OrderSpec, check_enumerable, leading_term, normalize
 from .orders import monomials_below  # noqa: F401 -- kept for the benchmark's binding (ROADMAP item 2)
-from .poly import MultiPoly, PolyError, UniPoly, compose_uni
+from .poly import MultiPoly, PolyError, UniPoly, compose_uni, integer_form
 
 VERIFIED = "verified"
 MISMATCH = "mismatch"
@@ -146,10 +146,8 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
                 return None
 
     check_enumerable(tuple(e // k for e in lm), order)
-    L = lcm(*(c.denominator for c in f.terms.values()))
-    if a < 0:
-        L = -L
-    B = {m: c.numerator * (L // c.denominator) for m, c in zip(keys, f.terms.values()) if m}
+    sign = 1 if a > 0 else -1  # once: a Fraction comparison per term doubles this step
+    B = {m: sign * b for m, b in zip(keys, integer_form(f.terms.values())[1]) if m}
     D = B[top]
 
     # Step: solve for h = m1 + sum alpha_j m_j, led by the band of B*E^k - D*H^k.

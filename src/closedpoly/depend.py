@@ -6,26 +6,24 @@ double as derivations D_ij whose common kernel contains f and any
 generative polynomial of f.
 
 A minor a·b − c·d is computed fraction-free: f and g, and so their partials,
-are held as integer numerators over the lcm of their denominators.  Each
-product first passes `MultiPoly.__mul__`'s exponent-bound check, a·b before
-c·d; then `poly.add_product`, `__mul__`'s term-product loop, adds a·b and
-c·(−d) into one int dict.
+are held as integer numerators over the lcm of their denominators, made by
+`poly.integer_form`.  Each product first passes `MultiPoly.__mul__`'s
+exponent-bound check, a·b before c·d; then `poly.add_product`, `__mul__`'s
+term-product loop, adds a·b and c·(−d) into one int dict.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
-from .poly import MultiPoly, PolyError, add_product, check_product
+from .poly import MultiPoly, PolyError, add_product, check_product, integer_form
 
 
 def _partials(f: MultiPoly, indices) -> tuple:
     """L, the lcm of f's denominators, and the numerators over L of df/dx_(i+1), i in indices."""
-    L = lcm(*(c.denominator for c in f.terms.values()))
-    num = {m: c.numerator * (L // c.denominator) for m, c in f.terms.items()}
-    return L, [{m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in num.items() if m[i]}
+    L, num = integer_form(f.terms.values())
+    return L, [{m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in zip(f.terms, num) if m[i]}
                for i in indices]
 
 

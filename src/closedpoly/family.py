@@ -9,12 +9,12 @@ image of the (user-supplied) exceptional set of h.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .decompose import DecompositionResult
 from .parsing import over_limit, short_number
-from .poly import PolyError, UniPoly, check_scalar
+from .poly import PolyError, UniPoly, check_scalar, integer_form
 from .poly import compose_uni  # noqa: F401 -- unused, kept for the benchmark's binding (ROADMAP item 2)
 
 
@@ -69,11 +69,9 @@ def _split(G: UniPoly) -> tuple:
     maps back to the residual q(a_n t) / a_n^deg(q)."""
     if G.is_zero():
         raise PolyError("the zero polynomial has every root")
-    if G.degree() == 0:
+    if G.is_constant():
         return [], UniPoly._checked(1, {(0,): Fraction(1)})
-    coeffs = G.coeffs
-    L = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (L // c.denominator) for c in coeffs]
+    _, ints = integer_form(G.coeffs)
     content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     lead, n = ints[-1] // content, len(ints) - 1
     g = [a // content * lead ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
@@ -107,7 +105,7 @@ def factor_shift(result: DecompositionResult, mu) -> FamilyFactorization:
     map t -> h carries it to ℚ[x], where f = F(h) is certified by the decomposition."""
     mu = check_scalar(mu, "mu")
     G = result.F + mu
-    if G.is_zero() or G.degree() == 0:
+    if G.is_constant():
         raise PolyError("F + mu must be non-constant")
     alpha = G.leading_coefficient()
     roots, residual = _split(G)

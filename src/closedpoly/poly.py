@@ -22,8 +22,9 @@ library builds below the public constructors (through `_checked`).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Monomial = tuple  # exponent vector; length == nvars
 
@@ -62,6 +63,12 @@ def add_product(acc: dict, s: Mapping, t: Mapping) -> None:
         for m2, c2 in t.items():
             m = tuple(map(add, m1, m2))
             acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+
+
+def integer_form(coeffs: Collection[Fraction]) -> tuple:
+    """(L, [n_i]): L > 0 the lcm of the coeffs' denominators, n_i = c_i * L, in input order."""
+    L = lcm(*(c.denominator for c in coeffs))
+    return L, [c.numerator * (L // c.denominator) for c in coeffs]
 
 
 def check_nvars(nvars: int) -> int:

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,30 @@ import pytest
 from closedpoly.orders import OrderSpec, normalize
 from closedpoly.parsing import parse_poly
 from closedpoly.poly import MultiPoly, UniPoly, compose_uni
+
+
+# Twice the largest timing bound a test asserts (60 s, criterion 5 and the CLI):
+# a hang, such as a cycling LP, fails its test instead of stalling the suite.
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs longer than TEST_TIME_LIMIT_S, where SIGALRM exists."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran over the per-test limit of {TEST_TIME_LIMIT_S} s", pytrace=False)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def P(text, min_nvars=1):

@@ -3,6 +3,8 @@
 Below the public constructors (`MultiPoly(...)`, `UniPoly(coeffs)`,
 `constant`, `zero`, `variable`, `from_term`, `identity`), the library
 builds every polynomial from already-checked data through `_checked`.
+Likewise only `poly` takes `Fraction` coefficients apart: every other module
+gets integer numerators over a common denominator from `poly.integer_form`.
 """
 
 import ast
@@ -42,6 +44,20 @@ def test_only_poly_calls_validating_constructors():
     calls = {path.name: validating_calls(path)
              for path in sorted(package.glob("*.py")) if path.name != "poly.py"}
     assert {name: found for name, found in calls.items() if found} == {}
+
+
+def fraction_part_reads(path: Path) -> list:
+    """Lines on which the module reads an attribute named numerator or denominator."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in {"numerator", "denominator"}]
+
+
+def test_only_poly_reads_numerators_and_denominators():
+    package = Path(closedpoly.__file__).parent
+    assert fraction_part_reads(package / "poly.py")  # the check sees integer_form's reads
+    reads = {path.name: fraction_part_reads(path)
+             for path in sorted(package.glob("*.py")) if path.name != "poly.py"}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
 f = P("x1^4 + 2*x1^2*x2 + x2^2")  # (x1^2 + x2)^2

@@ -4,10 +4,10 @@ import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closedpoly.orders import GREVLEX, GRLEX, WEIGHTED, OrderSpec, leading_term, normalize
@@ -19,6 +19,7 @@ from closedpoly.poly import (
     PolyError,
     UniPoly,
     compose_uni,
+    integer_form,
     monomials_of_degree,
 )
 
@@ -176,6 +177,19 @@ class TestRingLaws:
     def test_commutativity(self, p, q):
         assert p * q == q * p
         assert p + q == q + p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=360), min_size=1, max_size=20))
+@example([Fraction(0)])
+@example([Fraction(-3, 4), Fraction(0), Fraction(5, 6), Fraction(-7)])
+def test_integer_form_is_over_the_least_common_denominator(coeffs):
+    L, numerators = integer_form(coeffs)
+    assert L > 0
+    assert L == lcm(*(c.denominator for c in coeffs))
+    assert [Fraction(n, L) for n in numerators] == coeffs
+    assert all(type(n) is int for n in numerators)
+    assert gcd(L, *numerators) == 1
 
 
 def test_evaluation_homomorphism():
