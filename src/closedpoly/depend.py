@@ -7,9 +7,10 @@ generative polynomial of f.
 
 A minor a·b − c·d is computed fraction-free: f and g, and so their partials,
 are held as integer numerators over the lcm of their denominators, made by
-`poly.integer_form`.  Each product first passes `MultiPoly.__mul__`'s
-exponent-bound check, a·b before c·d; then `poly.add_product`, `__mul__`'s
-term-product loop, adds a·b and c·(−d) into one int dict.
+`poly.integer_form`, and their partials by `poly.derivative`, the rule of
+`MultiPoly.partial`.  `poly.add_product`, `MultiPoly.__mul__`'s checked
+term-product loop, adds a·b and then c·(−d) into one int dict, so a·b's
+exponent bound is checked before c·d's.
 """
 
 from __future__ import annotations
@@ -17,20 +18,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .poly import MultiPoly, PolyError, add_product, check_product, integer_form
+from .poly import MultiPoly, PolyError, add_product, derivative, integer_form
 
 
 def _partials(f: MultiPoly, indices) -> tuple:
     """L, the lcm of f's denominators, and the numerators over L of df/dx_(i+1), i in indices."""
     L, num = integer_form(f.terms.values())
-    return L, [{m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in zip(f.terms, num) if m[i]}
-               for i in indices]
+    return L, [derivative(zip(f.terms, num), i) for i in indices]
 
 
 def _minor(nvars: int, den: int, a: dict, b: dict, c: dict, d: dict) -> MultiPoly:
     """(a·b − c·d) / den, for integer numerators a, b, c and d."""
-    check_product(a, b)
-    check_product(c, d)
     acc: dict = {}
     add_product(acc, a, b)
     add_product(acc, c, {m: -v for m, v in d.items()})

@@ -50,19 +50,22 @@ def _check_exponent(e: int) -> int:
     return e
 
 
-def check_product(s: Iterable[Monomial], t: Iterable[Monomial]) -> None:
-    """Raise PolyError if a product of the supports s and t exceeds the exponent bound."""
+def add_product(acc: dict, s: Mapping, t: Mapping) -> None:
+    """Add the product of the term dicts s and t into acc, in place; raise
+    PolyError, with acc untouched, if it exceeds the exponent bound."""
     # a term pair overflows in x_i iff the two largest exponents of x_i do
     for top1, top2 in zip(map(max, zip(*s)), map(max, zip(*t))):
         _check_exponent(top1 + top2)
-
-
-def add_product(acc: dict, s: Mapping, t: Mapping) -> None:
-    """Add the product of the term dicts s and t into acc, in place."""
     for m1, c1 in s.items():
         for m2, c2 in t.items():
             m = tuple(map(add, m1, m2))
             acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+
+
+def derivative(pairs: Iterable[tuple], i: int) -> dict:
+    """The term dict of d/dx_(i+1) of the (monomial, coefficient) pairs, i 0-based."""
+    # lowering the exponent of x_(i+1) is one-to-one on the terms that have it
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in pairs if m[i]}
 
 
 def integer_form(coeffs: Collection[Fraction]) -> tuple:
@@ -217,7 +220,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_ring(other)
-        check_product(self.terms, other.terms)
         terms: dict[Monomial, Fraction] = {}
         add_product(terms, self.terms, other.terms)
         return self._checked(self.nvars, terms)
@@ -269,10 +271,7 @@ class MultiPoly:
         """Formal partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.nvars:
             raise PolyError(f"variable index {i} out of range 1..{self.nvars}")
-        # lowering the exponent of x_i is one-to-one on the terms that have x_i
-        terms = {m[:i - 1] + (m[i - 1] - 1,) + m[i:]: c * m[i - 1]
-                 for m, c in self.terms.items() if m[i - 1]}
-        return self._checked(self.nvars, terms)
+        return self._checked(self.nvars, derivative(self.terms.items(), i - 1))
 
     def __repr__(self):
         from .parsing import render_poly

@@ -185,3 +185,17 @@ class TestAgainstTheReference:
             reference_derivation(g, 1, 2, f)
         with pytest.raises(PolyError, match=f"^{re.escape(str(swapped.value))}$"):
             apply_derivation(g, 1, 2, f)
+        # df1*dg2 fits and only df2*dg1 reaches x2^(2^31): the second product is
+        # checked after the first is added
+        f = P(f"x1 + x2^{top}")
+        g = P("x1^2*x2^2")
+        with pytest.raises(PolyError) as second:
+            reference_minors(f, g)
+        assert str(second.value) == f"exponent {top + 1} exceeds the supported bound {top}"
+        with pytest.raises(PolyError) as second_derivation:
+            reference_derivation(f, 1, 2, g)
+        assert str(second_derivation.value) == str(second.value)
+        with pytest.raises(PolyError, match=f"^{re.escape(str(second.value))}$"):
+            jacobian_minors(f, g)
+        with pytest.raises(PolyError, match=f"^{re.escape(str(second.value))}$"):
+            apply_derivation(f, 1, 2, g)

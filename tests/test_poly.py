@@ -18,6 +18,7 @@ from closedpoly.poly import (
     MultiPoly,
     PolyError,
     UniPoly,
+    add_product,
     compose_uni,
     integer_form,
     monomials_of_degree,
@@ -190,6 +191,13 @@ def test_integer_form_is_over_the_least_common_denominator(coeffs):
     assert [Fraction(n, L) for n in numerators] == coeffs
     assert all(type(n) is int for n in numerators)
     assert gcd(L, *numerators) == 1
+
+
+def test_add_product_refuses_an_overflowing_product_before_adding():
+    acc = {(3,): 5}
+    with pytest.raises(PolyError, match=r"^exponent 2147483648 exceeds the supported bound 2147483647$"):
+        add_product(acc, {(2**31 - 1,): 1}, {(1,): 1})
+    assert acc == {(3,): 5}
 
 
 def test_evaluation_homomorphism():
