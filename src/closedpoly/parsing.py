@@ -11,14 +11,14 @@ Grammar (whitespace-insensitive):
 Integers are runs of the ASCII digits 0-9.  Variables are x1, x2, ...;
 the variable count is inferred as the largest index that appears.
 
-Input is read one of two ways.  Accepted input takes one pass of a
-compiled term regex, each match anchored where the last one ended.  At
-the first place that pass does not accept cleanly, the text goes to the
-token scanner, the only code that words a ``ParseError``.  The scanner
-first searches for a character no token can start with, so an unexpected
-character is reported before any syntax error earlier in the text
-(``x1 x2 @`` fails at the ``@``); a token's line and column are computed
-only when an error is raised.
+Accepted input takes one pass of a compiled term regex, each match
+anchored where the last one ended.  Its quantifiers are possessive on
+Python 3.11+ and greedy on 3.10, which lacks the syntax; both match the
+same, as each is followed only by optional parts or by a character it
+cannot take.  At the first place that pass does not accept cleanly, the
+text goes to the token scanner, the only code that words a
+``ParseError``.  It first searches for a character no token can start
+with, so ``x1 x2 @`` fails at the ``@``, not at an earlier syntax error.
 
 Rendered output sorts terms descending under the requested monomial
 order and is always re-parseable.
@@ -55,10 +55,13 @@ _BAD_CHAR_RE = re.compile(r"x(?![0-9])|[^\sx0-9+\-*/^]")
 _TOKEN_RE = re.compile(r"x[0-9]+|[0-9]+|[-+*/^]")
 _BOUND_DIGITS = len(str(max(MAX_EXPONENT, MAX_VARIABLES)))
 # a term: blanks, a sign (required after the first term), num[/den][*mono] or mono,
-# blanks; a longer digit run in a factor leaves a digit where no term can start
-_FACTOR = rf"x[0-9]{{1,{_BOUND_DIGITS}}}(?:\^[0-9]{{1,{_BOUND_DIGITS}}})?"
-_MONO = rf"{_FACTOR}(?:\*{_FACTOR})*"
-_TERM_RE = re.compile(rf"\s*(?:([-+])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*({_MONO}))?|({_MONO}))\s*")
+# blanks; a longer digit run in a factor leaves a digit where no term can start.  Each
+# quantifier is followed only by optional parts or by a character it cannot take, so
+_P = "+" if sys.version_info >= (3, 11) else ""  # possessive is exact; 3.10: greedy, same language
+_FACTOR = rf"x[0-9]{{1,{_BOUND_DIGITS}}}{_P}(?:\^[0-9]{{1,{_BOUND_DIGITS}}}{_P})?{_P}"
+_MONO = rf"{_FACTOR}(?:\*{_FACTOR})*{_P}"
+_TERM_RE = re.compile(rf"\s*{_P}(?:([-+])\s*{_P})?{_P}(?:([0-9]+{_P})(?:\s*{_P}/\s*{_P}([0-9]+{_P}))?{_P}"
+                      rf"(?:\s*{_P}\*\s*{_P}({_MONO}))?{_P}|({_MONO}))\s*{_P}")
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:

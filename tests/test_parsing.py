@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -303,3 +304,24 @@ class TestAcceptedInputPass:
         for text in texts:
             parse_poly(text)
         assert parse_poly(render_poly(big)).poly == big
+
+    def test_term_regex_matches_as_the_greedy_pattern(self):
+        # the same pieces with no possessive marks: the term regex of Python 3.10
+        digits = rf"[0-9]{{1,{parsing._BOUND_DIGITS}}}"
+        mono = rf"x{digits}(?:\^{digits})?(?:\*x{digits}(?:\^{digits})?)*"
+        greedy = rf"\s*(?:([-+])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*({mono}))?|({mono}))\s*"
+        if sys.version_info >= (3, 11):  # the speed-up cannot be dropped silently
+            assert all(mark in parsing._TERM_RE.pattern for mark in (r"\s*+", "?+", ")*+", "[0-9]++", "}+"))
+        else:
+            assert parsing._TERM_RE.pattern == greedy
+        greedy = re.compile(greedy)
+        alphabet = [" ", "\t", "\n", "\xa0", "x", "x1", "x2", "0", "1", "9", "007",
+                    "1" * (parsing._BOUND_DIGITS + 2), "+", "-", "*", "/", "^"]
+        rng = random.Random(74)
+        texts = ["".join(rng.choices(alphabet, k=rng.randint(0, 16))) for _ in range(6000)]
+        # rendered terms, with coefficients and several factors, mutated by the same tokens
+        texts += [mutated(rng, render_poly(random_poly(rng, 3, 4, 3)), alphabet) for _ in range(1000)]
+        for text in texts:
+            for pos in range(len(text) + 1):  # rejected text and offsets included
+                got, want = parsing._TERM_RE.match(text, pos), greedy.match(text, pos)
+                assert (got and (got.span(), got.groups())) == (want and (want.span(), want.groups())), (text, pos)
