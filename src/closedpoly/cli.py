@@ -4,6 +4,11 @@ Subcommands: decompose, is-closed, newton, depend, family, stein, saturate.
 Polynomials are read from a file or stdin ("-"); output is a human-readable
 summary by default or one JSON object with --json.
 
+Each call builds a fresh parser with every subcommand's name and help, but
+only the subcommand it dispatches to, the first positional argument, gets its
+options.  A value-taking option followed by "-" and a digit takes that token
+as its value, so --mu -1/4 reads as --mu=-1/4.
+
 Exit codes: 0 success, 1 parse error, 2 domain error, 3 internal
 verification failure.
 """
@@ -283,72 +288,71 @@ def _cmd_saturate(args) -> tuple:
 # -- dispatch --------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_POLY = ("--poly", dict(required=True, metavar="FILE"))
+_ORDER = ("--order", dict(choices=[GRLEX, GREVLEX], default=GRLEX))
+_JSON = ("--json", dict(action="store_true", help="emit one JSON object"))
+
+# name -> (help, handler, options), in help order; an option is (flag, add_argument keywords)
+_COMMANDS = {
+    "decompose": ("compute the generative polynomial h and F with f = F(h)", _cmd_decompose, [
+        ("--poly", dict(required=True, metavar="FILE", help="polynomial file, or - for stdin")),
+        _ORDER,
+        ("--no-newton", dict(action="store_true",
+                             help="disable Newton-polytope pruning of the divisor sequence")),
+        _JSON]),
+    "is-closed": ("decide whether a polynomial is closed", _cmd_is_closed, [_POLY, _ORDER, _JSON]),
+    "newton": ("Newton-polytope support analysis", _cmd_newton, [_POLY, _ORDER, _JSON]),
+    "depend": ("Jacobian algebraic-dependence test", _cmd_depend, [
+        ("--f", dict(required=True, metavar="FILE")), ("--g", dict(required=True, metavar="FILE")),
+        _JSON]),
+    "family": ("factor f + mu through the generative pair", _cmd_family, [
+        _POLY, ("--mu", dict(required=True, help="rational shift value")),
+        ("--eh", dict(metavar="RATS", help="comma-separated exceptional set of h")), _ORDER, _JSON]),
+    "stein": ("Stein-Lorenzini-Najib inequality on supplied data", _cmd_stein, [
+        ("--data", dict(required=True, metavar="FILE")),
+        ("--mode", dict(required=True, choices=["h", "f"])),
+        ("--d", dict(help="generic factor degree (f mode)")), _JSON]),
+    "saturate": ("saturation of a monomial exponent monoid", _cmd_saturate, [
+        ("--gens", dict(required=True, help='generators, e.g. "1,0;1,2"')),
+        ("--bound", dict(help="max coordinate sum for enumeration")), _JSON]),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every subcommand by name and help; options and handler only for command."""
     parser = argparse.ArgumentParser(
         prog="closedpoly",
         description="Closed-polynomial decomposition and related checks over the rationals.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_order(p):
-        p.add_argument("--order", choices=[GRLEX, GREVLEX], default=GRLEX)
-
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit one JSON object")
-
-    p = sub.add_parser("decompose", help="compute the generative polynomial h and F with f = F(h)")
-    p.add_argument("--poly", required=True, metavar="FILE", help="polynomial file, or - for stdin")
-    add_order(p)
-    p.add_argument("--no-newton", action="store_true", help="disable Newton-polytope pruning of the divisor sequence")
-    add_json(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("is-closed", help="decide whether a polynomial is closed")
-    p.add_argument("--poly", required=True, metavar="FILE")
-    add_order(p)
-    add_json(p)
-    p.set_defaults(func=_cmd_is_closed)
-
-    p = sub.add_parser("newton", help="Newton-polytope support analysis")
-    p.add_argument("--poly", required=True, metavar="FILE")
-    add_order(p)
-    add_json(p)
-    p.set_defaults(func=_cmd_newton)
-
-    p = sub.add_parser("depend", help="Jacobian algebraic-dependence test")
-    p.add_argument("--f", required=True, metavar="FILE")
-    p.add_argument("--g", required=True, metavar="FILE")
-    add_json(p)
-    p.set_defaults(func=_cmd_depend)
-
-    p = sub.add_parser("family", help="factor f + mu through the generative pair")
-    p.add_argument("--poly", required=True, metavar="FILE")
-    p.add_argument("--mu", required=True, help="rational shift value")
-    p.add_argument("--eh", metavar="RATS", help="comma-separated exceptional set of h")
-    add_order(p)
-    add_json(p)
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("stein", help="Stein-Lorenzini-Najib inequality on supplied data")
-    p.add_argument("--data", required=True, metavar="FILE")
-    p.add_argument("--mode", required=True, choices=["h", "f"])
-    p.add_argument("--d", help="generic factor degree (f mode)")
-    add_json(p)
-    p.set_defaults(func=_cmd_stein)
-
-    p = sub.add_parser("saturate", help="saturation of a monomial exponent monoid")
-    p.add_argument("--gens", required=True, help='generators, e.g. "1,0;1,2"')
-    p.add_argument("--bound", help="max coordinate sum for enumeration")
-    add_json(p)
-    p.set_defaults(func=_cmd_saturate)
-
+    for name, (text, func, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == command:
+            for flag, keywords in options:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse runs the first positional argument's subcommand: the top-level
+    # options (-h, --version) take no value
+    argv = sys.argv[1:] if argv is None else list(argv)
+    at = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
+    command = argv[at] if at < len(argv) else None
+    # argparse takes "-1/4" after --mu for an option (only -3 or -0.5 looks
+    # like a value to it), so a value-taking option is joined to it: --mu=-1/4
+    _, _, options = _COMMANDS.get(command, (None, None, ()))
+    valued = {flag for flag, keywords in options if "action" not in keywords}
+    tokens = argv[:at + 1]
+    for token in argv[at + 1:]:
+        if (tokens[-1] in valued and token[:1] == "-" and token[1:2].isdecimal()
+                and "--" not in tokens):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = build_parser(command).parse_args(tokens)
     try:
         payload, human = args.func(args)
         if args.json:

@@ -17,13 +17,27 @@ pivoting through `reference_pivot` by column index, against which
 arithmetic, against which `depend` is checked.
 The `dense_*` functions are univariate arithmetic and rendering on coefficient
 lists, lowest degree first, against which the sparse `UniPoly` is checked.
+`reference_build_parser` is the command-line parser with every subcommand's
+options, bound to the same handlers, against which `cli.main`'s parser, which
+gives options only to the subcommand it dispatches to, is checked.
 """
 
+import argparse
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Optional
 
+from closedpoly import __version__
+from closedpoly.cli import (
+    _cmd_decompose,
+    _cmd_depend,
+    _cmd_family,
+    _cmd_is_closed,
+    _cmd_newton,
+    _cmd_saturate,
+    _cmd_stein,
+)
 from closedpoly.decompose import MISMATCH, VERIFIED, DecompositionResult, attempt_divisor
 from closedpoly.linprog import feasible_point
 from closedpoly.monoid import MonoidGens
@@ -35,7 +49,7 @@ from closedpoly.newton import (
     realizing_weights,
     v0_set,
 )
-from closedpoly.orders import OrderSpec, leading_term, monomials_below, normalize
+from closedpoly.orders import GREVLEX, GRLEX, OrderSpec, leading_term, monomials_below, normalize
 from closedpoly.poly import Monomial, MultiPoly, PolyError, UniPoly
 
 
@@ -275,3 +289,66 @@ def dense_render(a) -> str:
         else:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(pieces) or "0"
+
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="closedpoly",
+        description="Closed-polynomial decomposition and related checks over the rationals.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_order(p):
+        p.add_argument("--order", choices=[GRLEX, GREVLEX], default=GRLEX)
+
+    def add_json(p):
+        p.add_argument("--json", action="store_true", help="emit one JSON object")
+
+    p = sub.add_parser("decompose", help="compute the generative polynomial h and F with f = F(h)")
+    p.add_argument("--poly", required=True, metavar="FILE", help="polynomial file, or - for stdin")
+    add_order(p)
+    p.add_argument("--no-newton", action="store_true", help="disable Newton-polytope pruning of the divisor sequence")
+    add_json(p)
+    p.set_defaults(func=_cmd_decompose)
+
+    p = sub.add_parser("is-closed", help="decide whether a polynomial is closed")
+    p.add_argument("--poly", required=True, metavar="FILE")
+    add_order(p)
+    add_json(p)
+    p.set_defaults(func=_cmd_is_closed)
+
+    p = sub.add_parser("newton", help="Newton-polytope support analysis")
+    p.add_argument("--poly", required=True, metavar="FILE")
+    add_order(p)
+    add_json(p)
+    p.set_defaults(func=_cmd_newton)
+
+    p = sub.add_parser("depend", help="Jacobian algebraic-dependence test")
+    p.add_argument("--f", required=True, metavar="FILE")
+    p.add_argument("--g", required=True, metavar="FILE")
+    add_json(p)
+    p.set_defaults(func=_cmd_depend)
+
+    p = sub.add_parser("family", help="factor f + mu through the generative pair")
+    p.add_argument("--poly", required=True, metavar="FILE")
+    p.add_argument("--mu", required=True, help="rational shift value")
+    p.add_argument("--eh", metavar="RATS", help="comma-separated exceptional set of h")
+    add_order(p)
+    add_json(p)
+    p.set_defaults(func=_cmd_family)
+
+    p = sub.add_parser("stein", help="Stein-Lorenzini-Najib inequality on supplied data")
+    p.add_argument("--data", required=True, metavar="FILE")
+    p.add_argument("--mode", required=True, choices=["h", "f"])
+    p.add_argument("--d", help="generic factor degree (f mode)")
+    add_json(p)
+    p.set_defaults(func=_cmd_stein)
+
+    p = sub.add_parser("saturate", help="saturation of a monomial exponent monoid")
+    p.add_argument("--gens", required=True, help='generators, e.g. "1,0;1,2"')
+    p.add_argument("--bound", help="max coordinate sum for enumeration")
+    add_json(p)
+    p.set_defaults(func=_cmd_saturate)
+
+    return parser

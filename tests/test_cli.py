@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import sys
@@ -10,6 +11,7 @@ import pytest
 import closedpoly.family
 import closedpoly.newton
 from closedpoly.cli import main
+from oracles import reference_build_parser
 
 EX1 = "x1^4 + 2*x1^2*x2 + x2^2\n"
 DEG6 = (
@@ -218,6 +220,22 @@ class TestFamily:
             capsys, "family", "--poly", poly_file(EX1), "--mu", "1/4"
         )
         assert payload["verified"] is True
+
+    @pytest.mark.parametrize("separate, attached", [
+        (["--mu", "-1/4"], ["--mu=-1/4"]),
+        (["--mu", "-3", "--eh", "-1/2,3"], ["--mu=-3", "--eh=-1/2,3"]),
+    ], ids=["mu", "mu-and-eh"])
+    def test_negative_value_as_separate_argument(self, capsys, poly_file, separate, attached):
+        path = poly_file(EX1)
+        got = run(capsys, "family", "--poly", path, *separate, "--json")
+        assert got == run(capsys, "family", "--poly", path, *attached, "--json")
+        assert (got[0], got[2]) == (0, "")
+
+    def test_flag_takes_no_negative_value(self, capsys, poly_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "--poly", poly_file(EX1), "--mu", "1", "--json", "-1/4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: -1/4\n")
 
 
 class TestStein:
@@ -583,3 +601,53 @@ def test_command(capsys, argv, stdin, code, expected):
         assert {key: payload[key] for key in expected} == expected
     else:
         assert got == (code, "", expected)
+
+
+# argv lists on which main answers as with the parser that gives every subcommand
+# its options; sys.argv[1:] stands in for argv=None (None below)
+SYS_ARGV = ["newton", "--poly", "-", "--json"]
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["--version"], ["no-such-command"], ["-h", "decompose"],
+    ["decompose", "-h"], ["is-closed", "-h"], ["newton", "-h"], ["depend", "-h"],
+    ["family", "-h"], ["stein", "-h"], ["saturate", "-h"],
+    ["decompose"], ["decompose", "--poly", "-", "--order", "lex"],
+    ["is-closed", "--poly", "-", "--js"], ["decompose", "--poly", "-", "extra", "--more"],
+    ["--json", "decompose", "--poly", "-"], ["--", "decompose", "--poly", "-"],
+    ["-", "decompose", "--poly", "-"], ["-3", "decompose", "--poly", "-"],
+    None,
+]
+
+
+def answer(capsys, monkeypatch, argv):
+    """main's exit code (or SystemExit code), stdout and stderr, with EX1 on stdin."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(EX1))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: repr(argv))
+def test_parser_matches_reference(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr("sys.argv", ["closedpoly", *SYS_ARGV])
+    got = answer(capsys, monkeypatch, argv)
+    monkeypatch.setattr("closedpoly.cli.build_parser", lambda command: reference_build_parser())
+    assert got == answer(capsys, monkeypatch, argv)
+
+
+def test_only_the_dispatched_subcommand_gets_options(capsys, monkeypatch, poly_file):
+    progs = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counted(self, *flags, **keywords):
+        if flags != ("-h", "--help"):  # every parser's own help option
+            progs.append(self.prog)
+        return real(self, *flags, **keywords)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    code, out, err = run(capsys, "stein", "--data", poly_file(STEIN_F), "--mode", "f", "--d", "3")
+    assert (code, err) == (0, "")
+    assert sorted(set(progs)) == ["closedpoly", "closedpoly stein"]
