@@ -44,9 +44,11 @@ EXIT_INTERNAL = 3
 
 def _read_source(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return text.removeprefix("\ufeff")  # a UTF-8 byte-order mark is not content
 
 
 def _load_poly(path: str) -> MultiPoly:

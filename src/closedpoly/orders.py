@@ -10,18 +10,12 @@ the decomposition machinery ever compares.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import comb
 from operator import neg
 from typing import NamedTuple, Optional
 
-from .poly import (
-    Monomial,
-    MultiPoly,
-    NormalizedForm,
-    PolyError,
-    check_scalar,
-    monomials_of_degree,
-)
+from .poly import Monomial, MultiPoly, NormalizedForm, PolyError, check_scalar
 
 GRLEX = "grlex"
 GREVLEX = "grevlex"
@@ -117,22 +111,20 @@ def check_enumerable(m1: Monomial, order: OrderSpec) -> None:
 def monomials_below(m1: Monomial, order: OrderSpec) -> list:
     """All monomials m with m1 ≻ m ≻ 1, strictly descending under the order.
 
-    Only degree-compatible (graded) kinds are allowed: they list the monomials
-    degree level by degree level from deg(m1) down.  A level is descending lex
-    under grlex, and ascending lex on reversed tuples under grevlex.
+    Only degree-compatible (graded) kinds are allowed, so every such m has
+    degree 1..deg(m1): each of those is listed once, and the ones below m1
+    are sorted by `sort_key`.
     """
     check_enumerable(m1, order)
     nvars = len(m1)
-    bound = sum(m1)
+    top = sort_key(m1, order)
     below = []
-    for d in range(bound, 0, -1):
-        level = list(monomials_of_degree(nvars, d))
-        if order.kind == GREVLEX:
-            level = [m[::-1] for m in reversed(level)]
-        if d == bound:
-            level = level[level.index(m1) + 1:]
-        below += level
-    return below
+    for d in range(1, sum(m1) + 1):
+        for chosen in combinations_with_replacement(range(nvars), d):
+            m = tuple(map(chosen.count, range(nvars)))
+            if sort_key(m, order) < top:
+                below.append(m)
+    return sorted(below, key=lambda m: sort_key(m, order), reverse=True)
 
 
 def normalize(f: MultiPoly, order: OrderSpec) -> NormalizedForm:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 Monomial = tuple  # exponent vector; length == nvars
 
@@ -343,18 +343,6 @@ def compose_uni(F: UniPoly, h: MultiPoly) -> MultiPoly:
     for c in reversed(F.coeffs):
         acc = acc * h + c
     return acc
-
-
-def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
-    """All exponent vectors in nvars variables with coordinate sum d, in
-    descending lexicographic order.  `orders.monomials_below`, its one
-    caller, builds on it one degree level at a time."""
-    if nvars == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, d - first):
-            yield (first,) + rest
 
 
 class NormalizedForm(NamedTuple):

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import io
 import json
 import sys
@@ -338,6 +339,36 @@ class TestSaturate:
         # 0 is an explicit bound like any other, not a request for the default
         assert run(capsys, "saturate", "--gens", "1,0;1,3", "--bound", bound) == (
             2, "", "error: bound is below the largest generator degree\n")
+
+
+class TestByteOrderMark:
+    """Input as Windows editors save it: a UTF-8 byte-order mark first, CRLF
+    line ends.  It answers as the plain text does."""
+
+    @pytest.fixture
+    def bom_file(self, tmp_path):
+        def write(text):
+            path = tmp_path / "bom.txt"
+            path.write_bytes(codecs.BOM_UTF8 + text.replace("\n", "\r\n").encode())
+            return str(path)
+
+        return write
+
+    def test_poly_file(self, capsys, poly_file, bom_file):
+        plain = run(capsys, "decompose", "--poly", poly_file(EX1), "--json")
+        assert plain[0] == 0
+        assert run(capsys, "decompose", "--poly", bom_file(EX1), "--json") == plain
+
+    def test_stein_data(self, capsys, poly_file, bom_file):
+        mode = ("--mode", "f", "--d", "3")
+        plain = run(capsys, "stein", "--data", poly_file(STEIN_F, "data.txt"), *mode)
+        assert plain[0] == 0
+        assert run(capsys, "stein", "--data", bom_file(STEIN_F), *mode) == plain
+
+    def test_stdin(self, capsys):
+        plain = run(capsys, "is-closed", "--poly", "-", stdin=EX1)
+        assert plain[0] == 0
+        assert run(capsys, "is-closed", "--poly", "-", stdin="\ufeff" + EX1) == plain
 
 
 class TestExitCodes:

@@ -82,6 +82,14 @@ REJECTED = [  # (text, line, column of the offending token, message)
     ("^2", 1, 1, "expected a coefficient or variable, got '^'"),
     ("x1 +\n\n  x0", 3, 3, "variable index 0 is not allowed"),
     ("x1\n@", 2, 1, "unexpected character '@'"),
+    # an x that no ASCII digit follows, and an upper-case X
+    ("x + 1", 1, 1, "unexpected character 'x'"),
+    ("2*x", 1, 3, "unexpected character 'x'"),
+    ("x1*x\u0661", 1, 4, "unexpected character 'x'"),
+    ("x1^2 +\n  x^3", 2, 3, "unexpected character 'x'"),
+    ("x1 + X2", 1, 6, "unexpected character 'X'"),
+    # a str carries no byte-order mark: only the CLI's file and stdin reader drops one
+    ("\ufeffx1", 1, 1, "unexpected character '\\ufeff'"),
     # Arabic-Indic digits are outside the grammar
     ("x1 + \u0661\u0662", 1, 6, "unexpected character '\u0661'"),
     # an unexpected character anywhere wins over a syntax error before it

@@ -3,8 +3,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import product
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +20,6 @@ from closedpoly.poly import (
     add_product,
     compose_uni,
     integer_form,
-    monomials_of_degree,
 )
 
 from conftest import P, random_poly
@@ -451,25 +449,6 @@ def test_repr_reparses():
     assert repr(F) == "UniPoly('-2/3*t^2 + 1')"
     assert P(repr(p)[len("MultiPoly('"):-2]) == p
     assert P(repr(F)[len("UniPoly('"):-2].replace("t", "x1")) == F
-
-
-def test_monomial_enumeration_count():
-    # C(d + nvars - 1, nvars - 1) exponent vectors of degree d, each once
-    for nvars in range(1, 5):
-        for d in range(6):
-            got = list(monomials_of_degree(nvars, d))
-            assert len(got) == comb(d + nvars - 1, nvars - 1)
-            assert set(got) == {m for m in product(range(d + 1), repeat=nvars) if sum(m) == d}
-
-
-def test_monomials_of_degree_descending_lex():
-    assert list(monomials_of_degree(1, 3)) == [(3,)]
-    assert list(monomials_of_degree(1, 0)) == [(0,)]
-    assert list(monomials_of_degree(3, 0)) == [(0, 0, 0)]
-    assert list(monomials_of_degree(2, 2)) == [(2, 0), (1, 1), (0, 2)]
-    for nvars in range(2, 5):
-        got = list(monomials_of_degree(nvars, 4))
-        assert got == sorted(got, reverse=True)
 
 
 class TestUniPoly:
