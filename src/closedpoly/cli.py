@@ -43,11 +43,15 @@ EXIT_INTERNAL = 3
 
 
 def _read_source(path: str) -> str:
+    """A file's text, or stdin's for "-": both are read as bytes and decoded
+    as UTF-8 whatever the locale, with CRLF and a lone CR read as a newline,
+    as text mode reads them."""
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return text.removeprefix("\ufeff")  # a UTF-8 byte-order mark is not content
 
 

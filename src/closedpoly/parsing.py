@@ -12,13 +12,13 @@ Integers are runs of the ASCII digits 0-9.  Variables are x1, x2, ...;
 the variable count is inferred as the largest index that appears.
 
 Accepted input takes one pass of a compiled term regex, each match
-anchored where the last one ended.  Its quantifiers are possessive on
-Python 3.11+ and greedy on 3.10, which lacks the syntax; both match the
-same, as each is followed only by optional parts or by a character it
-cannot take.  At the first place that pass does not accept cleanly, the
-text goes to the token scanner, the only code that words a
-``ParseError``.  It first searches for a character no token can start
-with, so ``x1 x2 @`` fails at the ``@``, not at an earlier syntax error.
+anchored where the last one ended.  Its quantifiers are possessive and
+match as greedy ones would, as each is followed only by optional parts or
+by a character it cannot take.  At the first place that pass does not
+accept cleanly, the text goes to the token scanner, the only code that
+words a ``ParseError``.  It first searches for a character no token can
+start with, so ``x1 x2 @`` fails at the ``@``, not at an earlier syntax
+error.
 
 Rendered output sorts terms descending under the requested monomial
 order and is always re-parseable.
@@ -35,7 +35,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .orders import OrderSpec, sort_key
-from .poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, UniPoly, check_nvars
+from .poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, UniPoly, check_nvars, integer_form
 
 
 class ParseError(ValueError):
@@ -55,13 +55,11 @@ _BAD_CHAR_RE = re.compile(r"x(?![0-9])|[^\sx0-9+\-*/^]")
 _TOKEN_RE = re.compile(r"x[0-9]+|[0-9]+|[-+*/^]")
 _BOUND_DIGITS = len(str(max(MAX_EXPONENT, MAX_VARIABLES)))
 # a term: blanks, a sign (required after the first term), num[/den][*mono] or mono,
-# blanks; a longer digit run in a factor leaves a digit where no term can start.  Each
-# quantifier is followed only by optional parts or by a character it cannot take, so
-_P = "+" if sys.version_info >= (3, 11) else ""  # possessive is exact; 3.10: greedy, same language
-_FACTOR = rf"x[0-9]{{1,{_BOUND_DIGITS}}}{_P}(?:\^[0-9]{{1,{_BOUND_DIGITS}}}{_P})?{_P}"
-_MONO = rf"{_FACTOR}(?:\*{_FACTOR})*{_P}"
-_TERM_RE = re.compile(rf"\s*{_P}(?:([-+])\s*{_P})?{_P}(?:([0-9]+{_P})(?:\s*{_P}/\s*{_P}([0-9]+{_P}))?{_P}"
-                      rf"(?:\s*{_P}\*\s*{_P}({_MONO}))?{_P}|({_MONO}))\s*{_P}")
+# blanks; a longer digit run in a factor leaves a digit where no term can start
+_FACTOR = rf"x[0-9]{{1,{_BOUND_DIGITS}}}+(?:\^[0-9]{{1,{_BOUND_DIGITS}}}+)?+"
+_MONO = rf"{_FACTOR}(?:\*{_FACTOR})*+"
+_TERM_RE = re.compile(rf"\s*+(?:([-+])\s*+)?+(?:([0-9]++)(?:\s*+/\s*+([0-9]++))?+"
+                      rf"(?:\s*+\*\s*+({_MONO}))?+|({_MONO}))\s*+")
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -241,6 +239,13 @@ def _render_mono(m) -> str:
     return "*".join(parts)
 
 
+def _number(q: Fraction) -> str:
+    """str(q), its parts written through Decimal, which has no int-string limit."""
+    den, (num,) = integer_form((q,))
+    num = str(Decimal(num))
+    return num if den == 1 else num + "/" + str(Decimal(den))
+
+
 def _join_signed(terms) -> str:
     """Join (coefficient, monomial text) pairs as "-a*m + m - c"; a coefficient
     of magnitude 1 is left out, and "" is the unit monomial; "0" when there
@@ -249,11 +254,11 @@ def _join_signed(terms) -> str:
     for c, mono in terms:
         mag = abs(c)
         if not mono:
-            body = str(mag)
+            body = _number(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            body = f"{_number(mag)}*{mono}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

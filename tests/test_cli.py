@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import time
+from decimal import Decimal
 from itertools import product
 from math import prod
 
@@ -32,10 +33,16 @@ def poly_file(tmp_path):
     return write
 
 
+def byte_stdin(data):
+    """A stdin as the interpreter opens it in a cp1252 locale: text over bytes,
+    str given as its UTF-8 encoding."""
+    return io.TextIOWrapper(io.BytesIO(data.encode() if isinstance(data, str) else data), encoding="cp1252")
+
+
 def run(capsys, *argv, stdin=None):
     with pytest.MonkeyPatch.context() as mp:
         if stdin is not None:
-            mp.setattr("sys.stdin", io.StringIO(stdin))
+            mp.setattr("sys.stdin", byte_stdin(stdin))
         code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -170,11 +177,20 @@ class TestDepend:
         assert payload["nonzero_minors"] == {"(1,2)": minor}
 
     def test_both_inputs_on_stdin_rejected(self, capsys, monkeypatch):
-        stdin = io.StringIO(EX1)
+        stdin = byte_stdin(EX1)
         monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, "depend", "--f", "-", "--g", "-")
         assert (code, out, err) == (2, "", "error: --f and --g cannot both read stdin\n")
-        assert stdin.tell() == 0  # rejected before anything is read
+        assert stdin.buffer.tell() == 0  # rejected before anything is read
+
+    def test_minors_past_the_int_string_limit(self, capsys, poly_file):
+        # 3,000-digit coefficients are read; their 6,000-digit product is printed in full
+        a, b = int("7" * 3000), int("3" * 3000)
+        argv = ("depend", "--f", poly_file(f"{a}*x1*x2 + x1\n", "f.txt"),
+                "--g", poly_file(f"{b}*x1^2 + x2^3\n", "g.txt"))
+        minor = f"{Decimal(3 * a)}*x2^3 - {Decimal(2 * a * b)}*x1^2 + 3*x2^2"
+        assert run(capsys, *argv) == (0, f"algebraically dependent: False\n  minor (1,2) = {minor}\n", "")
+        assert run_json(capsys, *argv)["nonzero_minors"] == {"(1,2)": minor}
 
 
 class TestFamily:
@@ -369,6 +385,25 @@ class TestByteOrderMark:
         plain = run(capsys, "is-closed", "--poly", "-", stdin=EX1)
         assert plain[0] == 0
         assert run(capsys, "is-closed", "--poly", "-", stdin="\ufeff" + EX1) == plain
+
+
+@pytest.mark.parametrize("data, code", [
+    (codecs.BOM_UTF8 + EX1.encode(), 0),
+    (b"x1^4 + 2*x1^2*x2\r\n + x2^2\r\n", 0),
+    (b"x1^4 +\r\n 2*x1^2*x2 @\r\n", 1),
+    (b"x1^4 +\r 2*x1^2*x2 @\r", 1),
+    ("x1^2 + x2\u00a0\n".encode(), 0),
+    (b"x1^2 + \xff\n", 2),
+], ids=["byte-order-mark", "crlf", "crlf-error", "lone-cr-error", "no-break-space", "invalid-utf-8"])
+def test_stdin_reads_as_a_file(capsys, tmp_path, data, code):
+    """stdin's bytes answer as a file's do, whatever the locale's encoding."""
+    path = tmp_path / "poly.bin"
+    path.write_bytes(data)
+    got = run(capsys, "is-closed", "--poly", str(path))
+    assert got[0] == code
+    assert run(capsys, "is-closed", "--poly", "-", stdin=data) == got
+    if code == 1:  # the line break is read as one, wherever it is read from
+        assert got[2] == "error: line 2, column 12: unexpected character '@'\n"
 
 
 class TestExitCodes:
@@ -651,7 +686,7 @@ PARSER_ARGVS = [
 
 def answer(capsys, monkeypatch, argv):
     """main's exit code (or SystemExit code), stdout and stderr, with EX1 on stdin."""
-    monkeypatch.setattr("sys.stdin", io.StringIO(EX1))
+    monkeypatch.setattr("sys.stdin", byte_stdin(EX1))
     try:
         code = main(argv)
     except SystemExit as exc:
