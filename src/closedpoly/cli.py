@@ -4,10 +4,13 @@ Subcommands: decompose, is-closed, newton, depend, family, stein, saturate.
 Polynomials are read from a file or stdin ("-"); output is a human-readable
 summary by default or one JSON object with --json.
 
-Each call builds a fresh parser with every subcommand's name and help, but
-only the subcommand it dispatches to, the first positional argument, gets its
-options.  A value-taking option followed by "-" and a digit takes that token
-as its value, so --mu -1/4 reads as --mu=-1/4.
+A call whose first argument is a subcommand parses the rest with one
+parser that has that subcommand's options alone and never prints.  What it
+refuses or leaves over (-h and --help too), and any other first argument,
+goes to the full parser, which names every subcommand and gives options
+only to the one named; all help, usage and error text comes from it.  A
+value-taking option followed by "-" and a digit takes that token as its
+value, so --mu -1/4 reads as --mu=-1/4.
 
 Exit codes: 0 success, 1 parse error, 2 domain error, 3 internal
 verification failure.
@@ -33,7 +36,8 @@ from .family import (
 from .monoid import MonoidError, MonoidGens, is_saturated, saturation_generators
 from .newton import multiplicity, newton_summary, realizing_weights
 from .orders import GREVLEX, GRLEX, OrderSpec, leading_term
-from .parsing import ParseError, over_limit, parse_poly, render_poly, render_uni, short_number
+from .parsing import (ParseError, over_limit, parse_poly, render_number, render_poly, render_uni,
+                      short_number)
 from .poly import MultiPoly
 
 EXIT_OK = 0
@@ -45,14 +49,23 @@ EXIT_INTERNAL = 3
 def _read_source(path: str) -> str:
     """A file's text, or stdin's for "-": both are read as bytes and decoded
     as UTF-8 whatever the locale, with CRLF and a lone CR read as a newline,
-    as text mode reads them."""
+    as text mode reads them.  A byte that is not UTF-8 is a ParseError at
+    the line and column the parser would give a character there."""
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    return text.removeprefix("\ufeff")  # a UTF-8 byte-order mark is not content
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:  # the text before the bad byte places it
+        text, bad = data[:exc.start].decode("utf-8"), data[exc.start]
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark is not content
+    if bad is not None:
+        line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
+        raise ParseError(f"invalid UTF-8 byte 0x{bad:02x}", line, column)
+    return text
 
 
 def _load_poly(path: str) -> MultiPoly:
@@ -132,9 +145,10 @@ def _cmd_newton(args) -> tuple:
     summary = newton_summary(f, order)
     weights = {}
     for v in sorted(summary.v0):
-        weights[v] = realizing_weights(f, v)
-        if weights[v] is None:
+        ws = realizing_weights(f, v)
+        if ws is None:
             raise RuntimeError(f"V0 point {list(v)} has no checked realizing weights")
+        weights[v] = [render_number(w) for w in ws]
     payload = {
         "command": "newton",
         "input": render_poly(f, order),
@@ -144,9 +158,7 @@ def _cmd_newton(args) -> tuple:
         "d1": summary.d1,
         "divisors_plain": list(summary.divisors_plain),
         "divisors_pruned": list(summary.divisors_pruned),
-        "realizing_weights": {
-            str(list(v)): [str(w) for w in ws] for v, ws in weights.items()
-        },
+        "realizing_weights": {str(list(v)): ws for v, ws in weights.items()},
     }
     human = [
         f"support:   {sorted(summary.support)}",
@@ -157,7 +169,7 @@ def _cmd_newton(args) -> tuple:
         f"D1(f):     {list(summary.divisors_pruned)}",
     ]
     for v, ws in weights.items():
-        human.append(f"weights for {v}: {[str(w) for w in ws]}")
+        human.append(f"weights for {v}: {ws}")
     return payload, human
 
 
@@ -183,7 +195,7 @@ def _cmd_depend(args) -> tuple:
 
 
 def _shift_str(lam: Fraction, mult: int) -> str:
-    base = f"(h + {lam!s})" if lam >= 0 else f"(h - {-lam!s})"
+    base = f"(h + {render_number(lam)})" if lam >= 0 else f"(h - {render_number(-lam)})"
     return base if mult == 1 else f"{base}^{mult}"
 
 
@@ -197,19 +209,19 @@ def _cmd_family(args) -> tuple:
     residual = render_uni(fam.residual)
     payload = {
         "command": "family",
-        "mu": str(fam.mu),
+        "mu": render_number(fam.mu),
         "h": h_text,
         "F": F_text,
-        "alpha": str(fam.alpha),
-        "shifts": [[str(lam), mult] for lam, mult in fam.shifts],
+        "alpha": render_number(fam.alpha),
+        "shifts": [[render_number(lam), mult] for lam, mult in fam.shifts],
         "residual": residual,
         "verified": True,  # factor_shift raises unless the identity holds
     }
     human = [
         f"h:        {h_text}",
         f"F(t):     {F_text}",
-        f"mu:       {fam.mu!s}",
-        f"alpha:    {fam.alpha!s}",
+        f"mu:       {payload['mu']}",
+        f"alpha:    {payload['alpha']}",
         "shifts:   " + (", ".join(_shift_str(lam, mult) for lam, mult in fam.shifts) or "(none)"),
         f"residual: {residual}",
         "verified: True",
@@ -217,9 +229,9 @@ def _cmd_family(args) -> tuple:
     if args.eh is not None:
         e_h = [_number_arg("--eh", s) for s in args.eh.split(",") if s.strip()]
         image = sorted(exceptional_image(result.F, e_h))
-        payload["E_h"] = [str(x) for x in e_h]
-        payload["E_f"] = [str(x) for x in image]
-        human.append(f"E(f):     {{{', '.join(str(x) for x in image)}}}")
+        payload["E_h"] = [render_number(x) for x in e_h]
+        payload["E_f"] = [render_number(x) for x in image]
+        human.append(f"E(f):     {{{', '.join(payload['E_f'])}}}")
     return payload, human
 
 
@@ -324,6 +336,14 @@ _COMMANDS = {
 }
 
 
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """Give parser command's options and handler."""
+    _, func, options = _COMMANDS[command]
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=func)
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
     """Every subcommand by name and help; options and handler only for command."""
     parser = argparse.ArgumentParser(
@@ -332,13 +352,30 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, func, options) in _COMMANDS.items():
+    for name, (text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         if name == command:
-            for flag, keywords in options:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(func=func)
+            _add_options(p, name)
     return parser
+
+
+class _Refusing(argparse.ArgumentParser):
+    """A parser whose refusals raise ArgumentError instead of printing and exiting."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _parse_alone(command: str, tokens: list):
+    """tokens after command, parsed with its options alone; None when refused or
+    when a token is left over (-h and --help are: this parser has no help option)."""
+    parser = _Refusing(prog=f"closedpoly {command}", add_help=False)
+    _add_options(parser, command)
+    try:
+        args, leftover = parser.parse_known_args(tokens)
+    except argparse.ArgumentError:
+        return None
+    return None if leftover else args
 
 
 def main(argv=None) -> int:
@@ -358,7 +395,10 @@ def main(argv=None) -> int:
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
-    args = build_parser(command).parse_args(tokens)
+    # the full parser answers whatever the one-subcommand parser declines
+    args = _parse_alone(command, tokens[1:]) if at == 0 and command in _COMMANDS else None
+    if args is None:
+        args = build_parser(command).parse_args(tokens)
     try:
         payload, human = args.func(args)
         if args.json:

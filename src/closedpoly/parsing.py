@@ -35,7 +35,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .orders import OrderSpec, sort_key
-from .poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, UniPoly, check_nvars, integer_form
+from .poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, UniPoly, check_nvars, fraction_parts
 
 
 class ParseError(ValueError):
@@ -239,9 +239,9 @@ def _render_mono(m) -> str:
     return "*".join(parts)
 
 
-def _number(q: Fraction) -> str:
+def render_number(q: Fraction | int) -> str:
     """str(q), its parts written through Decimal, which has no int-string limit."""
-    den, (num,) = integer_form((q,))
+    num, den = fraction_parts(q)
     num = str(Decimal(num))
     return num if den == 1 else num + "/" + str(Decimal(den))
 
@@ -254,11 +254,11 @@ def _join_signed(terms) -> str:
     for c, mono in terms:
         mag = abs(c)
         if not mono:
-            body = _number(mag)
+            body = render_number(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_number(mag)}*{mono}"
+            body = f"{render_number(mag)}*{mono}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

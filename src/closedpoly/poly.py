@@ -74,6 +74,11 @@ def integer_form(coeffs: Collection[Fraction]) -> tuple:
     return L, [c.numerator * (L // c.denominator) for c in coeffs]
 
 
+def fraction_parts(c: Scalar) -> tuple:
+    """(numerator, denominator) of one int or Fraction c, the denominator positive."""
+    return c.numerator, c.denominator
+
+
 def check_nvars(nvars: int) -> int:
     """Reject nvars outside 1..MAX_VARIABLES, before anything nvars long is built."""
     if not isinstance(nvars, int):

@@ -18,8 +18,9 @@ arithmetic, against which `depend` is checked.
 The `dense_*` functions are univariate arithmetic and rendering on coefficient
 lists, lowest degree first, against which the sparse `UniPoly` is checked.
 `reference_build_parser` is the command-line parser with every subcommand's
-options, bound to the same handlers, against which `cli.main`'s parser, which
-gives options only to the subcommand it dispatches to, is checked.
+options, bound to the same handlers, against which `cli.main`'s parsers are
+checked: the one-subcommand parser and the full parser it falls back to,
+which gives options only to the subcommand it dispatches to.
 """
 
 import argparse

@@ -248,6 +248,17 @@ class TestFamily:
         assert got == run(capsys, "family", "--poly", path, *attached, "--json")
         assert (got[0], got[2]) == (0, "")
 
+    def test_numbers_past_the_int_string_limit(self, capsys, poly_file):
+        # a 3,000-digit e is read; E(f) = -F(-e) = -e^2, 6,000 digits, is printed in full
+        e = int("9" * 3000)
+        argv = ("family", "--poly", poly_file(EX1), "--mu", "-1", "--eh", f"0,{e}")
+        image = f"-{Decimal(e * e)}"
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"E(f):     {{{image}, 0}}"
+        payload = run_json(capsys, *argv)
+        assert (payload["E_h"], payload["E_f"]) == (["0", str(Decimal(e))], [image, "0"])
+
     def test_flag_takes_no_negative_value(self, capsys, poly_file):
         with pytest.raises(SystemExit) as exc:
             main(["family", "--poly", poly_file(EX1), "--mu", "1", "--json", "-1/4"])
@@ -387,23 +398,46 @@ class TestByteOrderMark:
         assert run(capsys, "is-closed", "--poly", "-", stdin="\ufeff" + EX1) == plain
 
 
-@pytest.mark.parametrize("data, code", [
-    (codecs.BOM_UTF8 + EX1.encode(), 0),
-    (b"x1^4 + 2*x1^2*x2\r\n + x2^2\r\n", 0),
-    (b"x1^4 +\r\n 2*x1^2*x2 @\r\n", 1),
-    (b"x1^4 +\r 2*x1^2*x2 @\r", 1),
-    ("x1^2 + x2\u00a0\n".encode(), 0),
-    (b"x1^2 + \xff\n", 2),
+# the line break is read as one, wherever it is read from
+AT_LINE_2 = "error: line 2, column 12: unexpected character '@'\n"
+
+
+@pytest.mark.parametrize("data, code, err", [
+    (codecs.BOM_UTF8 + EX1.encode(), 0, ""),
+    (b"x1^4 + 2*x1^2*x2\r\n + x2^2\r\n", 0, ""),
+    (b"x1^4 +\r\n 2*x1^2*x2 @\r\n", 1, AT_LINE_2),
+    (b"x1^4 +\r 2*x1^2*x2 @\r", 1, AT_LINE_2),
+    ("x1^2 + x2\u00a0\n".encode(), 0, ""),
+    (b"x1^2 + \xff\n", 1, "error: line 1, column 8: invalid UTF-8 byte 0xff\n"),
 ], ids=["byte-order-mark", "crlf", "crlf-error", "lone-cr-error", "no-break-space", "invalid-utf-8"])
-def test_stdin_reads_as_a_file(capsys, tmp_path, data, code):
+def test_stdin_reads_as_a_file(capsys, tmp_path, data, code, err):
     """stdin's bytes answer as a file's do, whatever the locale's encoding."""
     path = tmp_path / "poly.bin"
     path.write_bytes(data)
     got = run(capsys, "is-closed", "--poly", str(path))
-    assert got[0] == code
+    assert (got[0], got[2]) == (code, err)
     assert run(capsys, "is-closed", "--poly", "-", stdin=data) == got
-    if code == 1:  # the line break is read as one, wherever it is read from
-        assert got[2] == "error: line 2, column 12: unexpected character '@'\n"
+
+
+@pytest.mark.parametrize("data, place, byte", [
+    (b"\xff", "line 1, column 1", "0xff"),
+    (b"x1^4 +\r\n 2*x1^2*x2 \x80 + x2^2\r\n", "line 2, column 12", "0x80"),
+    (b"x1^4 +\r 2*x1^2*x2 \xc0\xaf\r", "line 2, column 12", "0xc0"),
+    # the mark and a two-byte no-break space count as the parser counts them
+    (codecs.BOM_UTF8 + "x1\u00a0+ x2\u00a0+ ".encode() + b"\xe9\n", "line 1, column 11", "0xe9"),
+    (codecs.BOM_UTF8 + b"x1 + \xe2\x82", "line 1, column 6", "0xe2"),
+], ids=["first-byte", "crlf", "lone-cr", "after-bom-and-multibyte", "truncated-sequence"])
+def test_invalid_utf_8_is_a_parse_error(capsys, tmp_path, data, place, byte):
+    """A byte that is not UTF-8 exits 1, placed at the character the parser would read there."""
+    path = tmp_path / "in.bin"
+    path.write_bytes(data)
+    err = f"error: {place}: invalid UTF-8 byte {byte}\n"
+    assert run(capsys, "decompose", "--poly", str(path)) == (1, "", err)
+    assert run(capsys, "decompose", "--poly", "-", stdin=data) == (1, "", err)
+    assert run(capsys, "stein", "--data", str(path), "--mode", "h") == (1, "", err)
+    g = tmp_path / "g.txt"
+    g.write_text(EX1)
+    assert run(capsys, "depend", "--f", str(g), "--g", str(path), "--json") == (1, "", err)
 
 
 class TestExitCodes:
@@ -670,7 +704,8 @@ def test_command(capsys, argv, stdin, code, expected):
 
 
 # argv lists on which main answers as with the parser that gives every subcommand
-# its options; sys.argv[1:] stands in for argv=None (None below)
+# its options; sys.argv[1:] stands in for argv=None (None below).  EX1 is on
+# stdin, and g.txt and data.txt are in the working directory.
 SYS_ARGV = ["newton", "--poly", "-", "--json"]
 PARSER_ARGVS = [
     [], ["-h"], ["--help"], ["--version"], ["no-such-command"], ["-h", "decompose"],
@@ -681,6 +716,21 @@ PARSER_ARGVS = [
     ["--json", "decompose", "--poly", "-"], ["--", "decompose", "--poly", "-"],
     ["-", "decompose", "--poly", "-"], ["-3", "decompose", "--poly", "-"],
     None,
+    # every subcommand with all its options, answered by the one-subcommand parser
+    ["decompose", "--poly", "-", "--order=grevlex", "--no-newton", "--json"],
+    ["is-closed", "--order", "grevlex", "--poly", "-", "--json"],
+    ["newton", "--poly", "g.txt", "--poly", "-", "--order=grlex", "--json"],
+    ["depend", "--f", "-", "--g", "g.txt", "--json"],
+    ["family", "--poly", "-", "--mu", "-1/4", "--eh", "0,1", "--order", "grevlex", "--json"],
+    ["family", "--poly", "-", "--mu=-3", "--eh", "-1/2,3"],
+    ["stein", "--data", "data.txt", "--mode", "f", "--d", "3", "--json"],
+    ["saturate", "--gens", "1,0", "--gens=1,0;1,3", "--bound", "8", "--json"],
+    ["saturate", "--gens", "1,0;1,3", "--bound", "-1"],
+    # help and refusals after a subcommand, answered by the full parser
+    ["family", "--poly", "-", "--mu", "1", "--he"], ["stein", "--mode", "h", "-h"],
+    ["family", "--poly", "-", "--mu"], ["family", "--poly", "-", "--mu", "1", "--json=1"],
+    ["stein", "--data", "data.txt", "--mode", "g"], ["saturate", "--gens", "1,0", "--"],
+    ["saturate", "--gens", "1,0", "--", "--json"], ["newton", "--poly", "-", "--version"],
 ]
 
 
@@ -696,24 +746,34 @@ def answer(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: repr(argv))
-def test_parser_matches_reference(capsys, monkeypatch, argv):
+def test_parser_matches_reference(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr("sys.argv", ["closedpoly", *SYS_ARGV])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("x1^2 + x2\n")
+    (tmp_path / "data.txt").write_text(STEIN_F)
     got = answer(capsys, monkeypatch, argv)
+    # the reference: the one-subcommand parser declines, and the full parser answers
+    monkeypatch.setattr("closedpoly.cli._parse_alone", lambda command, tokens: None)
     monkeypatch.setattr("closedpoly.cli.build_parser", lambda command: reference_build_parser())
     assert got == answer(capsys, monkeypatch, argv)
 
 
 def test_only_the_dispatched_subcommand_gets_options(capsys, monkeypatch, poly_file):
-    progs = []
-    real = argparse.ArgumentParser.add_argument
+    parsers, options = [], []
+    real_init, real_add = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
 
-    def counted(self, *flags, **keywords):
-        if flags != ("-h", "--help"):  # every parser's own help option
-            progs.append(self.prog)
-        return real(self, *flags, **keywords)
+    def init(self, *args, **keywords):
+        parsers.append(self)
+        real_init(self, *args, **keywords)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    def add(self, *flags, **keywords):
+        options.append((self.prog, flags))
+        return real_add(self, *flags, **keywords)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", add)
     code, out, err = run(capsys, "stein", "--data", poly_file(STEIN_F), "--mode", "f", "--d", "3")
     assert (code, err) == (0, "")
-    assert sorted(set(progs)) == ["closedpoly", "closedpoly stein"]
+    assert [parser.prog for parser in parsers] == ["closedpoly stein"]
+    assert options == [("closedpoly stein", (flag,)) for flag in ("--data", "--mode", "--d", "--json")]
