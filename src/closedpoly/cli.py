@@ -4,13 +4,10 @@ Subcommands: decompose, is-closed, newton, depend, family, stein, saturate.
 Polynomials are read from a file or stdin ("-"); output is a human-readable
 summary by default or one JSON object with --json.
 
-A call whose first argument is a subcommand parses the rest with one
-parser that has that subcommand's options alone and never prints.  What it
-refuses or leaves over (-h and --help too), and any other first argument,
-goes to the full parser, which names every subcommand and gives options
-only to the one named; all help, usage and error text comes from it.  A
-value-taking option followed by "-" and a digit takes that token as its
-value, so --mu -1/4 reads as --mu=-1/4.
+Every call is parsed by one complete parser, which gives each subcommand
+its options; it is built on the first call, not at import, and words all
+help, usage and error text.  A value-taking option followed by "-" and a
+digit takes that token as its value, so --mu -1/4 reads as --mu=-1/4.
 
 Exit codes: 0 success, 1 parse error, 2 domain error, 3 internal
 verification failure.
@@ -19,6 +16,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -173,13 +171,22 @@ def _cmd_newton(args) -> tuple:
     return payload, human
 
 
+def _read_option(flag: str, path: str, min_nvars: int = 1) -> tuple:
+    """(text, polynomial) of flag's file; a parse error in it names flag."""
+    try:
+        text = _read_source(path)
+        return text, parse_poly(text, min_nvars).poly
+    except ParseError as exc:
+        exc.args = (f"{flag}: {exc}",)
+        raise
+
+
 def _cmd_depend(args) -> tuple:
     if args.f == args.g == "-":
         raise ValueError("--f and --g cannot both read stdin")
     # f and g are read in one ring: the larger of their inferred variable counts
-    f_text = _read_source(args.f)
-    f = parse_poly(f_text).poly
-    g = parse_poly(_read_source(args.g), min_nvars=f.nvars).poly
+    f_text, f = _read_option("--f", args.f)
+    _, g = _read_option("--g", args.g, min_nvars=f.nvars)
     if g.nvars > f.nvars:
         f = parse_poly(f_text, min_nvars=g.nvars).poly
     minors = {f"({i},{j})": render_poly(m)
@@ -336,46 +343,22 @@ _COMMANDS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
-    """Give parser command's options and handler."""
-    _, func, options = _COMMANDS[command]
-    for flag, keywords in options:
-        parser.add_argument(flag, **keywords)
-    parser.set_defaults(func=func)
-
-
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """Every subcommand by name and help; options and handler only for command."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand with its options and handler; built by the first call and
+    shared by every later one, since parse_args leaves a parser as it found it."""
     parser = argparse.ArgumentParser(
         prog="closedpoly",
         description="Closed-polynomial decomposition and related checks over the rationals.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, _) in _COMMANDS.items():
+    for name, (text, func, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if name == command:
-            _add_options(p, name)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
-
-
-class _Refusing(argparse.ArgumentParser):
-    """A parser whose refusals raise ArgumentError instead of printing and exiting."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
-def _parse_alone(command: str, tokens: list):
-    """tokens after command, parsed with its options alone; None when refused or
-    when a token is left over (-h and --help are: this parser has no help option)."""
-    parser = _Refusing(prog=f"closedpoly {command}", add_help=False)
-    _add_options(parser, command)
-    try:
-        args, leftover = parser.parse_known_args(tokens)
-    except argparse.ArgumentError:
-        return None
-    return None if leftover else args
 
 
 def main(argv=None) -> int:
@@ -395,10 +378,7 @@ def main(argv=None) -> int:
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
-    # the full parser answers whatever the one-subcommand parser declines
-    args = _parse_alone(command, tokens[1:]) if at == 0 and command in _COMMANDS else None
-    if args is None:
-        args = build_parser(command).parse_args(tokens)
+    args = build_parser().parse_args(tokens)
     try:
         payload, human = args.func(args)
         if args.json:

@@ -18,9 +18,8 @@ arithmetic, against which `depend` is checked.
 The `dense_*` functions are univariate arithmetic and rendering on coefficient
 lists, lowest degree first, against which the sparse `UniPoly` is checked.
 `reference_build_parser` is the command-line parser with every subcommand's
-options, bound to the same handlers, against which `cli.main`'s parsers are
-checked: the one-subcommand parser and the full parser it falls back to,
-which gives options only to the subcommand it dispatches to.
+options, written out by hand and bound to the same handlers, against which
+`cli.build_parser`, built from its table of options, is checked.
 """
 
 import argparse

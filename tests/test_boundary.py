@@ -4,7 +4,8 @@ Below the public constructors (`MultiPoly(...)`, `UniPoly(coeffs)`,
 `constant`, `zero`, `variable`, `from_term`, `identity`), the library
 builds every polynomial from already-checked data through `_checked`.
 Likewise only `poly` takes `Fraction` coefficients apart: every other module
-gets integer numerators over a common denominator from `poly.integer_form`.
+gets integer numerators over a common denominator from `poly.integer_form`,
+or one number's numerator and denominator from `poly.fraction_parts`.
 """
 
 import ast

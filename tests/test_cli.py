@@ -183,6 +183,13 @@ class TestDepend:
         assert (code, out, err) == (2, "", "error: --f and --g cannot both read stdin\n")
         assert stdin.buffer.tell() == 0  # rejected before anything is read
 
+    @pytest.mark.parametrize("flag", ["--f", "--g"])
+    def test_a_parse_error_names_its_option(self, capsys, poly_file, flag):
+        files = {"--f": poly_file(EX1, "f.txt"), "--g": poly_file("x1^2 + x2\n", "g.txt")}
+        files[flag] = poly_file("x1 + @\n", "bad.txt")
+        code, out, err = run(capsys, "depend", "--f", files["--f"], "--g", files["--g"])
+        assert (code, out, err) == (1, "", f"error: {flag}: line 1, column 6: unexpected character '@'\n")
+
     def test_minors_past_the_int_string_limit(self, capsys, poly_file):
         # 3,000-digit coefficients are read; their 6,000-digit product is printed in full
         a, b = int("7" * 3000), int("3" * 3000)
@@ -437,7 +444,10 @@ def test_invalid_utf_8_is_a_parse_error(capsys, tmp_path, data, place, byte):
     assert run(capsys, "stein", "--data", str(path), "--mode", "h") == (1, "", err)
     g = tmp_path / "g.txt"
     g.write_text(EX1)
-    assert run(capsys, "depend", "--f", str(g), "--g", str(path), "--json") == (1, "", err)
+    for flag, argv in (("--g", ("--f", str(g), "--g", str(path))),
+                       ("--f", ("--f", str(path), "--g", str(g)))):
+        got = run(capsys, "depend", *argv, "--json")
+        assert got == (1, "", f"error: {flag}: {place}: invalid UTF-8 byte {byte}\n")
 
 
 class TestExitCodes:
@@ -753,27 +763,42 @@ def test_parser_matches_reference(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "g.txt").write_text("x1^2 + x2\n")
     (tmp_path / "data.txt").write_text(STEIN_F)
     got = answer(capsys, monkeypatch, argv)
-    # the reference: the one-subcommand parser declines, and the full parser answers
-    monkeypatch.setattr("closedpoly.cli._parse_alone", lambda command, tokens: None)
-    monkeypatch.setattr("closedpoly.cli.build_parser", lambda command: reference_build_parser())
+    monkeypatch.setattr("closedpoly.cli.build_parser", reference_build_parser)
     assert got == answer(capsys, monkeypatch, argv)
 
 
-def test_only_the_dispatched_subcommand_gets_options(capsys, monkeypatch, poly_file):
-    parsers, options = [], []
+def test_a_second_call_builds_no_parser(capsys, monkeypatch, poly_file):
+    argv = ("stein", "--data", poly_file(STEIN_F), "--mode", "f", "--d", "3")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    built = []
     real_init, real_add = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
 
     def init(self, *args, **keywords):
-        parsers.append(self)
+        built.append(("ArgumentParser", args, keywords))
         real_init(self, *args, **keywords)
 
     def add(self, *flags, **keywords):
-        options.append((self.prog, flags))
+        built.append(("add_argument", flags, keywords))
         return real_add(self, *flags, **keywords)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", add)
-    code, out, err = run(capsys, "stein", "--data", poly_file(STEIN_F), "--mode", "f", "--d", "3")
-    assert (code, err) == (0, "")
-    assert [parser.prog for parser in parsers] == ["closedpoly stein"]
-    assert options == [("closedpoly stein", (flag,)) for flag in ("--data", "--mode", "--d", "--json")]
+    assert run(capsys, *argv) == first
+    assert built == []
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, poly_file):
+    """One parser answers every call in a process; no option value, default or
+    refusal of one call reaches the next."""
+    path = poly_file(EX1)
+    assert run_json(capsys, "decompose", "--poly", path, "--no-newton")["pruned"] is False
+    assert run_json(capsys, "decompose", "--poly", path)["pruned"] is True
+    assert "E_h" in run_json(capsys, "family", "--poly", path, "--mu", "1", "--eh", "0,1")
+    plain = run(capsys, "family", "--poly", path, "--mu", "1", "--json")
+    assert "E_h" not in json.loads(plain[1])
+    with pytest.raises(SystemExit) as refused:
+        main(["family", "--poly", path, "--mu", "1", "--eh", "0,1", "--json", "--no-such-option"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
+    assert run(capsys, "family", "--poly", path, "--mu", "1", "--json") == plain

@@ -54,3 +54,13 @@ def test_start_up_loads_no_introspection_modules():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_builds_no_parser():
+    """The CLI parser is built by the first call, not by importing the CLI."""
+    src = str(Path(closedpoly.__file__).parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import closedpoly.cli; "
+             "print(closedpoly.cli.build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "0"
