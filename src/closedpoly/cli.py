@@ -34,8 +34,8 @@ from .family import (
 from .monoid import MonoidError, MonoidGens, is_saturated, saturation_generators
 from .newton import multiplicity, newton_summary, realizing_weights
 from .orders import GREVLEX, GRLEX, OrderSpec, leading_term
-from .parsing import (ParseError, over_limit, parse_poly, render_number, render_poly, render_uni,
-                      short_number)
+from .parsing import (ParseError, ascii_number, over_limit, parse_poly, render_number, render_poly,
+                      render_uni, short_number)
 from .poly import MultiPoly
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def _number_arg(flag: str, text: str, kind=Fraction):
     """Convert one option value to kind (Fraction or int); a bad value is a
     domain error that names the option."""
     try:
-        return kind(text)
+        return ascii_number(text, kind)
     except ZeroDivisionError:
         raise ValueError(f"{flag}: zero denominator in {text!r}") from None
     except ValueError:
@@ -269,7 +269,7 @@ def _parse_gens(text: str) -> list:
             continue
         entries = [p.strip() for p in chunk.split(",")]
         try:
-            gens.append(tuple(int(p) for p in entries))
+            gens.append(tuple(ascii_number(p) for p in entries))
         except ValueError:
             message = over_limit(max(entries, key=len), "bad generator tuple: an entry")
             raise MonoidError(message or f"bad generator tuple {chunk!r}") from None

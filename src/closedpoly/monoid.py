@@ -2,18 +2,22 @@
 
 The saturated semigroup of a generator set A is the set of lattice points
 in the rational cone C spanned by A.  Its minimal generators, the Hilbert
-basis, come from fundamental-parallelepiped candidates, with no LP
-(Bruns–Koch, "Computing the integral closure of an affine semigroup", 2001;
-Bruns–Ichim, Normaliz, J. Algebra 2010), in integer arithmetic: every
-elimination goes through `linprog.pivot`, and an inverse is |det S|·S^-1.
-Generators are divided by the gcd of their entries, which leaves C
-unchanged, and C, of dimension r, is read in r coordinates on which the
-generators keep rank r: that projection is injective on their span, so
-lower-rank cones take the same path.  An irreducible element of the monoid
-generated by A is an element of A, so A is saturated iff that basis lies in
-A.  The answer is exactly the basis elements of degree at most the bound.
-The default bound lists the whole basis; a lower one leaves out the basis
-elements above it, and `is_saturated` then holds only up to the bound.
+basis, are found in integer arithmetic with no LP.  In two variables they
+are the lattice points on the compact edges of the hull of C's nonzero
+lattice points, walked from one extreme ray u to the other, w, by a
+Hirzebruch–Jung continued fraction (Oda 1988, §1.6; Cox–Little–Schenck
+2011, §10.2); the cap counts det(u, w), which bounds the steps.  Otherwise
+they come from fundamental-parallelepiped candidates (Bruns–Koch,
+"Computing the integral closure of an affine semigroup", 2001; Bruns–Ichim,
+Normaliz, J. Algebra 2010): every elimination goes through `linprog.pivot`,
+and an inverse is |det S|·S^-1.  Generators are divided by the gcd of their
+entries, which leaves C unchanged, and C, of dimension r, is read in r
+coordinates on which the generators keep rank r: that projection is
+injective on their span, so lower-rank cones take the same path.  An
+irreducible element of the monoid generated by A is an element of A, so A
+is saturated iff that basis lies in A.  The answer is exactly the basis
+elements of degree at most the bound: the default one lists the whole
+basis, and below it `is_saturated` holds only up to the bound.
 """
 
 from __future__ import annotations
@@ -207,21 +211,52 @@ def _parallelepiped_points(rays: list, D: int, inverse: list):
             yield tuple(e // D for e in x)
 
 
-def saturation_generators(gens: MonoidGens) -> set:
-    """Minimal generators of the saturated semigroup, up to the bound.
+def _det(a, b) -> int:
+    return a[0] * b[1] - a[1] * b[0]
 
-    The candidates, all in the cone, are the primitive extreme rays and the
-    parallelepiped points of each independent r-subset of them.  The sieve
-    visits them by ascending degree: x is reducible iff x - h is in the cone
-    for some basis element h with deg h <= deg x / 2 (a reducible x is a sum
-    of at least two basis elements, and the smallest of them qualifies),
-    which compares the facet values of x and h.  The basis elements of degree
-    at most the bound are returned.  Raises EnumerationCapExceeded when a
-    stage would run past DEFAULT_POINT_CAP: the facet search, charged as it
-    goes; the simplicial cones, C(e, r) subsets of the e extreme rays, r^3
-    steps each; the parallelepiped points, the sum of their |det|; and the
-    sieve's tests, counted before each candidate's.
-    """
+
+def _plane_basis(prim: set) -> set:
+    """The Hilbert basis of the cone spanned by prim, primitive vectors in
+    Z_{>=0}^2, walked from the extreme ray u to the extreme ray w: from v, the
+    next element is the first cone point -v_prev + k·v on the line det(v, x) = 1."""
+    u = w = next(iter(prim))
+    for g in prim:  # the directions in the quadrant are totally ordered
+        u, w = (g if _det(g, u) > 0 else u), (g if _det(w, g) > 0 else w)
+    if u == w:
+        return {u}
+    _check_cap(_det(u, w), "parallelepiped point count")
+    a, b = u  # a >= 1, since w is counterclockwise of u
+    x = pow(-b, -1, a)
+    basis, cur, p = {u}, u, (x, (1 + b * x) // a)  # det(u, p) = 1
+    while dw := _det(cur, w):
+        k = -(_det(p, w) // dw)  # the least k with det(p + k·cur, w) >= 0
+        cur, p = (p[0] + k * cur[0], p[1] + k * cur[1]), (-cur[0], -cur[1])
+        basis.add(cur)
+    return basis
+
+
+def saturation_generators(gens: MonoidGens) -> set:
+    """Minimal generators of the saturated semigroup, up to the bound: in two
+    variables by `_plane_basis`, whose cap counts det(u, w), and which the
+    bound never cuts, as no element has degree above the larger ray's;
+    otherwise by `_sieve_basis`."""
+    if gens.nvars == 2:
+        return _plane_basis({_primitive(g) for g in gens.gens})
+    return _sieve_basis(gens)
+
+
+def _sieve_basis(gens: MonoidGens) -> set:
+    """The basis elements of degree at most the bound, in any number of
+    variables.  The candidates, all in the cone, are the primitive extreme
+    rays and the parallelepiped points of each independent r-subset of them.
+    The sieve visits them by ascending degree: x is reducible iff x - h is in
+    the cone for some basis element h with deg h <= deg x / 2 (a reducible x
+    is a sum of at least two basis elements, and the smallest of them
+    qualifies), which compares the facet values of x and h.  Raises
+    EnumerationCapExceeded when a stage would run past DEFAULT_POINT_CAP: the
+    facet search, charged as it goes; the simplicial cones, C(e, r) subsets of
+    the e extreme rays, r^3 steps each; the parallelepiped points, the sum of
+    their |det|; and the sieve's tests, counted before each candidate's."""
     prim = sorted({_primitive(g) for g in gens.gens})
     first = _eliminate(list(zip(*prim)), len(prim))[1]  # r independent generators
     coords = _eliminate([prim[i] for i in first], gens.nvars)[1]

@@ -86,6 +86,15 @@ def over_limit(text: str, what: str, unit: str = "characters") -> str:
     return ""
 
 
+def ascii_number(text: str, kind=int):
+    """kind(text), int or Fraction, for a number from outside the program.
+    Python's readers also take "_" between digits and the digits of other
+    scripts, which the polynomial grammar refuses, so those raise ValueError."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} holds '_' or a character outside ASCII")
+    return kind(text)
+
+
 def short_number(n: int | str) -> str:
     """n, an int or a run of digits without leading zeros, as an error message
     quotes it: in full up to 40 digits, else by its digit count (an int's

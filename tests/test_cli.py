@@ -340,6 +340,12 @@ class TestSaturate:
         assert payload["saturation_generators"] == [[1, j] for j in range(1001)]
         assert payload["is_saturated"] is False
 
+    def test_staircase_of_1415(self, capsys):
+        # the parallelepiped sieve refused this one: 500,556 tests, over the cap
+        payload = run_json(capsys, "saturate", "--gens", "1,0;1,1414")
+        assert payload["saturation_generators"] == [[1, j] for j in range(1415)]
+        assert payload["exact"] is True
+
     @pytest.mark.parametrize("bound", ["1000000", "9" * 4000])
     def test_large_explicit_bound(self, capsys, bound):
         # the bound only cuts the answer: no work grows with it
@@ -504,9 +510,14 @@ class TestExitCodes:
              f"error: --eh: a value of 5002 characters exceeds the limit of {LIMIT} digits", LIMIT),
             # no limit (0): a malformed value is not blamed on it
             (["--mu", "abc"], "error: --mu: 'abc' is not a rational number", 0),
+            # Fraction() reads these as 10 and 1/2; the polynomial grammar takes ASCII digits only
+            (["--mu", "1_0"], "error: --mu: '1_0' is not a rational number", LIMIT),
+            (["--mu", "1", "--eh", "0,\u0661/2"], "error: --eh: '\u0661/2' is not a rational number",
+             LIMIT),
         ],
         ids=["mu-zero-denominator", "eh-zero-denominator", "mu-malformed", "eh-malformed",
-             "mu-over-long", "eh-over-long", "mu-malformed-no-limit"],
+             "mu-over-long", "eh-over-long", "mu-malformed-no-limit", "mu-underscore",
+             "eh-arabic-indic-digit"],
     )
     def test_bad_rational_argument(self, capsys, poly_file, args, message, limit):
         path = poly_file(EX1)
@@ -529,8 +540,12 @@ class TestExitCodes:
             ("*: 1\n*: 1^" + "9" * 5000 + "\n",
              f"error: line 2: a factor of 5002 characters exceeds the limit of {LIMIT} digits\n",
              LIMIT),
+            # int() and Fraction() read these as 2 and 10
+            ("*: \uff12^2\n", "error: line 1: bad factor '\uff12^2'\n", LIMIT),
+            ("1_0: 1\n*: 1\n", "error: line 1: bad shift value '1_0'\n", LIMIT),
         ],
-        ids=["shift-malformed-no-limit", "degree-over-long", "multiplicity-over-long"],
+        ids=["shift-malformed-no-limit", "degree-over-long", "multiplicity-over-long",
+             "degree-fullwidth-digit", "shift-underscore"],
     )
     def test_bad_stein_number(self, capsys, poly_file, data, message, limit):
         path = poly_file(data, "d.txt")
@@ -540,6 +555,13 @@ class TestExitCodes:
         finally:
             sys.set_int_max_str_digits(self.LIMIT)
         assert (code, out, err) == (1, "", message)
+
+    @pytest.mark.parametrize("flag, value", [("--d", "1_0"), ("--bound", "\u0661\u0660")])
+    def test_int_option_takes_ascii_digits_only(self, capsys, poly_file, flag, value):
+        # int() reads both as 10; the polynomial grammar reads neither
+        argv = {"--d": ["stein", "--data", poly_file(STEIN_F, "d.txt"), "--mode", "f"],
+                "--bound": ["saturate", "--gens", "1,0"]}[flag]
+        assert run(capsys, *argv, flag, value) == (2, "", f"error: {flag}: {value!r} is not an integer\n")
 
     @pytest.mark.parametrize("flag", ["--d", "--bound"])
     def test_over_long_int_option(self, capsys, poly_file, flag):
@@ -605,6 +627,9 @@ class TestExitCodes:
     def test_malformed_generator_entry_is_echoed(self, capsys):
         code, _, err = run(capsys, "saturate", "--gens", "1,0;1,a")
         assert (code, err) == (2, "error: bad generator tuple '1,a'\n")
+        # int() reads (10, 0) and (1, 0); the polynomial grammar takes ASCII digits only
+        for chunk in ["1_0,0", "\uff11,0"]:
+            assert run(capsys, "saturate", "--gens", chunk) == (2, "", f"error: bad generator tuple {chunk!r}\n")
         sys.set_int_max_str_digits(0)  # no limit: no entry can exceed it
         try:
             assert run(capsys, "saturate", "--gens", "1,a")[2] == "error: bad generator tuple '1,a'\n"

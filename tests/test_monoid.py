@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +13,7 @@ from closedpoly.monoid import (
     MonoidGens,
     _eliminate,
     _inverse,
+    _sieve_basis,
     cone_member,
     is_saturated,
     saturation_generators,
@@ -91,11 +93,12 @@ class TestConeMember:
 class TestSaturationGenerators:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_staircase_family(self, m):
-        # k[x1, x1 x2^m] saturates to k[x1, x1 x2, ..., x1 x2^m]
-        g = gens2((1, 0), (1, m))
-        expected = {(1, j) for j in range(m + 1)}
-        assert saturation_generators(g) == expected
-        assert not is_saturated(g)
+        # k[x1, x1 x2^m] saturates to k[x1, x1 x2, ..., x1 x2^m]; in three
+        # variables the same rank-2 cone goes through the sieve
+        for pad in [(), (0,)]:
+            g = MonoidGens(nvars=2 + len(pad), gens=frozenset({(1, 0, *pad), (1, m, *pad)}))
+            assert saturation_generators(g) == {(1, j, *pad) for j in range(m + 1)}
+            assert not is_saturated(g)
 
     def test_already_saturated(self):
         g = gens2((1, 0), (0, 1))
@@ -161,9 +164,44 @@ class TestSaturationGenerators:
 
     @pytest.mark.parametrize("m", [5, 20, 80, 1000])
     def test_lp_only_where_reduction_fails(self, lp_calls, m):
-        # cone membership is read off the facet values, so no point needs an LP
-        assert saturation_generators(gens2((1, 0), (1, m))) == {(1, j) for j in range(m + 1)}
+        # cone membership is read off the facet values, so no point needs an
+        # LP, in the plane route and in the sieve
+        for pad in [(), (0,)]:
+            g = MonoidGens(nvars=2 + len(pad), gens=frozenset({(1, 0, *pad), (1, m, *pad)}))
+            assert saturation_generators(g) == {(1, j, *pad) for j in range(m + 1)}
         assert lp_calls == []
+
+    def test_staircase_of_100001(self):
+        # the sieve refused (1,0),(1,m) from m = 1,414 on: its test count grows as m^2
+        start = time.perf_counter()
+        basis = saturation_generators(gens2((1, 0), (1, 100_000)))
+        assert time.perf_counter() - start < 1
+        assert basis == {(1, j) for j in range(100_001)}
+
+    def test_plane_route_agrees_with_the_sieve(self):
+        # in two variables saturation_generators walks the cone's boundary;
+        # the sieve, which serves every other nvars, is its oracle
+        rng = random.Random(2032)
+        seen = {"collinear": 0, "interior": 0, "few": 0, "bounded": 0}
+        for i in range(1200):
+            kind = ["collinear", "interior", "few"][i % 3]
+            if kind == "collinear":
+                base = (rng.randint(0, 6), rng.randint(1, 6))[::rng.choice([1, -1])]
+                vectors = {tuple(c * e for e in base) for c in rng.sample(range(1, 9), rng.randint(1, 4))}
+            else:
+                entry = rng.choice([3, 12, 40, 80]) if kind == "few" else rng.choice([5, 20])
+                count = rng.randint(1, 7) if kind == "few" else rng.randint(8, 40)
+                vectors = {(rng.randint(0, entry), rng.randint(0, entry)) for _ in range(count)} - {(0, 0)}
+                if not vectors:
+                    continue
+            degree = max(map(sum, vectors))
+            bound = rng.choice([None, degree, degree + rng.randint(1, 50)])
+            g = MonoidGens(nvars=2, gens=frozenset(vectors), bound=bound)
+            assert saturation_generators(g) == _sieve_basis(g), g
+            seen[kind] += 1
+            seen["bounded"] += bound is not None
+        assert seen["collinear"] + seen["interior"] + seen["few"] >= 1000, seen
+        assert min(seen.values()) > 0, seen
 
     def test_agrees_with_pointwise_definition(self):
         rng = random.Random(2026)
