@@ -34,8 +34,8 @@ from .family import (
 from .monoid import MonoidError, MonoidGens, is_saturated, saturation_generators
 from .newton import multiplicity, newton_summary, realizing_weights
 from .orders import GREVLEX, GRLEX, OrderSpec, leading_term
-from .parsing import (ParseError, ascii_number, over_limit, parse_poly, render_number, render_poly,
-                      render_uni, short_number)
+from .parsing import (ParseError, ascii_number, check_printable, error_at, parse_poly, render_number,
+                      render_poly, render_uni)
 from .poly import MultiPoly
 
 EXIT_OK = 0
@@ -61,8 +61,7 @@ def _read_source(path: str) -> str:
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark is not content
     if bad is not None:
-        line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
-        raise ParseError(f"invalid UTF-8 byte 0x{bad:02x}", line, column)
+        raise error_at(text, len(text), f"invalid UTF-8 byte 0x{bad:02x}")
     return text
 
 
@@ -74,12 +73,12 @@ def _number_arg(flag: str, text: str, kind=Fraction):
     """Convert one option value to kind (Fraction or int); a bad value is a
     domain error that names the option."""
     try:
-        return ascii_number(text, kind)
+        return ascii_number(text, kind, "a value")
     except ZeroDivisionError:
         raise ValueError(f"{flag}: zero denominator in {text!r}") from None
-    except ValueError:
+    except ValueError as exc:
         noun = "a rational number" if kind is Fraction else "an integer"
-        message = over_limit(text, "a value") or f"{text!r} is not {noun}"
+        message = str(exc) or f"{text!r} is not {noun}"
         raise ValueError(f"{flag}: {message}") from None
 
 
@@ -246,6 +245,8 @@ def _cmd_stein(args) -> tuple:
     d = None if args.d is None else _number_arg("--d", args.d, int)
     data = parse_decomposition_data(_read_source(args.data), d=d)
     report = stein_check(data, args.mode)
+    check_printable("lhs", report.lhs)
+    check_printable("rhs", report.rhs)
     payload = {
         "command": "stein",
         "mode": report.mode,
@@ -267,12 +268,11 @@ def _parse_gens(text: str) -> list:
         chunk = chunk.strip()
         if not chunk:
             continue
-        entries = [p.strip() for p in chunk.split(",")]
         try:
-            gens.append(tuple(ascii_number(p) for p in entries))
-        except ValueError:
-            message = over_limit(max(entries, key=len), "bad generator tuple: an entry")
-            raise MonoidError(message or f"bad generator tuple {chunk!r}") from None
+            gens.append(tuple(ascii_number(p.strip(), int, "bad generator tuple: an entry")
+                              for p in chunk.split(",")))
+        except ValueError as exc:
+            raise MonoidError(str(exc) or f"bad generator tuple {chunk!r}") from None
     if not gens:
         raise MonoidError("no generators supplied")
     dims = {len(g) for g in gens}
@@ -285,10 +285,7 @@ def _cmd_saturate(args) -> tuple:
     vectors = _parse_gens(args.gens)
     bound = None if args.bound is None else _number_arg("--bound", args.bound, int)
     gens = MonoidGens(nvars=len(vectors[0]), gens=frozenset(vectors), bound=bound)
-    try:
-        str(gens.bound)  # the output prints it
-    except ValueError:  # past Python's int-string conversion limit
-        raise MonoidError(f"bound {short_number(gens.bound)} is too long to print") from None
+    check_printable("bound", gens.bound)
     sat = sorted(saturation_generators(gens))
     saturated = is_saturated(gens)
     payload = {

@@ -13,7 +13,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .decompose import DecompositionResult
-from .parsing import ascii_number, over_limit, short_number
+from .parsing import ascii_number, short_number
 from .poly import PolyError, UniPoly, check_scalar, integer_form
 from .poly import compose_uni  # noqa: F401 -- unused, kept for the benchmark's binding (ROADMAP item 2)
 
@@ -217,9 +217,11 @@ def parse_decomposition_data(text: str, d: Optional[int] = None) -> Decompositio
             shift = GENERIC
         else:
             try:
-                shift = ascii_number(shift_text, Fraction)
-            except (ValueError, ZeroDivisionError):
-                message = over_limit(shift_text, "a shift value") or f"bad shift value {shift_text!r}"
+                shift = ascii_number(shift_text, Fraction, "a shift value")
+            except ZeroDivisionError:
+                raise DataFormatError(f"line {lineno}: bad shift value {shift_text!r}") from None
+            except ValueError as exc:
+                message = str(exc) or f"bad shift value {shift_text!r}"
                 raise DataFormatError(f"line {lineno}: {message}") from None
         factors = []
         for piece in factors_text.split(","):
@@ -228,9 +230,10 @@ def parse_decomposition_data(text: str, d: Optional[int] = None) -> Decompositio
                 raise DataFormatError(f"line {lineno}: empty factor")
             deg_text, caret, mult_text = piece.partition("^")
             try:
-                deg, mult = ascii_number(deg_text), ascii_number(mult_text) if caret else 1
-            except ValueError:
-                message = over_limit(piece, "a factor") or f"bad factor {piece!r}"
+                deg = ascii_number(deg_text, int, "a factor")
+                mult = ascii_number(mult_text, int, "a factor") if caret else 1
+            except ValueError as exc:
+                message = str(exc) or f"bad factor {piece!r}"
                 raise DataFormatError(f"line {lineno}: {message}") from None
             factors.append((deg, mult))
         entries.append(ShiftEntry(shift=shift, factors=tuple(factors)))

@@ -15,10 +15,10 @@ Accepted input takes one pass of a compiled term regex, each match
 anchored where the last one ended.  Its quantifiers are possessive and
 match as greedy ones would, as each is followed only by optional parts or
 by a character it cannot take.  At the first place that pass does not
-accept cleanly, the text goes to the token scanner, the only code that
-words a ``ParseError``.  It first searches for a character no token can
-start with, so ``x1 x2 @`` fails at the ``@``, not at an earlier syntax
-error.
+accept cleanly, the text goes to the token scanner.  It first searches for
+a character no token can start with, so ``x1 x2 @`` fails at the ``@``, not
+at an earlier syntax error.  Every ``ParseError`` is made by ``error_at``,
+which places an offset at its line and column.
 
 Rendered output sorts terms descending under the requested monomial
 order and is always re-parseable.
@@ -31,7 +31,6 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import NamedTuple
 
 from .orders import OrderSpec, sort_key
@@ -62,37 +61,29 @@ _TERM_RE = re.compile(rf"\s*+(?:([-+])\s*+)?+(?:([0-9]++)(?:\s*+/\s*+([0-9]++))?
                       rf"(?:\s*+\*\s*+({_MONO}))?+|({_MONO}))\s*+")
 
 
-def _error(text: str, offset: int, message: str) -> ParseError:
-    """A ParseError at ``offset``; line and column are computed only here."""
+def error_at(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at ``offset`` of text; the only code that computes a line and column."""
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _fail(text: str, i: int, message: str) -> ParseError:
-    """A ParseError at token ``i``; its offset is found by scanning the tokens
-    again (past the last token is the end of the text)."""
-    m = next(islice(_TOKEN_RE.finditer(text), i, None), None)
-    return _error(text, m.start() if m else len(text), message)
-
-
-def over_limit(text: str, what: str, unit: str = "characters") -> str:
-    """Why int(text) or Fraction(text) failed on text from outside the program,
-    if Python's int-string conversion limit is to blame: only when the limit is
-    set (not 0) and text is longer than it.  The message gives the length, not
-    the text; "" means the caller words the error."""
-    limit = sys.get_int_max_str_digits()
-    if 0 < limit < len(text):
-        return f"{what} of {len(text)} {unit} exceeds the limit of {limit} digits"
-    return ""
-
-
-def ascii_number(text: str, kind=int):
+def ascii_number(text: str, kind, what: str, unit: str = "characters"):
     """kind(text), int or Fraction, for a number from outside the program.
-    Python's readers also take "_" between digits and the digits of other
-    scripts, which the polynomial grammar refuses, so those raise ValueError."""
+    A ValueError has no message, for the caller to word, if text holds "_" or
+    a character outside ASCII (Python reads them, the polynomial grammar does
+    not) or kind cannot read it with each digit run cut to one digit; else
+    the int-string limit is to blame, and its message gives text's length."""
     if "_" in text or not text.isascii():
-        raise ValueError(f"{text!r} holds '_' or a character outside ASCII")
-    return kind(text)
+        raise ValueError()
+    try:
+        return kind(text)
+    except ValueError:
+        try:
+            kind(re.sub("[0-9]+", "1", text))
+        except ValueError:
+            raise ValueError() from None
+    limit = sys.get_int_max_str_digits()
+    raise ValueError(f"{what} of {len(text)} {unit} exceeds the limit of {limit} digits")
 
 
 def short_number(n: int | str) -> str:
@@ -103,22 +94,22 @@ def short_number(n: int | str) -> str:
     return str(n) if digits <= 40 else f"<{digits} digits>"
 
 
-def _integer(text: str, i: int, digits: str) -> int:
-    """int(digits) for token i (coefficients have no bound of their own)."""
+def check_printable(what: str, n: int) -> None:
+    """A ValueError, quoting n by its digit count, if str(n) fails: the output prints n."""
     try:
-        return int(digits)
-    except ValueError:  # a run of ASCII digits fails only past the limit
-        raise _fail(text, i, over_limit(digits, "a number", "digits"))
+        str(n)
+    except ValueError:  # past Python's int-string conversion limit
+        raise ValueError(f"{what} {short_number(n)} is too long to print") from None
 
 
-def _bounded(text: str, i: int, digits: str, bound: int, message: str) -> int:
-    """int(digits), or a ParseError at token i above bound; a run longer than
-    every bound, leading zeros aside, is rejected by its length before int()."""
+def _bounded(digits: str, bound: int, message: str) -> int:
+    """int(digits), or a ValueError above bound; a run longer than every
+    bound, leading zeros aside, is rejected by its length before int()."""
     if len(digits) > _BOUND_DIGITS:
         digits = digits.lstrip("0") or "0"
     value = int(digits) if len(digits) <= _BOUND_DIGITS else bound + 1
     if value > bound:
-        raise _fail(text, i, message.format(short_number(digits.lstrip("0")), bound))
+        raise ValueError(message.format(short_number(digits.lstrip("0")), bound))
     return value
 
 
@@ -158,68 +149,71 @@ def _accepted(text: str) -> list | None:
 def _scan(text: str) -> list:
     """The terms of text, token by token, as (exps {index: exponent},
     Fraction coefficient) pairs; else the ParseError of the first fault,
-    worded with its line and column."""
+    placed at the token being read."""
     bad = _BAD_CHAR_RE.search(text)
     if bad:
-        raise _error(text, bad.start(), f"unexpected character {bad.group()!r}")
-    tokens = _TOKEN_RE.findall(text)
-    tokens.append("")  # end of input
+        raise error_at(text, bad.start(), f"unexpected character {bad.group()!r}")
+    # each token and its offset, then "" at the end of the text, which ends the input
+    tokens, starts = zip(*((m[0], m.start()) for m in _TOKEN_RE.finditer(text)), ("", len(text)))
     terms = []
     sign = -1 if tokens[0] == "-" else 1
     i = 1 if tokens[0] in ("+", "-") else 0
-    while True:
-        tok = tokens[i]
-        exps: dict = {}
-        if tok[:1].isdigit():
-            coeff = sign * _integer(text, i, tok)
-            i += 1
-            if tokens[i] == "/":
-                i += 1
-                if not tokens[i][:1].isdigit():
-                    raise _fail(text, i, "expected a denominator after '/'")
-                den = _integer(text, i, tokens[i])
-                if den == 0:
-                    raise _fail(text, i, "denominator must be positive")
-                coeff = Fraction(coeff, den)
-                i += 1
-            factors = tokens[i] == "*"
-            i += factors  # past the '*'
-        elif tok[:1] == "x":
-            coeff = sign
-            factors = True
-        else:
-            raise _fail(text, i, f"expected a coefficient or variable, got {tok or 'end of input'!r}")
-        while factors:  # x<index>[^<power>], then a '*' only if a variable follows it
+    try:
+        while True:
             tok = tokens[i]
-            if tok[:1] != "x":
-                raise _fail(text, i, f"expected a variable, got {tok or 'end of input'!r}")
-            index = _bounded(
-                text, i, tok[1:], MAX_VARIABLES, "variable index {0} exceeds the supported bound {1}")
-            if index == 0:
-                raise _fail(text, i, "variable index 0 is not allowed")
-            var_i = i
+            exps: dict = {}
+            if tok[:1].isdigit():  # coefficients have no bound but the int-string limit
+                coeff = sign * ascii_number(tok, int, "a number", "digits")
+                i += 1
+                if tokens[i] == "/":
+                    i += 1
+                    if not tokens[i][:1].isdigit():
+                        raise ValueError("expected a denominator after '/'")
+                    den = ascii_number(tokens[i], int, "a number", "digits")
+                    if den == 0:
+                        raise ValueError("denominator must be positive")
+                    coeff = Fraction(coeff, den)
+                    i += 1
+                factors = tokens[i] == "*"
+                i += factors  # past the '*'
+            elif tok[:1] == "x":
+                coeff = sign
+                factors = True
+            else:
+                raise ValueError(f"expected a coefficient or variable, got {tok or 'end of input'!r}")
+            while factors:  # x<index>[^<power>], then a '*' only if a variable follows it
+                tok = tokens[i]
+                if tok[:1] != "x":
+                    raise ValueError(f"expected a variable, got {tok or 'end of input'!r}")
+                index = _bounded(tok[1:], MAX_VARIABLES, "variable index {0} exceeds the supported bound {1}")
+                if index == 0:
+                    raise ValueError("variable index 0 is not allowed")
+                var_i = i
+                i += 1
+                power = 1
+                if tokens[i] == "^":
+                    i += 1
+                    if not tokens[i][:1].isdigit():
+                        raise ValueError("expected an exponent after '^'")
+                    power = _bounded(tokens[i], MAX_EXPONENT, "exponent {0} exceeds the supported bound")
+                    i += 1
+                power += exps.get(index, 0)
+                if power > MAX_EXPONENT:
+                    i = var_i  # placed at the variable
+                    raise ValueError(f"accumulated exponent for x{index} exceeds the supported bound")
+                exps[index] = power
+                factors = tokens[i] == "*" and tokens[i + 1][:1] == "x"
+                i += factors  # past the '*'
+            terms.append((exps, Fraction(coeff)))
+            tok = tokens[i]
+            if not tok:
+                break
+            if tok != "+" and tok != "-":
+                raise ValueError(f"expected '+' or '-', got {tok!r}")
+            sign = -1 if tok == "-" else 1
             i += 1
-            power = 1
-            if tokens[i] == "^":
-                i += 1
-                if not tokens[i][:1].isdigit():
-                    raise _fail(text, i, "expected an exponent after '^'")
-                power = _bounded(text, i, tokens[i], MAX_EXPONENT, "exponent {0} exceeds the supported bound")
-                i += 1
-            power += exps.get(index, 0)
-            if power > MAX_EXPONENT:
-                raise _fail(text, var_i, f"accumulated exponent for x{index} exceeds the supported bound")
-            exps[index] = power
-            factors = tokens[i] == "*" and tokens[i + 1][:1] == "x"
-            i += factors  # past the '*'
-        terms.append((exps, Fraction(coeff)))
-        tok = tokens[i]
-        if not tok:
-            break
-        if tok != "+" and tok != "-":
-            raise _fail(text, i, f"expected '+' or '-', got {tok!r}")
-        sign = -1 if tok == "-" else 1
-        i += 1
+    except ValueError as exc:  # every fault is placed at token i
+        raise error_at(text, starts[i], str(exc)) from None
     return terms
 
 

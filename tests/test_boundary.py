@@ -6,6 +6,8 @@ builds every polynomial from already-checked data through `_checked`.
 Likewise only `poly` takes `Fraction` coefficients apart: every other module
 gets integer numerators over a common denominator from `poly.integer_form`,
 or one number's numerator and denominator from `poly.fraction_parts`.
+Only `parsing.ascii_number` reads Python's int-string limit, and only
+`parsing.error_at` makes a `ParseError`.
 """
 
 import ast
@@ -59,6 +61,26 @@ def test_only_poly_reads_numerators_and_denominators():
     reads = {path.name: fraction_part_reads(path)
              for path in sorted(package.glob("*.py")) if path.name != "poly.py"}
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def callers(name: str) -> set:
+    """(module, top-level definition) of each call to a function or class named name."""
+    found = set()
+    for path in sorted(Path(closedpoly.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_only_ascii_number_reads_the_int_string_limit():
+    assert callers("get_int_max_str_digits") == {("parsing.py", "ascii_number")}
+
+
+def test_only_error_at_makes_a_parse_error():
+    assert callers("ParseError") == {("parsing.py", "error_at")}
 
 
 f = P("x1^4 + 2*x1^2*x2 + x2^2")  # (x1^2 + x2)^2

@@ -514,10 +514,13 @@ class TestExitCodes:
             (["--mu", "1_0"], "error: --mu: '1_0' is not a rational number", LIMIT),
             (["--mu", "1", "--eh", "0,\u0661/2"], "error: --eh: '\u0661/2' is not a rational number",
              LIMIT),
+            # a decimal Fraction() reads fails only by its length
+            (["--mu", "1." + "9" * 5000],
+             f"error: --mu: a value of 5002 characters exceeds the limit of {LIMIT} digits", LIMIT),
         ],
         ids=["mu-zero-denominator", "eh-zero-denominator", "mu-malformed", "eh-malformed",
              "mu-over-long", "eh-over-long", "mu-malformed-no-limit", "mu-underscore",
-             "eh-arabic-indic-digit"],
+             "eh-arabic-indic-digit", "mu-decimal-over-long"],
     )
     def test_bad_rational_argument(self, capsys, poly_file, args, message, limit):
         path = poly_file(EX1)
@@ -537,15 +540,20 @@ class TestExitCodes:
             ("*: 1\n*: " + "9" * 5000 + "\n",
              f"error: line 2: a factor of 5000 characters exceeds the limit of {LIMIT} digits\n",
              LIMIT),
+            # the limit is blamed on the multiplicity alone
             ("*: 1\n*: 1^" + "9" * 5000 + "\n",
-             f"error: line 2: a factor of 5002 characters exceeds the limit of {LIMIT} digits\n",
+             f"error: line 2: a factor of 5000 characters exceeds the limit of {LIMIT} digits\n",
              LIMIT),
             # int() and Fraction() read these as 2 and 10
             ("*: \uff12^2\n", "error: line 1: bad factor '\uff12^2'\n", LIMIT),
             ("1_0: 1\n*: 1\n", "error: line 1: bad shift value '1_0'\n", LIMIT),
+            ("1/0: 1\n", "error: line 1: bad shift value '1/0'\n", LIMIT),
+            # malformed at any limit, however long
+            ("*: a^" + "9" * 5000 + "\n", f"error: line 1: bad factor {'a^' + '9' * 5000!r}\n", LIMIT),
         ],
         ids=["shift-malformed-no-limit", "degree-over-long", "multiplicity-over-long",
-             "degree-fullwidth-digit", "shift-underscore"],
+             "degree-fullwidth-digit", "shift-underscore", "shift-zero-denominator",
+             "degree-malformed-over-long"],
     )
     def test_bad_stein_number(self, capsys, poly_file, data, message, limit):
         path = poly_file(data, "d.txt")
@@ -556,9 +564,14 @@ class TestExitCodes:
             sys.set_int_max_str_digits(self.LIMIT)
         assert (code, out, err) == (1, "", message)
 
-    @pytest.mark.parametrize("flag, value", [("--d", "1_0"), ("--bound", "\u0661\u0660")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--d", "1_0"), ("--bound", "\u0661\u0660"),
+        # not an integer at any limit, however long
+        pytest.param("--bound", "x" + "9" * 5000, id="bound-malformed-over-long"),
+        pytest.param("--d", "1/" + "9" * 5000, id="d-fraction-over-long"),
+    ])
     def test_int_option_takes_ascii_digits_only(self, capsys, poly_file, flag, value):
-        # int() reads both as 10; the polynomial grammar reads neither
+        # int() reads 1_0 and \u0661\u0660 as 10; the polynomial grammar reads neither
         argv = {"--d": ["stein", "--data", poly_file(STEIN_F, "d.txt"), "--mode", "f"],
                 "--bound": ["saturate", "--gens", "1,0"]}[flag]
         assert run(capsys, *argv, flag, value) == (2, "", f"error: {flag}: {value!r} is not an integer\n")
@@ -594,9 +607,19 @@ class TestExitCodes:
              "entries disagree on the total degree: [3, <4000 digits>]"),
             (["stein", "--mode", "h"], "*: 0^" + "9" * 4000 + "\n", 1,
              "degrees and multiplicities must be positive, got 0^<4000 digits>"),
+            # each side of the inequality is printed: rhs = 2 * (10^LIMIT - 1), lhs = 2 - rhs
+            (["stein", "--mode", "h"], f"*: {'9' * LIMIT}, {'9' * LIMIT}\n", 2,
+             f"rhs <{LIMIT + 1} digits> is too long to print"),
+            (["stein", "--mode", "h", "--json"], f"*: {'9' * LIMIT}, {'9' * LIMIT}\n", 2,
+             f"rhs <{LIMIT + 1} digits> is too long to print"),
+            (["stein", "--mode", "f", "--d", "1"], f"*: 1^{'9' * LIMIT}, 1^{'9' * LIMIT}\n", 2,
+             f"lhs <{LIMIT + 1} digits> is too long to print"),
+            (["stein", "--mode", "f", "--d", "1", "--json"], f"*: 1^{'9' * LIMIT}, 1^{'9' * LIMIT}\n", 2,
+             f"lhs <{LIMIT + 1} digits> is too long to print"),
         ],
         ids=["parallelepiped-count", "derived-bound", "stein-d", "stein-d-41-digits", "stein-d-40-digits", "factor-degree",
-             "stein-totals", "stein-nonpositive-factor"],
+             "stein-totals", "stein-nonpositive-factor", "stein-h-rhs", "stein-h-rhs-json", "stein-f-lhs",
+             "stein-f-lhs-json"],
     )
     def test_long_number_worded_by_digit_count(self, capsys, poly_file, argv, data, code, message):
         if data is not None:
@@ -627,8 +650,9 @@ class TestExitCodes:
     def test_malformed_generator_entry_is_echoed(self, capsys):
         code, _, err = run(capsys, "saturate", "--gens", "1,0;1,a")
         assert (code, err) == (2, "error: bad generator tuple '1,a'\n")
-        # int() reads (10, 0) and (1, 0); the polynomial grammar takes ASCII digits only
-        for chunk in ["1_0,0", "\uff11,0"]:
+        # int() reads the first two as (10, 0) and (1, 0), though the polynomial grammar
+        # takes ASCII digits only; the third is malformed at any limit, however long
+        for chunk in ["1_0,0", "\uff11,0", "a," + "9" * 5000]:
             assert run(capsys, "saturate", "--gens", chunk) == (2, "", f"error: bad generator tuple {chunk!r}\n")
         sys.set_int_max_str_digits(0)  # no limit: no entry can exceed it
         try:
