@@ -69,14 +69,13 @@ def _split(G: UniPoly) -> tuple:
     maps back to the residual q(a_n t) / a_n^deg(q)."""
     if G.is_zero():
         raise PolyError("the zero polynomial has every root")
-    if G.is_constant():
-        return [], UniPoly._checked(1, {(0,): Fraction(1)})
     _, ints = integer_form(G.coeffs)
     content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     lead, n = ints[-1] // content, len(ints) - 1
     g = [a // content * lead ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
     # Fujiwara: every root has |u| <= 2 max |g_(n-i)|^(1/i) < 2 max 2^ceil(bitlen(g_(n-i)) / i)
-    bound = 2 * max(1 << -(-abs(a).bit_length() // i) for i, a in enumerate(reversed(g[:-1]), 1))
+    bound = 2 * max((1 << -(-abs(a).bit_length() // i) for i, a in enumerate(reversed(g[:-1]), 1)),
+                    default=1)  # a constant G gives g = [1], which has no roots
     q = g
     roots = []
     for u in reversed(_brackets(g, bound)):

@@ -23,8 +23,8 @@ The pruned divisor sequence needs only d1, the gcd of d(v) over V0.  It
 starts from g0, the gcd of d(lm) and of d(v_i) for each variable i, where v_i
 maximizes (v_i, v) over the support, v compared lexicographically.  g0 takes
 two scans per variable and no LP, and d1 divides it.  Then the LP runs only
-for a front point v with g not dividing d(v), stopping at g = 1.  This is
-exact:
+for a front point v with g not dividing d(v), so for none once g = 1.  This
+is exact:
 - the LP never excludes the leading monomial m of any monomial order: if
   sum lambda_u*u >= m with every u < m, clearing denominators by N makes
   x^(sum N*lambda_u*u) a multiple of x^(N*m), so not below it, yet a product
@@ -179,8 +179,6 @@ def divisor_sequence(f: MultiPoly, order: OrderSpec, pruned: bool = False) -> tu
             dv = multiplicity(v)
             if dv % d and _in_v0(v, front):
                 d = gcd(d, dv)
-                if d == 1:
-                    break
     return descending_divisors(d)
 
 

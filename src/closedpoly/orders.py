@@ -100,7 +100,7 @@ def leading_term(f: MultiPoly, order: OrderSpec) -> tuple:
 def check_enumerable(m1: Monomial, order: OrderSpec) -> None:
     """Raise what monomials_below(m1, order) refuses, before it lists any."""
     if not order.is_graded:
-        raise OrderError("monomials_below requires a graded (degree-compatible) order")
+        raise OrderError(f"{order.kind} is not a graded (degree-compatible) order")
     estimate = comb(sum(m1) + len(m1), len(m1))
     if estimate > DEFAULT_MONOMIAL_CAP:
         raise MonomialCapExceeded(

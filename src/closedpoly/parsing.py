@@ -69,11 +69,12 @@ def error_at(text: str, offset: int, message: str) -> ParseError:
 
 def ascii_number(text: str, kind, what: str, unit: str = "characters"):
     """kind(text), int or Fraction, for a number from outside the program.
-    A ValueError has no message, for the caller to word, if text holds "_" or
-    a character outside ASCII (Python reads them, the polynomial grammar does
-    not) or kind cannot read it with each digit run cut to one digit; else
-    the int-string limit is to blame, and its message gives text's length."""
-    if "_" in text or not text.isascii():
+    A ValueError has no message, for the caller to word, if text holds "_",
+    "e", "E" or a character outside ASCII (Python reads them, the polynomial
+    grammar does not, and an exponent builds a huge number from short text)
+    or kind cannot read it with each digit run cut to one digit; else the
+    int-string limit is to blame, and its message gives text's length."""
+    if not text.isascii() or re.search("[_eE]", text):
         raise ValueError()
     try:
         return kind(text)

@@ -517,21 +517,45 @@ class TestExitCodes:
             # a decimal Fraction() reads fails only by its length
             (["--mu", "1." + "9" * 5000],
              f"error: --mu: a value of 5002 characters exceeds the limit of {LIMIT} digits", LIMIT),
+            # Fraction() reads exponents, with which a few characters ask for a huge number;
+            # the polynomial grammar has none, at any limit
+            (["--mu", "1e16000"], "error: --mu: '1e16000' is not a rational number", LIMIT),
+            (["--mu", "1e16000"], "error: --mu: '1e16000' is not a rational number", 0),
+            (["--mu", "1E-5"], "error: --mu: '1E-5' is not a rational number", LIMIT),
+            (["--mu", "1E-5"], "error: --mu: '1E-5' is not a rational number", 0),
+            (["--mu", "1", "--eh", "0,2e3"], "error: --eh: '2e3' is not a rational number", LIMIT),
+            (["--mu", "1", "--eh", "0,2e3"], "error: --eh: '2e3' is not a rational number", 0),
+            (["--mu", "1", "--eh", "1e99999999"], "error: --eh: '1e99999999' is not a rational number",
+             LIMIT),
+            (["--mu", "1", "--eh", "1e99999999"], "error: --eh: '1e99999999' is not a rational number",
+             0),
         ],
         ids=["mu-zero-denominator", "eh-zero-denominator", "mu-malformed", "eh-malformed",
              "mu-over-long", "eh-over-long", "mu-malformed-no-limit", "mu-underscore",
-             "eh-arabic-indic-digit", "mu-decimal-over-long"],
+             "eh-arabic-indic-digit", "mu-decimal-over-long", "mu-exponent", "mu-exponent-no-limit",
+             "mu-capital-exponent", "mu-capital-exponent-no-limit", "eh-exponent",
+             "eh-exponent-no-limit", "eh-huge-exponent", "eh-huge-exponent-no-limit"],
     )
     def test_bad_rational_argument(self, capsys, poly_file, args, message, limit):
-        path = poly_file(EX1)
+        argv = ("family", "--poly", poly_file(EX1), *args)
         sys.set_int_max_str_digits(limit)
+        start = time.perf_counter()
         try:
-            code, out, err = run(capsys, "family", "--poly", path, *args)
+            text, json_text = run(capsys, *argv), run(capsys, *argv, "--json")
         finally:
             sys.set_int_max_str_digits(self.LIMIT)
-        assert code == 2
-        assert out == ""
-        assert err == message + "\n"
+        assert time.perf_counter() - start < 10
+        assert text == json_text == (2, "", message + "\n")
+
+    @pytest.mark.parametrize("args, mu, residual, shifts", [
+        (["--mu", "-1.5"], "-3/2", "t^2 - 3/2", []),
+        (["--mu= 3 "], "3", "t^2 + 3", []),
+        (["--mu", "-1/4"], "-1/4", "1", [["1/2", 1], ["-1/2", 1]]),
+    ], ids=["decimal", "blanks", "fraction"])
+    def test_rational_argument_forms(self, capsys, poly_file, args, mu, residual, shifts):
+        # a sign, ASCII digits and one "/" or decimal point, with blanks around them
+        payload = run_json(capsys, "family", "--poly", poly_file(EX1), *args)
+        assert (payload["mu"], payload["residual"], payload["shifts"]) == (mu, residual, shifts)
 
     @pytest.mark.parametrize(
         "data, message, limit",
@@ -550,19 +574,24 @@ class TestExitCodes:
             ("1/0: 1\n", "error: line 1: bad shift value '1/0'\n", LIMIT),
             # malformed at any limit, however long
             ("*: a^" + "9" * 5000 + "\n", f"error: line 1: bad factor {'a^' + '9' * 5000!r}\n", LIMIT),
+            # Fraction() reads an exponent; the polynomial grammar has none, at any limit
+            ("1e100000000: 1\n", "error: line 1: bad shift value '1e100000000'\n", LIMIT),
+            ("1e100000000: 1\n", "error: line 1: bad shift value '1e100000000'\n", 0),
         ],
         ids=["shift-malformed-no-limit", "degree-over-long", "multiplicity-over-long",
              "degree-fullwidth-digit", "shift-underscore", "shift-zero-denominator",
-             "degree-malformed-over-long"],
+             "degree-malformed-over-long", "shift-exponent", "shift-exponent-no-limit"],
     )
     def test_bad_stein_number(self, capsys, poly_file, data, message, limit):
-        path = poly_file(data, "d.txt")
+        argv = ("stein", "--data", poly_file(data, "d.txt"), "--mode", "h")
         sys.set_int_max_str_digits(limit)
+        start = time.perf_counter()
         try:
-            code, out, err = run(capsys, "stein", "--data", path, "--mode", "h")
+            text, json_text = run(capsys, *argv), run(capsys, *argv, "--json")
         finally:
             sys.set_int_max_str_digits(self.LIMIT)
-        assert (code, out, err) == (1, "", message)
+        assert time.perf_counter() - start < 10
+        assert text == json_text == (1, "", message)
 
     @pytest.mark.parametrize("flag, value", [
         ("--d", "1_0"), ("--bound", "\u0661\u0660"),

@@ -576,7 +576,7 @@ class TestAttemptFirst:
     def test_weighted_order_error_at_a_divisor_of_d1(self):
         # lm x2^6, g0 = d1 = 3: the attempt at k = 3 raises, as with d1 first
         f = P("x2^6 + x1^3")
-        message = "monomials_below requires a graded (degree-compatible) order"
+        message = "weighted is not a graded (degree-compatible) order"
         with pytest.raises(OrderError, match=f"^{re.escape(message)}$"):
             generative(f, W12)
         assert outcome(lambda: generative_d1_first(f, W12)) == (OrderError, message)
