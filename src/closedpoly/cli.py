@@ -364,14 +364,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     at = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
     command = argv[at] if at < len(argv) else None
-    # argparse takes "-1/4" after --mu for an option (only -3 or -0.5 looks
-    # like a value to it), so a value-taking option is joined to it: --mu=-1/4
+    # argparse reads "-1/4" after --mu as an option (only -3 or -0.5 looks like a value to
+    # it) and --mu=-- as [] or, since 3.13, "--", so main passes --mu=-1/4 and --mu -- instead
     _, _, options = _COMMANDS.get(command, (None, None, ()))
     valued = {flag for flag, keywords in options if "action" not in keywords}
     tokens = argv[:at + 1]
     for token in argv[at + 1:]:
-        if (tokens[-1] in valued and token[:1] == "-" and token[1:2].isdecimal()
-                and "--" not in tokens):
+        if "--" in tokens:
+            tokens.append(token)
+        elif token.endswith("=--") and len(token) > 5 and any(f.startswith(token[:-3]) for f in valued):
+            tokens += [token[:-3], "--"]
+        elif tokens[-1] in valued and token[:1] == "-" and token[1:2].isdecimal():
             tokens[-1] += "=" + token
         else:
             tokens.append(token)

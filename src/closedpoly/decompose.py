@@ -56,7 +56,7 @@ from struct import Struct
 from typing import NamedTuple, Optional
 
 from .newton import d1_bound, descending_divisors, divisor_sequence, multiplicity
-from .orders import GRLEX, OrderError, OrderSpec, check_enumerable, leading_term, normalize
+from .orders import GRLEX, OrderError, OrderSpec, check_enumerable, check_graded, normalize
 from .orders import monomials_below  # noqa: F401 -- kept for the benchmark's binding (ROADMAP item 2)
 from .poly import MultiPoly, PolyError, UniPoly, compose_uni, integer_form
 
@@ -129,21 +129,22 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
     h leading-monic, deg F = k and f = F(h), or None on mismatch.  Both steps
     run on integer numerators and packed monomials (module docstring).
     """
-    lm, a = leading_term(f, order)  # the zero polynomial stops here
+    check_graded(order)
+    packing = _Packing(f.nvars, f.total_degree(), order.kind)  # the zero polynomial stops here
+    keys = packing.pack(f.terms)
+    pick = max if packing.sign > 0 else min
+    top = pick(keys)  # the ≻-largest key, lm's
+    lm = packing.unpack(top)
+    a = f.terms[lm]
     if k <= 1 or multiplicity(lm) % k:
         raise PolyError(f"{k} does not divide the leading multiplicity")
-    if order.is_graded:  # a weighted order stops at check_enumerable
-        packing = _Packing(f.nvars, sum(lm), order.kind)
-        keys = packing.pack(f.terms)
-        pick = max if packing.sign > 0 else min  # the ≻-largest key
-        top = pick(keys)
-        m1, base = top // k, (k - 1) * top // k
-        # Early mismatch (module docstring): T = m1^l (1 <= l < k) iff K(T) = l*K(m1)
-        t = pick(filter(top.__ne__, keys), default=0)
-        if t:
-            l, rem = divmod(t, m1)
-            if (rem or not 1 <= l < k) and not packing.band([t], base):
-                return None
+    m1, base = top // k, (k - 1) * top // k
+    # Early mismatch (module docstring): T = m1^l (1 <= l < k) iff K(T) = l*K(m1)
+    t = pick(filter(top.__ne__, keys), default=0)
+    if t:
+        l, rem = divmod(t, m1)
+        if (rem or not 1 <= l < k) and not packing.band([t], base):
+            return None
 
     check_enumerable(tuple(e // k for e in lm), order)
     sign = 1 if a > 0 else -1  # once: a Fraction comparison per term doubles this step

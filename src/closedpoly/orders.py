@@ -57,18 +57,13 @@ class OrderSpec(_OrderFields):
     # _replace builds through _make: validate there too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    @property
-    def is_graded(self) -> bool:
-        """True when higher total degree always wins (degree-compatible)."""
-        return self.kind in (GRLEX, GREVLEX)
-
 
 def sort_key(m: Monomial, order: OrderSpec):
     """A key tuple whose natural comparison realizes the order."""
     if order.kind == GRLEX:
         return (sum(m), m)
     if order.kind == GREVLEX:
-        return (sum(m), tuple(-e for e in reversed(m)))
+        return (sum(m), tuple(map(neg, reversed(m))))
     weights = order.weights
     if len(weights) != len(m):
         raise OrderError("weight vector length does not match monomial")
@@ -88,19 +83,19 @@ def leading_term(f: MultiPoly, order: OrderSpec) -> tuple:
     """The ≻-maximal monomial of the support and its coefficient."""
     if f.is_zero():
         raise PolyError("the zero polynomial has no leading term")
-    if order.kind == GRLEX:  # the (degree, m) pairs are distinct: no key call per term
-        m = max(zip(map(sum, f.terms), f.terms))[1]
-    elif order.kind == GREVLEX:  # the least (-degree, reversed m) pair, also distinct
-        m = min(zip(map(neg, map(sum, f.terms)), map(tuple, map(reversed, f.terms)), f.terms))[2]
-    else:
-        m = max(f.terms, key=lambda mono: sort_key(mono, order))
+    m = max(f.terms, key=lambda mono: sort_key(mono, order))
     return m, f.terms[m]
+
+
+def check_graded(order: OrderSpec) -> None:
+    """Raise unless higher total degree always wins (a degree-compatible order)."""
+    if order.kind == WEIGHTED:
+        raise OrderError(f"{order.kind} is not a graded (degree-compatible) order")
 
 
 def check_enumerable(m1: Monomial, order: OrderSpec) -> None:
     """Raise what monomials_below(m1, order) refuses, before it lists any."""
-    if not order.is_graded:
-        raise OrderError(f"{order.kind} is not a graded (degree-compatible) order")
+    check_graded(order)
     estimate = comb(sum(m1) + len(m1), len(m1))
     if estimate > DEFAULT_MONOMIAL_CAP:
         raise MonomialCapExceeded(

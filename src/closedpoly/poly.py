@@ -123,7 +123,7 @@ class MultiPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
+    def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
 
     def __reduce__(self):  # as the constructor's arguments, so that unpickling validates

@@ -12,7 +12,7 @@ import pytest
 
 import closedpoly.family
 import closedpoly.newton
-from closedpoly.cli import main
+from closedpoly.cli import _COMMANDS, main
 from oracles import reference_build_parser
 
 EX1 = "x1^4 + 2*x1^2*x2 + x2^2\n"
@@ -719,6 +719,24 @@ class TestExitCodes:
         monkeypatch.setattr("closedpoly.family._split", lambda G: (real(G)[0], real(G)[1] + 1))
         code, out, err = run(capsys, "family", "--poly", poly_file(DEG6), "--mu", "-2")
         assert (code, out, err) == (3, "", "internal error: product identity for f + mu failed to verify\n")
+
+    @pytest.mark.parametrize("command, flag", [
+        (name, flag) for name, (_, _, options) in _COMMANDS.items()
+        for flag, keywords in options if "action" not in keywords])
+    def test_value_given_as_double_dash(self, capsys, command, flag):
+        # argparse reads --mu=-- as an empty list (3.11, 3.12) or as "--" (3.13);
+        # main refuses it, and an abbreviation of the option, as --mu --
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "--"])
+        assert exc.value.code == 2
+        refusal = capsys.readouterr()
+        assert refusal.err.endswith(f"error: argument {flag}: expected one argument\n")
+        abbreviated = [f"{flag[:-1]}=--"] if len(flag) > 3 else []  # --mu=-- and --m=--
+        for token in [f"{flag}=--", *abbreviated]:
+            with pytest.raises(SystemExit) as exc:
+                main([command, token])
+            assert exc.value.code == 2
+            assert capsys.readouterr() == refusal
 
     def test_bad_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,13 @@ import random
 import re
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import closedpoly.decompose as dec
+import closedpoly.newton as newton
+import closedpoly.orders as orders
 from closedpoly.decompose import (
     attempt_divisor,
     generative,
@@ -53,14 +56,34 @@ class TestAttemptDivisor:
         assert attempt_divisor(P("x1^4 + 5"), 4, GL) == (P("x1"), UniPoly([5, 0, 0, 0, 1]))
 
     def test_constant_rejected(self):
-        with pytest.raises(PolyError):
-            attempt_divisor(MultiPoly.constant(2, 3), 2, GL)
-        with pytest.raises(PolyError):
-            attempt_divisor(MultiPoly(2, {}), 2, GL)
+        for order in (GL, GR):
+            with pytest.raises(PolyError):
+                attempt_divisor(MultiPoly.constant(2, 3), 2, order)
+            with pytest.raises(PolyError, match="^the zero polynomial has no degree$"):
+                attempt_divisor(MultiPoly(2, {}), 2, order)
 
     def test_requires_dividing_k(self, ex1):
-        with pytest.raises(PolyError):
-            attempt_divisor(ex1, 3, GL)
+        for order, k in product((GL, GR), (3, 1, 0)):
+            with pytest.raises(PolyError, match=f"^{k} does not divide the leading multiplicity$"):
+                attempt_divisor(ex1, k, order)
+
+    def test_weighted_order_refused_first(self, ex1):
+        # before f and k are looked at: a zero f or a k that does not divide d(lm) too
+        message = "weighted is not a graded (degree-compatible) order"
+        for f, k in [(ex1, 2), (ex1, 3), (MultiPoly(2, {}), 2)]:
+            with pytest.raises(OrderError, match=f"^{re.escape(message)}$"):
+                attempt_divisor(f, k, OrderSpec(kind=WEIGHTED, weights=(1, 2)))
+
+    def test_reads_lm_from_its_keys(self, monkeypatch, ex1):
+        # a pruned generative whose first attempt verifies finds lm through
+        # leading_term once, in d1_bound; the attempt reads it from its top key
+        calls = []
+        real = orders.leading_term
+        for module in (orders, newton, dec):
+            monkeypatch.setattr(module, "leading_term", lambda f, order: calls.append(f) or real(f, order),
+                                raising=False)
+        assert generative(ex1).trace == ((2, "verified"),)
+        assert calls == [ex1]
 
 
 class TestGenerative:

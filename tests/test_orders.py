@@ -2,9 +2,11 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
+from closedpoly.decompose import _Packing
 from closedpoly.orders import (
     GREVLEX,
     GRLEX,
@@ -73,14 +75,25 @@ class TestLeadingTerm:
 
     @pytest.mark.parametrize("kind", [GRLEX, GREVLEX, WEIGHTED])
     def test_seeded_against_the_sort_key(self, kind):
+        """Under grlex and grevlex the ≻-largest packed key of a divisor attempt
+        unpacks to the leading monomial; a weighted order takes the grlex
+        leading term of the terms of greatest weight."""
         rng = random.Random(31)
         for trial in range(200):
             nvars = 1 + trial % 5
             weights = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(nvars))
             order = OrderSpec(kind=kind, weights=weights if kind == WEIGHTED else None)
             f = random_poly(rng, nvars, rng.choice([2, 4, 9]), 12)
-            m = max(f.terms, key=lambda mono: sort_key(mono, order))
-            assert leading_term(f, order) == (m, f.terms[m]), (f.terms, order)
+            m, c = leading_term(f, order)
+            if kind == WEIGHTED:
+                top = max(sum(map(mul, weights, u)) for u in f.terms)
+                heavy = {u: a for u, a in f.terms.items() if sum(map(mul, weights, u)) == top}
+                assert (m, c) == leading_term(MultiPoly(nvars, heavy), GL), (f.terms, order)
+            else:
+                packing = _Packing(nvars, f.total_degree(), kind)
+                keys = packing.pack(f.terms)
+                assert packing.unpack(max(keys) if packing.sign > 0 else min(keys)) == m, (f.terms, order)
+                assert c == f.terms[m]
 
 
 class TestMonomialsBelow:

@@ -178,6 +178,15 @@ class TestRingLaws:
         assert p + q == q + p
 
 
+@pytest.mark.parametrize("poly", [P("x1^2 + x2"), UniPoly([1, 0, 2])], ids=["MultiPoly", "UniPoly"])
+def test_fields_are_read_only(poly):
+    terms = dict(poly.terms)
+    for name in ("nvars", "terms"):
+        with pytest.raises(AttributeError, match="^MultiPoly is immutable$"):
+            setattr(poly, name, None)
+    assert poly.terms == terms
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=360), min_size=1, max_size=20))
 @example([Fraction(0)])
