@@ -45,6 +45,10 @@ fields (e_1 first and s = 1 under grlex, e_n and s = -1 under grevlex), W
 the weight above them: s*K rises with m in the order, K(m*m') = K(m) +
 K(m'), and with G the guard bits, ((K(m) | G) - K(base)) & G == G iff base
 divides m: no field borrows, and a guard bit clears iff m's exponent is less.
+A generative call converts f once (`_Form`): one pass over its monomials
+gives their degrees, d and the keys, whose top is lm's; B is built at the
+first attempt that solves, and later attempts reuse all of it.  Without
+pruning, the divisors tried are those of d(lm) for that lm.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from struct import Struct
 from typing import NamedTuple, Optional
 
 from .newton import d1_bound, descending_divisors, divisor_sequence, multiplicity
-from .orders import GRLEX, OrderError, OrderSpec, check_enumerable, check_graded, normalize
+from .orders import GRLEX, WEIGHTED, OrderError, OrderSpec, check_enumerable, check_graded, normalize
 from .orders import monomials_below  # noqa: F401 -- kept for the benchmark's binding (ROADMAP item 2)
 from .poly import MultiPoly, PolyError, UniPoly, compose_uni, integer_form
 
@@ -87,9 +91,9 @@ class _Packing:
         self.unit = self.sign << 8 * self.struct.size  # s*W
         self.guard = int.from_bytes((b"\x80" + bytes(size - 1)) * nvars, "big")
 
-    def pack(self, monos) -> list:
+    def pack(self, monos, degrees) -> list:
         pack, from_bytes, byteorder, unit = self.struct.pack, int.from_bytes, self.byteorder, self.unit
-        return [from_bytes(pack(*m), byteorder) + sum(m) * unit for m in monos]
+        return [from_bytes(pack(*m), byteorder) + t * unit for m, t in zip(monos, degrees)]
 
     def unpack(self, key: int) -> tuple:
         return self.struct.unpack((key % abs(self.unit)).to_bytes(self.struct.size, self.byteorder))
@@ -98,6 +102,33 @@ class _Packing:
         """Heap keys -s*K(m), ≻-largest first, of each m other than base that base divides."""
         guard, flip = self.guard, -self.sign
         return [flip * m for m in monos if m != base and ((m | guard) - base) & guard == guard]
+
+
+class _Form:
+    """f packed once for all divisor attempts: its keys in f's term order, lm's
+    key top (the ≻-largest), the next largest key second (0 if none), lm and
+    lc; B is built by the first attempt that solves (`numerators`)."""
+
+    def __init__(self, f: MultiPoly, order: OrderSpec):
+        check_graded(order)
+        degrees = list(map(sum, f.terms))
+        d = max(degrees) if degrees else f.total_degree()  # the zero polynomial raises there
+        self.packing = packing = _Packing(f.nvars, d, order.kind)
+        self.keys = keys = packing.pack(f.terms, degrees)
+        pick = max if packing.sign > 0 else min
+        self.top = top = pick(keys)
+        self.second = pick(filter(top.__ne__, keys), default=0)
+        self.lm = packing.unpack(top)
+        self.lc = f.terms[self.lm]
+        self.coeffs = f.terms.values()
+        self.B = None
+
+    def numerators(self) -> dict:
+        """B: f's non-constant terms, as key: numerator over L times sign(lc)."""
+        if self.B is None:
+            sign = 1 if self.lc > 0 else -1  # once: a Fraction comparison per term doubles this step
+            self.B = {m: sign * b for m, b in zip(self.keys, integer_form(self.coeffs)[1]) if m}
+        return self.B
 
 
 def _powers_with_term(powers: list, mono: int, coeff: int, k: int) -> list:
@@ -124,31 +155,28 @@ def _powers_with_term(powers: list, mono: int, coeff: int, k: int) -> list:
     return list(powers[k])[known:]  # no term is ever removed
 
 
-def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
+def attempt_divisor(
+    f: MultiPoly, k: int, order: OrderSpec, *, _form: Optional[_Form] = None
+) -> Optional[tuple]:
     """One divisor attempt on a non-constant f.  Returns (h, F) with h(0) = 0,
     h leading-monic, deg F = k and f = F(h), or None on mismatch.  Both steps
-    run on integer numerators and packed monomials (module docstring).
+    run on integer numerators and packed monomials (module docstring);
+    `generative` hands every attempt the one `_Form` of f it builds.
     """
-    check_graded(order)
-    packing = _Packing(f.nvars, f.total_degree(), order.kind)  # the zero polynomial stops here
-    keys = packing.pack(f.terms)
-    pick = max if packing.sign > 0 else min
-    top = pick(keys)  # the ≻-largest key, lm's
-    lm = packing.unpack(top)
-    a = f.terms[lm]
+    form = _form or _Form(f, order)  # a weighted order, then the zero polynomial, stop here
+    packing, top, lm = form.packing, form.top, form.lm
     if k <= 1 or multiplicity(lm) % k:
         raise PolyError(f"{k} does not divide the leading multiplicity")
     m1, base = top // k, (k - 1) * top // k
     # Early mismatch (module docstring): T = m1^l (1 <= l < k) iff K(T) = l*K(m1)
-    t = pick(filter(top.__ne__, keys), default=0)
+    t = form.second
     if t:
         l, rem = divmod(t, m1)
         if (rem or not 1 <= l < k) and not packing.band([t], base):
             return None
 
     check_enumerable(tuple(e // k for e in lm), order)
-    sign = 1 if a > 0 else -1  # once: a Fraction comparison per term doubles this step
-    B = {m: sign * b for m, b in zip(keys, integer_form(f.terms.values())[1]) if m}
+    B = form.numerators()
     D = B[top]
 
     # Step: solve for h = m1 + sum alpha_j m_j, led by the band of B*E^k - D*H^k.
@@ -188,7 +216,7 @@ def attempt_divisor(f: MultiPoly, k: int, order: OrderSpec) -> Optional[tuple]:
             raise RuntimeError("leading power of candidate h is not monic")
         r = residual.get(p * m1, 0)
         if r:
-            F[(p,)] = a * Fraction(r, S)
+            F[(p,)] = form.lc * Fraction(r, S)
             g = gcd(r, Ep)
             if g < Ep:
                 q = Ep // g
@@ -229,18 +257,24 @@ def generative(
     """
     if f.is_constant():
         raise PolyError("cannot decompose a constant polynomial")
+    # f packed once for all attempts (_Form), unpruned before the divisors,
+    # pruned at the first attempt; a weighted order has none and raises there
+    graded = order.kind != WEIGHTED
+    form = _Form(f, order) if graded and not pruned else None
     # kept: the divisors of d1 once decided; without pruning, every candidate
     if pruned:
         candidates, kept = descending_divisors(d1_bound(f, order)), None
     else:
-        candidates = kept = divisor_sequence(f, order)
+        candidates = kept = descending_divisors(multiplicity(form.lm)) if form else divisor_sequence(f, order)
     trace = []
     for k in candidates:
         if kept is not None and k not in kept:
             continue
+        if graded and form is None:
+            form = _Form(f, order)
         error = None
         try:
-            result = attempt_divisor(f, k, order)
+            result = attempt_divisor(f, k, order, _form=form)
         except OrderError as exc:
             result, error = None, exc
         if not result:

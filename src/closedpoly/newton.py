@@ -77,8 +77,9 @@ def realizing_weights(f: MultiPoly, v: Monomial) -> Optional[tuple]:
     if v not in support:
         raise PolyError("v is not in the support of f")
     # substitute w = 1 + y with y >= 0 so the LP variables are nonnegative:
-    # <w, v-u> >= 1  becomes  <y, v-u> >= 1 - <1, v-u>.
-    A_ge = [[a - b for a, b in zip(v, u)] for u in support if u != v]
+    # <w, v-u> >= 1  becomes  <y, v-u> >= 1 - <1, v-u>.  The rows are sorted:
+    # the set's order follows f's term order, and the LP's vertex follows the rows.
+    A_ge = [[a - b for a, b in zip(v, u)] for u in sorted(support) if u != v]
     sol = feasible_point(f.nvars, A_ge=A_ge, b_ge=[1 - sum(diff) for diff in A_ge])
     if sol is None:
         return None

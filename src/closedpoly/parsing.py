@@ -124,10 +124,10 @@ def _factor(text: str) -> tuple:
     return index, power
 
 
-def _accepted(text: str) -> list | None:
-    """The terms of text as _scan gives them, read by the term regex; None at
-    the first place it does not accept cleanly, and _scan then reads text."""
-    terms, pos = [], 0
+def _accepted(text: str) -> tuple | None:
+    """(terms, zero) of text as _scan gives them, read by the term regex; None
+    at the first place it does not accept cleanly, and _scan then reads text."""
+    terms, pos, zero = [], 0, False
     try:
         while pos < len(text):
             m = _TERM_RE.match(text, pos)
@@ -136,6 +136,7 @@ def _accepted(text: str) -> list | None:
             sign, num, den, mono, bare = m.groups()
             pos = m.end()
             coeff = int((sign or "") + num) if num else -1 if sign == "-" else 1
+            zero = zero or not coeff
             coeff = Fraction(coeff, int(den)) if den else Fraction(coeff)
             parts = (mono or bare).split("*") if mono or bare else ()
             exps = dict(map(_factor, parts))
@@ -144,19 +145,19 @@ def _accepted(text: str) -> list | None:
             terms.append((exps, coeff))
     except (ValueError, ZeroDivisionError):  # a number out of bounds or too long; a zero denominator
         return None
-    return terms or None
+    return (terms, zero) if terms else None
 
 
-def _scan(text: str) -> list:
-    """The terms of text, token by token, as (exps {index: exponent},
-    Fraction coefficient) pairs; else the ParseError of the first fault,
-    placed at the token being read."""
+def _scan(text: str) -> tuple:
+    """(terms, zero): the terms of text, token by token, as (exps {index:
+    exponent}, Fraction coefficient) pairs, and whether a coefficient is 0;
+    else the ParseError of the first fault, placed at the token being read."""
     bad = _BAD_CHAR_RE.search(text)
     if bad:
         raise error_at(text, bad.start(), f"unexpected character {bad.group()!r}")
     # each token and its offset, then "" at the end of the text, which ends the input
     tokens, starts = zip(*((m[0], m.start()) for m in _TOKEN_RE.finditer(text)), ("", len(text)))
-    terms = []
+    terms, zero = [], False
     sign = -1 if tokens[0] == "-" else 1
     i = 1 if tokens[0] in ("+", "-") else 0
     try:
@@ -165,6 +166,7 @@ def _scan(text: str) -> list:
             exps: dict = {}
             if tok[:1].isdigit():  # coefficients have no bound but the int-string limit
                 coeff = sign * ascii_number(tok, int, "a number", "digits")
+                zero = zero or not coeff
                 i += 1
                 if tokens[i] == "/":
                     i += 1
@@ -215,13 +217,13 @@ def _scan(text: str) -> list:
             i += 1
     except ValueError as exc:  # every fault is placed at token i
         raise error_at(text, starts[i], str(exc)) from None
-    return terms
+    return terms, zero
 
 
 def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
     """Parse a polynomial expression; nvars is the largest variable index
     seen (at least ``min_nvars``)."""
-    terms = _accepted(text) or _scan(text)
+    terms, zero = _accepted(text) or _scan(text)
     nvars = check_nvars(max([min_nvars] + [max(exps) for exps, _ in terms if exps]))
     indices, zeros = range(1, nvars + 1), (0,) * nvars
     full = {}
@@ -229,8 +231,10 @@ def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
         # the one merge: factor order, repeats and x_i^0 factors do not split m
         m = tuple(map(exps.get, indices, zeros))
         full[m] = full[m] + coeff if m in full else coeff
-    # every check of the MultiPoly constructor is made above, so build unchecked
-    return ParsedInput(poly=MultiPoly._checked(nvars, full), nvars=nvars)
+    # every check of the MultiPoly constructor is made above, so build unchecked;
+    # with no zero read and no two terms merged, full holds no zero to drop
+    wrap = MultiPoly._checked if zero or len(full) < len(terms) else MultiPoly._adopt
+    return ParsedInput(poly=wrap(nvars, full), nvars=nvars)
 
 
 def _render_mono(m) -> str:

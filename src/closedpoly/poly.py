@@ -16,7 +16,8 @@ overflow: one check per product bounds the sum of the two operands'
 largest exponents in each variable, and `p ** k` checks k times p's
 largest exponents once, before any product.  An int or Fraction operand
 of `+`, `-` or `==` is wrapped unchecked, as is every polynomial the
-library builds below the public constructors (through `_checked`).
+library builds below the public constructors (through `_checked`, or
+`_adopt` when its caller knows the terms hold no zero).
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ def derivative(pairs: Iterable[tuple], i: int) -> dict:
 
 def integer_form(coeffs: Collection[Fraction]) -> tuple:
     """(L, [n_i]): L > 0 the lcm of the coeffs' denominators, n_i = c_i * L, in input order."""
-    L = lcm(*(c.denominator for c in coeffs))
-    return L, [c.numerator * (L // c.denominator) for c in coeffs]
+    parts = [c.as_integer_ratio() for c in coeffs]  # one call, not two property reads
+    L = lcm(*(d for _, d in parts))
+    return L, [n * (L // d) for n, d in parts]
 
 
 def fraction_parts(c: Scalar) -> tuple:
@@ -134,9 +136,14 @@ class MultiPoly:
         """Wrap terms already known valid (an arithmetic result of checked
         operands, a scalar operand, or the parser's output) whose
         coefficients are Fractions; only zeros are dropped."""
+        return cls._adopt(nvars, {m: c for m, c in terms.items() if c})
+
+    @classmethod
+    def _adopt(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """`_checked` without the copy, for a dict with no zero that no other code keeps."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(poly, "terms", terms)
         return poly
 
     # -- constructors ------------------------------------------------------

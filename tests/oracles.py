@@ -17,6 +17,9 @@ pivoting through `reference_pivot` by column index, against which
 arithmetic, against which `depend` is checked.
 The `dense_*` functions are univariate arithmetic and rendering on coefficient
 lists, lowest degree first, against which the sparse `UniPoly` is checked.
+`reference_parse` merges the scanner's terms and then drops the zeros,
+against which `parsing.parse_poly`, which drops none when it read no zero and
+merged no terms, is checked, term order included.
 `reference_build_parser` is the command-line parser with every subcommand's
 options, written out by hand and bound to the same handlers, against which
 `cli.build_parser`, built from its table of options, is checked.
@@ -50,6 +53,7 @@ from closedpoly.newton import (
     v0_set,
 )
 from closedpoly.orders import GREVLEX, GRLEX, OrderSpec, leading_term, monomials_below, normalize
+from closedpoly.parsing import _scan
 from closedpoly.poly import Monomial, MultiPoly, PolyError, UniPoly
 
 
@@ -289,6 +293,18 @@ def dense_render(a) -> str:
         else:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(pieces) or "0"
+
+
+def reference_parse(text: str, min_nvars: int = 1) -> tuple:
+    """(nvars, [(monomial, coefficient), ...]) of text: the scanner's terms
+    merged in order of first appearance, then every zero dropped."""
+    terms, _ = _scan(text)
+    nvars = max([min_nvars] + [max(exps) for exps, _ in terms if exps])
+    full = {}
+    for exps, coeff in terms:
+        m = tuple(exps.get(i, 0) for i in range(1, nvars + 1))
+        full[m] = full.get(m, Fraction(0)) + coeff
+    return nvars, [(m, c) for m, c in full.items() if c]
 
 
 def reference_build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,11 @@ import argparse
 import codecs
 import io
 import json
+import random
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -13,6 +15,9 @@ import pytest
 import closedpoly.family
 import closedpoly.newton
 from closedpoly.cli import _COMMANDS, main
+from closedpoly.parsing import render_poly
+from closedpoly.poly import MultiPoly, compose_uni
+from conftest import P, random_outer, random_poly
 from oracles import reference_build_parser
 
 EX1 = "x1^4 + 2*x1^2*x2 + x2^2\n"
@@ -898,3 +903,58 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys, poly_file):
     assert refused.value.code == 2
     assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
     assert run(capsys, "family", "--poly", path, "--mu", "1", "--json") == plain
+
+
+def shuffled_text(rng, f):
+    """f written with its terms in a random order."""
+    items = list(f.terms.items())
+    rng.shuffle(items)
+    text = ""
+    for m, c in items:
+        term = render_poly(MultiPoly(f.nvars, {m: c}))
+        text += term if not text else f" - {term[1:]}" if term[0] == "-" else f" + {term}"
+    return text
+
+
+def term_order_inputs(rng, command):
+    """argv after the command, with "{}" for each input file, and the inputs."""
+    if command == "newton":  # supports of 16 points, exponents 0..7, as in the benchmark
+        nvars = rng.randint(2, 4)
+        support = set()
+        while len(support) < 16:
+            support.add(tuple(rng.randint(0, 7) for _ in range(nvars - 1)) + (rng.randint(1, 7),))
+        return ["--poly", "{}"], [MultiPoly(nvars, {m: Fraction(rng.choice([-9, -1, 2, 5]), rng.randint(1, 4))
+                                                    for m in support})]
+    f = compose_uni(random_outer(rng, 3), random_poly(rng, rng.randint(1, 3), 4, 5)) + rng.randint(-2, 2)
+    if command == "depend":
+        return ["--f", "{}", "--g", "{}"], [f, random_poly(rng, f.nvars, 3, 4)]
+    if command == "family":
+        return ["--poly", "{}", "--mu", str(rng.randint(-20, 20))], [f]
+    return ["--poly", "{}"] + (["--no-newton"] if rng.random() < 0.5 and command == "decompose" else []), [f]
+
+
+# realizing weights (3, 1) or (2, 1) for (6, 6), as the LP's rows followed the term order
+NEWTON_TIE = ("1/3*x1^6*x2^6 - 3*x1^5*x2^7 - 2*x1^6*x2^5 - 3*x1^4*x2^7 + 7/4*x1^7*x2^2 - 3*x1^6*x2^3"
+              " - 2*x1^4*x2^5 - x1^2*x2^7 + 1/4*x1^5*x2^3 + 7/2*x1^4*x2^4 - 7*x1^4*x2^3 + 5/3*x1^3*x2^4"
+              " - 8*x1^3 - 5/2*x1*x2^2 - 1/2*x1*x2 - 9/2*x2^2")
+
+
+@pytest.mark.parametrize("command", ["decompose", "is-closed", "newton", "family", "depend"])
+def test_stdout_does_not_depend_on_term_order(capsys, poly_file, command):
+    """The same seeded polynomials, their terms written in shuffled orders,
+    print the same bytes, text and JSON (newton's realizing weights are
+    one LP vertex among several, which followed the term order)."""
+    rng = random.Random(f"term order {command}")
+    cases = [term_order_inputs(rng, command) for _ in range(12)]
+    if command == "newton":
+        cases.append((["--poly", "{}"], [P(NEWTON_TIE)]))
+    for trial, (args, polys) in enumerate(cases):
+        outputs = set()
+        for _ in range(8):
+            paths = iter([poly_file(shuffled_text(rng, f), f"p{i}.txt") for i, f in enumerate(polys)])
+            argv = [next(paths) if a == "{}" else a for a in args]
+            for extra in ([], ["--json"]):
+                code, out, err = run(capsys, command, *argv, *extra)
+                assert code == 0, err
+                outputs.add((tuple(extra), out))
+        assert len(outputs) == 2, (command, trial, sorted(outputs))

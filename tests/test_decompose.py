@@ -85,6 +85,43 @@ class TestAttemptDivisor:
         assert generative(ex1).trace == ((2, "verified"),)
         assert calls == [ex1]
 
+    @pytest.mark.parametrize("pruned", [False, True], ids=["unpruned", "pruned"])
+    def test_one_form_per_generative_call(self, monkeypatch, pruned):
+        # f = 2*(x1^2 + x2^2)^3 + 7: k = 6 mismatches, then k = 3 verifies, both on one packing
+        forms, attempts = [], []
+        real_form, real_attempt = dec._Form, dec.attempt_divisor
+        monkeypatch.setattr(dec, "_Form", lambda *args: forms.append(args) or real_form(*args))
+        monkeypatch.setattr(dec, "attempt_divisor", lambda *args, **kwargs: attempts.append(args[1])
+                            or real_attempt(*args, **kwargs))
+        h = P("x1^2 + x2^2")
+        r = generative(compose_uni(UniPoly([7, 0, 0, 2]), h), pruned=pruned)
+        assert (r.h, r.F, r.trace) == (h, UniPoly([7, 0, 0, 2]), ((6, "mismatch"), (3, "verified")))
+        assert len(forms) == 1 and attempts == [6, 3]
+
+    @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])
+    def test_unpruned_divisors_from_the_top_key(self, monkeypatch, order):
+        # d(lm) comes from the form's top key: no leading_term, no divisor_sequence
+        calls = []
+        real = orders.leading_term
+        for module in (orders, newton, dec):
+            monkeypatch.setattr(module, "leading_term", lambda f, order: calls.append(f) or real(f, order),
+                                raising=False)
+        monkeypatch.setattr(dec, "divisor_sequence", lambda *args: calls.append(args))
+        ex1, deg6 = P("x1^4 + 2*x1^2*x2 + x2^2"), P("x1^6 + 3*x1^2*x2^2 - x2^2 + 1")
+        assert generative(ex1, order, pruned=False).trace == ((4, "mismatch"), (2, "verified"))
+        assert generative(compose_uni(UniPoly([1, 2, 1]), deg6), order, pruned=False).trace[-1] == (2, "verified")
+        assert calls == []
+
+    def test_unpruned_weighted_order(self):
+        # no packing: d(lm) = 1 (lm x1*x2^3) answers closed, d(lm) = 3 (lm x2^3) raises
+        W = OrderSpec(kind=WEIGHTED, weights=(1, 2))
+        f = P("x1^4 + x1*x2^3 + 2")
+        r = generative(f, W, pruned=False)
+        assert (r.h, r.F, r.trace, r.closed) == (P("x1^4 + x1*x2^3"), UniPoly([2, 1]), (), True)
+        message = "weighted is not a graded (degree-compatible) order"
+        with pytest.raises(OrderError, match=f"^{re.escape(message)}$"):
+            generative(P("x1^4 + x2^3"), W, pruned=False)
+
 
 class TestGenerative:
     def test_quartic(self, ex1):
@@ -523,7 +560,7 @@ class TestPacking:
                 m = tuple(e if rng.random() < 0.4 else rng.randint(0, e + 2) for e in base)
                 if sum(m) > d:
                     m = base
-            kb, km = packing.pack([base, m])
+            kb, km = packing.pack([base, m], [sum(base), sum(m)])
             assert packing.unpack(kb) == base and packing.unpack(km) == m
             # the band's guard-bit test against the tuple test
             assert packing.band([km], kb) == ([-packing.sign * km] if m != base and all(map(ge, m, base)) else [])

@@ -91,7 +91,7 @@ class TestLeadingTerm:
                 assert (m, c) == leading_term(MultiPoly(nvars, heavy), GL), (f.terms, order)
             else:
                 packing = _Packing(nvars, f.total_degree(), kind)
-                keys = packing.pack(f.terms)
+                keys = packing.pack(f.terms, map(sum, f.terms))
                 assert packing.unpack(max(keys) if packing.sign > 0 else min(keys)) == m, (f.terms, order)
                 assert c == f.terms[m]
 

@@ -13,6 +13,7 @@ from closedpoly.parsing import ParseError, parse_poly, render_poly, render_uni
 from closedpoly.poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, PolyError, UniPoly, compose_uni
 
 from conftest import P, random_outer, random_poly
+from oracles import reference_parse
 
 
 class TestParse:
@@ -56,6 +57,48 @@ class TestParse:
         assert parse_poly("x2*x1 + x1*x2").poly == MultiPoly(2, {(1, 1): 2})
         assert parse_poly("x1*x1 - x1^2").poly.is_zero()
         assert parse_poly("x3^0*x2*x1 + x1*x2").nvars == 3
+
+    @pytest.mark.parametrize("text, nvars, items", [
+        ("0*x1 + x2", 2, [((0, 1), 1)]),
+        ("x1*x2 - x2*x1 + x1", 2, [((1, 0), 1)]),
+        ("x1 + x2 - x1 + x1", 2, [((1, 0), 1), ((0, 1), 1)]),
+        ("0*x2 + x1 + x2", 2, [((0, 1), 1), ((1, 0), 1)]),  # where x2 first appeared
+        ("x1 - x1", 1, []),
+        ("x1 + 2*x2 - 1/2", 2, [((1, 0), 1), ((0, 1), 2), ((0, 0), Fraction(-1, 2))]),
+    ])
+    def test_zeros_dropped_in_first_appearance_order(self, text, nvars, items):
+        parsed = parse_poly(text)
+        assert (parsed.nvars, parsed.poly.nvars, list(parsed.poly.terms.items())) == (nvars, nvars, items)
+        assert all(type(c) is Fraction for c in parsed.poly.terms.values())
+
+    def test_matches_merge_then_filter(self, monkeypatch):
+        """Seeded texts with repeated monomials, zero coefficients and
+        cancelling terms, through both readers: the same nvars, terms and term
+        order as merging every term and then dropping the zeros."""
+        rng = random.Random(4901)
+        seen = {"zero read": 0, "merged": 0, "neither": 0}
+        for _ in range(1500):
+            nvars, pool = rng.randint(1, 4), []
+            for _ in range(rng.randint(1, 6)):
+                pool.append("*".join(rng.sample([f"x{i}^{rng.randint(0, 3)}" for i in range(1, nvars + 1)],
+                                                rng.randint(0, nvars))))
+            pieces = []
+            for _ in range(rng.randint(1, 8)):
+                num = rng.choice([0, 1, 2, 3, 7]) if rng.random() < 0.8 else 0
+                coeff = f"{num}/{rng.randint(1, 3)}" if rng.random() < 0.3 else str(num)
+                mono = rng.choice(pool)
+                term = f"{coeff}*{mono}" if mono else coeff
+                pieces.append(rng.choice("+-") + " " + term)
+            text = " ".join(pieces)
+            want = reference_parse(text)
+            terms, zero = parsing._scan(text)
+            seen["zero read" if zero else "merged" if len(want[1]) < len(terms) else "neither"] += 1
+            for reader in (parsing._accepted, lambda text: None):
+                with monkeypatch.context() as patch:
+                    patch.setattr(parsing, "_accepted", reader)
+                    parsed = parse_poly(text)
+                assert (parsed.nvars, list(parsed.poly.terms.items())) == want, text
+        assert min(seen.values()) > 100, seen
 
     def test_min_nvars(self):
         assert parse_poly("x1", min_nvars=3).poly.nvars == 3
@@ -257,10 +300,10 @@ class TestAcceptedInputPass:
     @staticmethod
     def assert_same_as_scanner(monkeypatch, text, min_nvars=1):
         accepted = parsing._accepted(text)
-        if accepted is not None:  # the scanner gives the same terms, coefficient types too
+        if accepted is not None:  # the scanner gives the same terms and zero flag, coefficient types too
             scanned = parsing._scan(text)
             assert scanned == accepted
-            assert [type(c) for _, c in scanned] == [type(c) for _, c in accepted]
+            assert [type(c) for _, c in scanned[0]] == [type(c) for _, c in accepted[0]]
         got = outcome(text, min_nvars)
         with monkeypatch.context() as patch:
             patch.setattr(parsing, "_accepted", lambda text: None)

@@ -200,6 +200,15 @@ def test_integer_form_is_over_the_least_common_denominator(coeffs):
     assert gcd(L, *numerators) == 1
 
 
+def test_integer_form_matches_its_definition_on_seeded_fractions():
+    rng = random.Random(49)
+    for size in [0, 1, 2, 5, 40, 300] * 20:
+        coeffs = [Fraction(rng.randint(-10**rng.randint(1, 30), 10**rng.randint(1, 30)),
+                           rng.choice([1, 1, rng.randint(1, 10**rng.randint(1, 25))])) for _ in range(size)]
+        L = lcm(*(c.denominator for c in coeffs))
+        assert integer_form(coeffs) == (L, [c.numerator * (L // c.denominator) for c in coeffs])
+
+
 def test_add_product_refuses_an_overflowing_product_before_adding():
     acc = {(3,): 5}
     with pytest.raises(PolyError, match=r"^exponent 2147483648 exceeds the supported bound 2147483647$"):
