@@ -11,14 +11,22 @@ Grammar (whitespace-insensitive):
 Integers are runs of the ASCII digits 0-9.  Variables are x1, x2, ...;
 the variable count is inferred as the largest index that appears.
 
+Both readers give each monomial as one packed integer key, the exponent
+of x_i in bits 64(i-1) to 64i - 1, so the factors of a term add up to its
+key, repeats of a variable included.  ``parse_poly`` unpacks every key
+into its dense tuple with one ``Struct`` per call, then merges.
+
 Accepted input takes one pass of a compiled term regex, each match
 anchored where the last one ended.  Its quantifiers are possessive and
 match as greedy ones would, as each is followed only by optional parts or
-by a character it cannot take.  At the first place that pass does not
-accept cleanly, the text goes to the token scanner.  It first searches for
-a character no token can start with, so ``x1 x2 @`` fails at the ``@``, not
-at an earlier syntax error.  Every ``ParseError`` is made by ``error_at``,
-which places an offset at its line and column.
+by a character it cannot take.  A cache shared by calls holds each
+factor's key.  At the first place that pass does not accept cleanly, the
+text goes to the token scanner, and so does text with a zero exponent, an
+index past x64 or a variable whose powers in one term sum past the bound.
+The scanner first searches for a character no token can start with, so
+``x1 x2 @`` fails at the ``@``, not at an earlier syntax error.  Every
+``ParseError`` is made by ``error_at``, which places an offset at its line
+and column.
 
 Rendered output sorts terms descending under the requested monomial
 order and is always re-parseable.
@@ -30,7 +38,10 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import or_
+from struct import Struct
 from typing import NamedTuple
 
 from .orders import OrderSpec, sort_key
@@ -59,6 +70,10 @@ _FACTOR = rf"x[0-9]{{1,{_BOUND_DIGITS}}}+(?:\^[0-9]{{1,{_BOUND_DIGITS}}}+)?+"
 _MONO = rf"{_FACTOR}(?:\*{_FACTOR})*+"
 _TERM_RE = re.compile(rf"\s*+(?:([-+])\s*+)?+(?:([0-9]++)(?:\s*+/\s*+([0-9]++))?+"
                       rf"(?:\s*+\*\s*+({_MONO}))?+|({_MONO}))\s*+")
+# the fast pass reads x1 to x64, so a cached key is at most 512 bytes long
+_FAST_INDICES = 64
+# the bits above MAX_EXPONENT = 2^31 - 1 in each field the fast pass fills
+_OVER = sum(((1 << 64) - 1 - MAX_EXPONENT) << 64 * i for i in range(_FAST_INDICES))
 
 
 def error_at(text: str, offset: int, message: str) -> ParseError:
@@ -115,49 +130,55 @@ def _bounded(digits: str, bound: int, message: str) -> int:
 
 
 @lru_cache(maxsize=1024)  # shared by calls, since few factor texts recur within a small input
-def _factor(text: str) -> tuple:
-    """(index, exponent) of a factor the term regex accepted; ValueError past a bound."""
+def _factor(text: str) -> int:
+    """The key of a factor the term regex accepted; ValueError for a zero
+    power, an index past _FAST_INDICES or a power past its bound."""
     name, _, power = text.partition("^")
     index, power = int(name[1:]), int(power or 1)
-    if not 0 < index <= MAX_VARIABLES or power > MAX_EXPONENT:
+    if not 0 < index <= _FAST_INDICES or not 0 < power <= MAX_EXPONENT:
         raise ValueError(text)
-    return index, power
+    return power << 64 * (index - 1)
 
 
 def _accepted(text: str) -> tuple | None:
-    """(terms, zero) of text as _scan gives them, read by the term regex; None
-    at the first place it does not accept cleanly, and _scan then reads text."""
-    terms, pos, zero = [], 0, False
+    """(keys, coefficients, zero, top) of text as _scan gives them, read by
+    the term regex; None at the first place it does not accept cleanly, and
+    _scan then reads text."""
+    # a 64-bit field carries out only past 2^33 factors in a term, each at least 3 characters
+    if len(text) >= 3 << 33:
+        return None
+    keys, coeffs, pos, zero = [], [], 0, False
     try:
         while pos < len(text):
             m = _TERM_RE.match(text, pos)
-            if not m or (terms and not m[1]):  # a gap, or a term without its sign
+            if not m or (coeffs and not m[1]):  # a gap, or a term without its sign
                 return None
             sign, num, den, mono, bare = m.groups()
             pos = m.end()
             coeff = int((sign or "") + num) if num else -1 if sign == "-" else 1
             zero = zero or not coeff
-            coeff = Fraction(coeff, int(den)) if den else Fraction(coeff)
-            parts = (mono or bare).split("*") if mono or bare else ()
-            exps = dict(map(_factor, parts))
-            if len(exps) < len(parts):
-                return None
-            terms.append((exps, coeff))
+            coeffs.append(Fraction(coeff, int(den)) if den else Fraction(coeff))
+            mono = mono or bare
+            keys.append(sum(map(_factor, mono.split("*"))) if mono else 0)
     except (ValueError, ZeroDivisionError):  # a number out of bounds or too long; a zero denominator
         return None
-    return (terms, zero) if terms else None
+    seen = reduce(or_, keys, 0)
+    if not coeffs or seen & _OVER:  # no term, or a repeated variable's powers sum past the bound
+        return None
+    return keys, coeffs, zero, -(-seen.bit_length() // 64)
 
 
 def _scan(text: str) -> tuple:
-    """(terms, zero): the terms of text, token by token, as (exps {index:
-    exponent}, Fraction coefficient) pairs, and whether a coefficient is 0;
-    else the ParseError of the first fault, placed at the token being read."""
+    """(keys, coefficients, zero, top): the terms of text, token by token,
+    their keys and Fraction coefficients, whether a coefficient is 0, and the
+    largest variable index read (0 if none); else the ParseError of the first
+    fault, placed at the token being read."""
     bad = _BAD_CHAR_RE.search(text)
     if bad:
         raise error_at(text, bad.start(), f"unexpected character {bad.group()!r}")
     # each token and its offset, then "" at the end of the text, which ends the input
     tokens, starts = zip(*((m[0], m.start()) for m in _TOKEN_RE.finditer(text)), ("", len(text)))
-    terms, zero = [], False
+    keys, coeffs, zero, top = [], [], False, 0
     sign = -1 if tokens[0] == "-" else 1
     i = 1 if tokens[0] in ("+", "-") else 0
     try:
@@ -205,9 +226,11 @@ def _scan(text: str) -> tuple:
                     i = var_i  # placed at the variable
                     raise ValueError(f"accumulated exponent for x{index} exceeds the supported bound")
                 exps[index] = power
+                top = max(top, index)
                 factors = tokens[i] == "*" and tokens[i + 1][:1] == "x"
                 i += factors  # past the '*'
-            terms.append((exps, Fraction(coeff)))
+            keys.append(sum(power << 64 * (index - 1) for index, power in exps.items()))
+            coeffs.append(Fraction(coeff))
             tok = tokens[i]
             if not tok:
                 break
@@ -217,23 +240,25 @@ def _scan(text: str) -> tuple:
             i += 1
     except ValueError as exc:  # every fault is placed at token i
         raise error_at(text, starts[i], str(exc)) from None
-    return terms, zero
+    return keys, coeffs, zero, top
 
 
 def parse_poly(text: str, min_nvars: int = 1) -> ParsedInput:
     """Parse a polynomial expression; nvars is the largest variable index
     seen (at least ``min_nvars``)."""
-    terms, zero = _accepted(text) or _scan(text)
-    nvars = check_nvars(max([min_nvars] + [max(exps) for exps, _ in terms if exps]))
-    indices, zeros = range(1, nvars + 1), (0,) * nvars
-    full = {}
-    for exps, coeff in terms:
-        # the one merge: factor order, repeats and x_i^0 factors do not split m
-        m = tuple(map(exps.get, indices, zeros))
-        full[m] = full[m] + coeff if m in full else coeff
+    keys, coeffs, zero, top = _accepted(text) or _scan(text)
+    nvars = check_nvars(max(min_nvars, top))
+    unpack = Struct(f"<{nvars}Q").unpack
+    monos = list(map(unpack, map(int.to_bytes, keys, repeat(8 * nvars), repeat("little"))))
+    full = dict(zip(monos, coeffs))
+    merge = zero or len(full) < len(coeffs)
+    if merge:  # the one merge, in order of first appearance
+        full = {}
+        for m, coeff in zip(monos, coeffs):
+            full[m] = full[m] + coeff if m in full else coeff
     # every check of the MultiPoly constructor is made above, so build unchecked;
     # with no zero read and no two terms merged, full holds no zero to drop
-    wrap = MultiPoly._checked if zero or len(full) < len(terms) else MultiPoly._adopt
+    wrap = MultiPoly._checked if merge else MultiPoly._adopt
     return ParsedInput(poly=wrap(nvars, full), nvars=nvars)
 
 

@@ -17,15 +17,17 @@ pivoting through `reference_pivot` by column index, against which
 arithmetic, against which `depend` is checked.
 The `dense_*` functions are univariate arithmetic and rendering on coefficient
 lists, lowest degree first, against which the sparse `UniPoly` is checked.
-`reference_parse` merges the scanner's terms and then drops the zeros,
-against which `parsing.parse_poly`, which drops none when it read no zero and
-merged no terms, is checked, term order included.
+`reference_parse` reads valid text by itself, merges its dense monomials and
+then drops the zeros, against which `parsing.parse_poly`, which reads packed
+keys and drops none when it read no zero and merged no terms, is checked, term
+order included.
 `reference_build_parser` is the command-line parser with every subcommand's
 options, written out by hand and bound to the same handlers, against which
 `cli.build_parser`, built from its table of options, is checked.
 """
 
 import argparse
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -53,7 +55,6 @@ from closedpoly.newton import (
     v0_set,
 )
 from closedpoly.orders import GREVLEX, GRLEX, OrderSpec, leading_term, monomials_below, normalize
-from closedpoly.parsing import _scan
 from closedpoly.poly import Monomial, MultiPoly, PolyError, UniPoly
 
 
@@ -296,10 +297,20 @@ def dense_render(a) -> str:
 
 
 def reference_parse(text: str, min_nvars: int = 1) -> tuple:
-    """(nvars, [(monomial, coefficient), ...]) of text: the scanner's terms
-    merged in order of first appearance, then every zero dropped."""
-    terms, _ = _scan(text)
-    nvars = max([min_nvars] + [max(exps) for exps, _ in terms if exps])
+    """(nvars, [(monomial, coefficient), ...]) of valid text, read here on its
+    own: each term's dense monomial, merged in order of first appearance,
+    then every zero dropped."""
+    terms, nvars = [], min_nvars
+    for sign, body in re.findall(r"([-+]?)([^-+]+)", "".join(text.split())):
+        coeff, exps = Fraction(-1 if sign == "-" else 1), {}
+        for part in body.split("*"):
+            if part.startswith("x"):
+                index, _, power = part[1:].partition("^")
+                exps[int(index)] = exps.get(int(index), 0) + int(power or 1)
+            else:
+                coeff *= Fraction(part)
+        terms.append((exps, coeff))
+        nvars = max([nvars, *exps])
     full = {}
     for exps, coeff in terms:
         m = tuple(exps.get(i, 0) for i in range(1, nvars + 1))

@@ -91,8 +91,8 @@ class TestParse:
                 pieces.append(rng.choice("+-") + " " + term)
             text = " ".join(pieces)
             want = reference_parse(text)
-            terms, zero = parsing._scan(text)
-            seen["zero read" if zero else "merged" if len(want[1]) < len(terms) else "neither"] += 1
+            _, coeffs, zero, _ = parsing._scan(text)
+            seen["zero read" if zero else "merged" if len(want[1]) < len(coeffs) else "neither"] += 1
             for reader in (parsing._accepted, lambda text: None):
                 with monkeypatch.context() as patch:
                     patch.setattr(parsing, "_accepted", reader)
@@ -293,6 +293,29 @@ EDGES = [(blank + blank.join(TOKENS) + blank, 1) for blank in BLANKS] + [(text, 
 ]] + [("x1", MAX_VARIABLES + 1), ("x1 x2", MAX_VARIABLES + 1), ("3", 0), ("x2", 0)]
 
 
+_TOP = parsing._FAST_INDICES  # the highest index the fast pass reads
+KEYS = [  # (text, min_nvars, whether the fast pass reads it): packed-key edge cases
+    (f"x2^{MAX_EXPONENT - 1}*x2 - x1", 1, True),  # a repeated variable's powers sum to the bound
+    (f"x1^{MAX_EXPONENT - 3}*x1*x1^2", 1, True),  # three factors summing to the bound
+    ("x3*x1^2*x3^4*x3 + 2*x1", 1, True),  # three factors of x3, apart in the term
+    ("2 + x3^0", 1, False),  # a zero exponent adds nothing to the key but raises nvars
+    ("x2^0*x1 - x1", 1, False),  # the zero polynomial in 2 variables
+    (f"x{_TOP}^5 - x1", 1, True),
+    (f"x{_TOP + 1}^5 - x1", 1, False),
+    (f"3*x{MAX_VARIABLES} + 1", 1, False),
+    ("x1*x2", 5, True),  # min_nvars above the top index
+    ("7/3 - 1/3 + 2", 1, True),  # constants only
+    ("x2 + 0*x1 - 3 + x2 + 0 - x3 + x1 - 2*x2", 1, True),  # merged terms and zeros: x1 keeps its place
+]
+KEY_FAULTS = [  # (text, min_nvars, outcome)
+    (f"x2^{MAX_EXPONENT - 1}*x2^2", 1,
+     ("ParseError", "accumulated exponent for x2 exceeds the supported bound", 1, len(f"x2^{MAX_EXPONENT - 1}*") + 1)),
+    (f"x1^{MAX_EXPONENT - 2}*x1*x1^2", 1,
+     ("ParseError", "accumulated exponent for x1 exceeds the supported bound", 1, len(f"x1^{MAX_EXPONENT - 2}*x1*") + 1)),
+    ("3", 0, ("PolyError", "nvars must be positive")),
+]
+
+
 class TestAcceptedInputPass:
     """The regex pass is checked against the token scanner, which is the
     reference: both give the same parse, or the same error."""
@@ -300,10 +323,10 @@ class TestAcceptedInputPass:
     @staticmethod
     def assert_same_as_scanner(monkeypatch, text, min_nvars=1):
         accepted = parsing._accepted(text)
-        if accepted is not None:  # the scanner gives the same terms and zero flag, coefficient types too
+        if accepted is not None:  # the scanner gives the same keys, coefficients, zero flag and top index
             scanned = parsing._scan(text)
             assert scanned == accepted
-            assert [type(c) for _, c in scanned[0]] == [type(c) for _, c in accepted[0]]
+            assert [type(c) for c in scanned[1]] == [type(c) for c in accepted[1]] == [Fraction] * len(scanned[1])
         got = outcome(text, min_nvars)
         with monkeypatch.context() as patch:
             patch.setattr(parsing, "_accepted", lambda text: None)
@@ -311,6 +334,18 @@ class TestAcceptedInputPass:
 
     @pytest.mark.parametrize("text, min_nvars", EDGES, ids=[repr(text[:30]) for text, _ in EDGES])
     def test_edge_cases(self, monkeypatch, text, min_nvars):
+        self.assert_same_as_scanner(monkeypatch, text, min_nvars)
+
+    @pytest.mark.parametrize("text, min_nvars, fast", KEYS, ids=[repr(text[:30]) for text, _, _ in KEYS])
+    def test_packed_key_edges(self, monkeypatch, text, min_nvars, fast):
+        assert (parsing._accepted(text) is not None) == fast
+        parsed = parse_poly(text, min_nvars)
+        assert (parsed.nvars, list(parsed.poly.terms.items())) == reference_parse(text, min_nvars)
+        self.assert_same_as_scanner(monkeypatch, text, min_nvars)
+
+    @pytest.mark.parametrize("text, min_nvars, want", KEY_FAULTS, ids=[repr(text[:30]) for text, _, _ in KEY_FAULTS])
+    def test_packed_key_faults(self, monkeypatch, text, min_nvars, want):
+        assert outcome(text, min_nvars) == want
         self.assert_same_as_scanner(monkeypatch, text, min_nvars)
 
     def test_rendered_and_mutated(self, monkeypatch):
@@ -342,6 +377,26 @@ class TestAcceptedInputPass:
                      f"x1^{ZEROS}2*x2", f"x2*x1^{MAX_EXPONENT} - 3*x{MAX_VARIABLES}"]:
             parse_poly(text)
         assert seen and max(map(len, seen)) <= 2 * parsing._BOUND_DIGITS + 2
+
+    def test_factor_cache_holds_little(self):
+        # the factor cache outlives a call: fill it with the highest-index
+        # factors that input can put there, then bound what its keys take
+        factor = parsing._factor
+        factor.cache_clear()
+        texts = [f"x{index}^{power}" for index in range(1, 400) for power in range(1, 21)]
+        for text in texts:
+            parse_poly(text)
+
+        def keyed(text):
+            try:
+                return factor.__wrapped__(text)
+            except ValueError:
+                return None
+
+        # distinct texts, one lookup each, so the cache holds the last keys made
+        cached = [key for key in map(keyed, texts) if key is not None][-factor.cache_info().maxsize:]
+        assert factor.cache_info().currsize == len(cached) > 0
+        assert sum(map(sys.getsizeof, cached)) <= 2**20
 
     def test_rendered_input_never_reaches_the_scanner(self, monkeypatch):
         def scanner(text):
