@@ -21,7 +21,8 @@ above degree (k-1)*deg m1, so there core - h^k is the whole residual.  Its
 multiples m1^(k-1)*m_j, the only terms a solve clears, are a heap
 (lazy deletion) fed by B and by the monomials each solved term adds to H^k;
 the final check decides the rest.  Until ROADMAP item 2,
-`orders.check_enumerable` refuses a large m1 (the dense cap).
+`orders.check_enumerable` refuses a large m1 (the dense cap); until ROADMAP
+item 4, a k above MAX_DIVISOR is refused with the same MonomialCapExceeded.
 
 Both steps are fraction-free, in the manner of Bareiss (1968).  core = B/D
 with B the integer numerators of f's non-constant terms over L, the lcm of
@@ -56,16 +57,21 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
+from operator import neg
 from struct import Struct
 from typing import NamedTuple, Optional
 
 from .newton import d1_bound, descending_divisors, divisor_sequence, multiplicity
-from .orders import GRLEX, WEIGHTED, OrderError, OrderSpec, check_enumerable, check_graded, normalize
+from .orders import GRLEX, WEIGHTED, MonomialCapExceeded, OrderError, OrderSpec
+from .orders import check_enumerable, check_graded, normalize
 from .orders import monomials_below  # noqa: F401 -- kept for the benchmark's binding (ROADMAP item 2)
 from .poly import MultiPoly, PolyError, UniPoly, compose_uni, integer_form
 
 VERIFIED = "verified"
 MISMATCH = "mismatch"
+# attempt_divisor builds the k + 1 powers of m1 before it solves, about 0.3 KiB
+# each: a larger k, which can take all memory (x1^2147483647), is refused first
+MAX_DIVISOR = 500_000
 
 
 class DecompositionResult(NamedTuple):
@@ -126,8 +132,9 @@ class _Form:
     def numerators(self) -> dict:
         """B: f's non-constant terms, as key: numerator over L times sign(lc)."""
         if self.B is None:
-            sign = 1 if self.lc > 0 else -1  # once: a Fraction comparison per term doubles this step
-            self.B = {m: sign * b for m, b in zip(self.keys, integer_form(self.coeffs)[1]) if m}
+            nums = integer_form(self.coeffs)[1]
+            self.B = dict(zip(self.keys, map(neg, nums) if self.lc < 0 else nums))
+            self.B.pop(0, None)  # the constant term's key
         return self.B
 
 
@@ -174,6 +181,8 @@ def attempt_divisor(
         l, rem = divmod(t, m1)
         if (rem or not 1 <= l < k) and not packing.band([t], base):
             return None
+    if k > MAX_DIVISOR:
+        raise MonomialCapExceeded(f"divisor {k} exceeds the supported bound {MAX_DIVISOR}")
 
     check_enumerable(tuple(e // k for e in lm), order)
     B = form.numerators()
@@ -251,9 +260,9 @@ def generative(
     - d1 is decided (`divisor_sequence`) only at the first attempt that does
       not verify.  A mismatched k that does not divide d1 is dropped from the
       trace, and the divisors of g0 that do not divide d1 are not tried;
-    - an attempt that raises OrderError (a weighted order, or the monomial
-      cap) at a k that does not divide d1 is dropped the same way; at a k
-      that divides d1 the error is raised.
+    - an attempt that raises OrderError (a weighted order, the monomial cap
+      or a k above MAX_DIVISOR) at a k that does not divide d1 is dropped the
+      same way; at a k that divides d1 the error is raised.
     """
     if f.is_constant():
         raise PolyError("cannot decompose a constant polynomial")

@@ -19,9 +19,11 @@ into its dense tuple with one ``Struct`` per call, then merges.
 Accepted input takes one pass of a compiled term regex, each match
 anchored where the last one ended.  Its quantifiers are possessive and
 match as greedy ones would, as each is followed only by optional parts or
-by a character it cannot take.  A cache shared by calls holds each
-factor's key.  At the first place that pass does not accept cleanly, the
-text goes to the token scanner, and so does text with a zero exponent, an
+by a character it cannot take.  The regex only lexes a monomial, as one
+run of x, digits, '^' and '*'; ``_factor``, whose cache is shared by
+calls, is the only check of each factor's text and gives its key.  At the
+first place that pass does not accept cleanly, the text goes to the token
+scanner, and so does text with a malformed factor, a zero exponent, an
 index past x64 or a variable whose powers in one term sum past the bound.
 The scanner first searches for a character no token can start with, so
 ``x1 x2 @`` fails at the ``@``, not at an earlier syntax error.  Every
@@ -65,11 +67,13 @@ _BAD_CHAR_RE = re.compile(r"x(?![0-9])|[^\sx0-9+\-*/^]")
 _TOKEN_RE = re.compile(r"x[0-9]+|[0-9]+|[-+*/^]")
 _BOUND_DIGITS = len(str(max(MAX_EXPONENT, MAX_VARIABLES)))
 # a term: blanks, a sign (required after the first term), num[/den][*mono] or mono,
-# blanks; a longer digit run in a factor leaves a digit where no term can start
-_FACTOR = rf"x[0-9]{{1,{_BOUND_DIGITS}}}+(?:\^[0-9]{{1,{_BOUND_DIGITS}}}+)?+"
-_MONO = rf"{_FACTOR}(?:\*{_FACTOR})*+"
+# blanks; mono is a lexing run, whose factors only _factor checks
+_MONO = r"x[0-9^*x]*+"
 _TERM_RE = re.compile(rf"\s*+(?:([-+])\s*+)?+(?:([0-9]++)(?:\s*+/\s*+([0-9]++))?+"
                       rf"(?:\s*+\*\s*+({_MONO}))?+|({_MONO}))\s*+")
+# a factor _factor reads: at most _BOUND_DIGITS digits in each run, so at most
+# 2*_BOUND_DIGITS + 2 characters
+_FACTOR_RE = re.compile(rf"x([0-9]{{1,{_BOUND_DIGITS}}})(?:\^([0-9]{{1,{_BOUND_DIGITS}}}))?")
 # the fast pass reads x1 to x64, so a cached key is at most 512 bytes long
 _FAST_INDICES = 64
 # the bits above MAX_EXPONENT = 2^31 - 1 in each field the fast pass fills
@@ -131,10 +135,15 @@ def _bounded(digits: str, bound: int, message: str) -> int:
 
 @lru_cache(maxsize=1024)  # shared by calls, since few factor texts recur within a small input
 def _factor(text: str) -> int:
-    """The key of a factor the term regex accepted; ValueError for a zero
-    power, an index past _FAST_INDICES or a power past its bound."""
-    name, _, power = text.partition("^")
-    index, power = int(name[1:]), int(power or 1)
+    """The key of one factor of a monomial run, the only check of a factor's
+    text; ValueError, which lru_cache does not store, for text not of the form
+    x<index>[^<power>] with at most _BOUND_DIGITS digits in each run (so for
+    any text over 2*_BOUND_DIGITS + 2 characters, before any int()), for an
+    index outside 1.._FAST_INDICES and for a power outside 1..MAX_EXPONENT."""
+    m = _FACTOR_RE.fullmatch(text)
+    if not m:
+        raise ValueError(text)
+    index, power = int(m[1]), int(m[2] or 1)
     if not 0 < index <= _FAST_INDICES or not 0 < power <= MAX_EXPONENT:
         raise ValueError(text)
     return power << 64 * (index - 1)
@@ -148,19 +157,22 @@ def _accepted(text: str) -> tuple | None:
     if len(text) >= 3 << 33:
         return None
     keys, coeffs, pos, zero = [], [], 0, False
+    match, factor, add_key, add_coeff = _TERM_RE.match, _factor, keys.append, coeffs.append
     try:
         while pos < len(text):
-            m = _TERM_RE.match(text, pos)
+            m = match(text, pos)
             if not m or (coeffs and not m[1]):  # a gap, or a term without its sign
                 return None
             sign, num, den, mono, bare = m.groups()
             pos = m.end()
-            coeff = int((sign or "") + num) if num else -1 if sign == "-" else 1
+            coeff = int(num) if num else 1
+            if sign == "-":
+                coeff = -coeff
             zero = zero or not coeff
-            coeffs.append(Fraction(coeff, int(den)) if den else Fraction(coeff))
+            add_coeff(Fraction(coeff, int(den)) if den else Fraction(coeff))
             mono = mono or bare
-            keys.append(sum(map(_factor, mono.split("*"))) if mono else 0)
-    except (ValueError, ZeroDivisionError):  # a number out of bounds or too long; a zero denominator
+            add_key(sum(map(factor, mono.split("*"))) if mono else 0)
+    except (ValueError, ZeroDivisionError):  # a bad factor, a number too long; a zero denominator
         return None
     seen = reduce(or_, keys, 0)
     if not coeffs or seen & _OVER:  # no term, or a repeated variable's powers sum past the bound

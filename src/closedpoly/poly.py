@@ -70,10 +70,13 @@ def derivative(pairs: Iterable[tuple], i: int) -> dict:
 
 
 def integer_form(coeffs: Collection[Fraction]) -> tuple:
-    """(L, [n_i]): L > 0 the lcm of the coeffs' denominators, n_i = c_i * L, in input order."""
+    """(L, [n_i]): L > 0 the lcm of the coeffs' denominators, n_i = c_i * L, in
+    input order; L // d is computed once per distinct denominator d."""
     parts = [c.as_integer_ratio() for c in coeffs]  # one call, not two property reads
-    L = lcm(*(d for _, d in parts))
-    return L, [n * (L // d) for n, d in parts]
+    dens = {d for _, d in parts}
+    L = lcm(*dens)
+    scale = {d: L // d for d in dens}
+    return L, [n * scale[d] for n, d in parts]
 
 
 def fraction_parts(c: Scalar) -> tuple:

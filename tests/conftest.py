@@ -1,9 +1,14 @@
 import random
 import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import closedpoly
 from closedpoly.orders import OrderSpec, normalize
 from closedpoly.parsing import parse_poly
 from closedpoly.poly import MultiPoly, UniPoly, compose_uni
@@ -31,6 +36,36 @@ def time_limit():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+# The address-space cap of run_cli_capped's child: an input that would take
+# all of the machine's memory fails there with MemoryError instead.
+CHILD_MEMORY_LIMIT = 1 << 30
+_CAPPED_CHILD = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+soft = {limit} if hard == resource.RLIM_INFINITY else min({limit}, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+sys.path.insert(0, {src!r})
+from closedpoly.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_cli_capped(argv, stdin, timeout=60):
+    """closedpoly.cli.main(argv) in a child interpreter whose address space
+    (RLIMIT_AS) is capped at CHILD_MEMORY_LIMIT, with stdin as its input:
+    (exit code, stdout, stderr, wall seconds of the child).  Skips the test
+    where RLIMIT_AS is unavailable."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("RLIMIT_AS is unavailable")
+    src = str(Path(closedpoly.__file__).parent.parent)
+    child = _CAPPED_CHILD.format(limit=CHILD_MEMORY_LIMIT, src=src)
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", child, *argv], input=stdin, capture_output=True,
+                         text=True, timeout=timeout)
+    return out.returncode, out.stdout, out.stderr, time.perf_counter() - start
 
 
 def P(text, min_nvars=1):

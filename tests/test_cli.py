@@ -17,7 +17,7 @@ import closedpoly.newton
 from closedpoly.cli import _COMMANDS, main
 from closedpoly.parsing import render_poly
 from closedpoly.poly import MultiPoly, compose_uni
-from conftest import P, random_outer, random_poly
+from conftest import P, random_outer, random_poly, run_cli_capped
 from oracles import reference_build_parser
 
 EX1 = "x1^4 + 2*x1^2*x2 + x2^2\n"
@@ -812,6 +812,26 @@ def test_command(capsys, argv, stdin, code, expected):
         assert {key: payload[key] for key in expected} == expected
     else:
         assert got == (code, "", expected)
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("x1^2147483647", ["decompose", "--poly", "-"]),
+    ("x1^2147483647", ["is-closed", "--poly", "-"]),
+    ("x1^2147483646 + x1", ["decompose", "--poly", "-", "--no-newton"]),
+], ids=["prime-exponent", "prime-exponent-is-closed", "unpruned-second-term"])
+def test_huge_divisor_fails_fast_in_bounded_memory(text, argv):
+    # a divisor k that passes the early exit would build k + 1 powers of the
+    # candidate's leading monomial, all of the machine's memory at k = 2^31 - 1
+    k = int(text.split()[0][3:])
+    code, out, err, seconds = run_cli_capped(argv, text + "\n")
+    assert (code, out, err) == (2, "", f"error: divisor {k} exceeds the supported bound 500000\n")
+    assert seconds < 1.0
+
+
+def test_large_divisor_under_the_bound_answers():
+    code, out, err, _ = run_cli_capped(["decompose", "--poly", "-", "--json"], "x1^400000\n")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["trace"] == [[400000, "verified"]]
 
 
 # argv lists on which main answers as with the parser that gives every subcommand

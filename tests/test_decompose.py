@@ -633,6 +633,17 @@ class TestAttemptFirst:
         assert outcome(lambda: generative(f)) == (f, UniPoly.identity(), (), True)
         assert outcome(lambda: generative_d1_first(f, GL)) == outcome(lambda: generative(f))
 
+    def test_divisor_cap_is_treated_as_the_monomial_cap(self, monkeypatch):
+        # with the cap at 1 every attempt that passes the early exit refuses its
+        # k: dropped where k does not divide d1 (d1 = 1 here), raised where it does
+        monkeypatch.setattr(dec, "MAX_DIVISOR", 1)
+        f = P(CAP_HAZARD)
+        assert outcome(lambda: generative(f)) == (f, UniPoly.identity(), (), True)
+        g = P("x1^4 + 2*x1^2*x2 + x2^2")
+        message = "divisor 2 exceeds the supported bound 1"
+        assert outcome(lambda: generative(g)) == (MonomialCapExceeded, message)
+        assert outcome(lambda: generative_d1_first(g, GL)) == (MonomialCapExceeded, message)
+
     def test_weighted_order_error_at_a_divisor_of_d1(self):
         # lm x2^6, g0 = d1 = 3: the attempt at k = 3 raises, as with d1 first
         f = P("x2^6 + x1^3")

@@ -294,7 +294,7 @@ EDGES = [(blank + blank.join(TOKENS) + blank, 1) for blank in BLANKS] + [(text, 
 
 
 _TOP = parsing._FAST_INDICES  # the highest index the fast pass reads
-KEYS = [  # (text, min_nvars, whether the fast pass reads it): packed-key edge cases
+KEYS = [  # (text, min_nvars, whether the fast pass reads it): packed-key and factor-text edge cases
     (f"x2^{MAX_EXPONENT - 1}*x2 - x1", 1, True),  # a repeated variable's powers sum to the bound
     (f"x1^{MAX_EXPONENT - 3}*x1*x1^2", 1, True),  # three factors summing to the bound
     ("x3*x1^2*x3^4*x3 + 2*x1", 1, True),  # three factors of x3, apart in the term
@@ -306,6 +306,9 @@ KEYS = [  # (text, min_nvars, whether the fast pass reads it): packed-key edge c
     ("x1*x2", 5, True),  # min_nvars above the top index
     ("7/3 - 1/3 + 2", 1, True),  # constants only
     ("x2 + 0*x1 - 3 + x2 + 0 - x3 + x1 - 2*x2", 1, True),  # merged terms and zeros: x1 keeps its place
+    ("x01^007", 1, True),  # leading zeros within the bounded digit runs
+    ("x" + "0" * 10 + "1", 1, False),  # an 11-digit index: past the bounded run
+    ("x1^" + "0" * 3999 + "3", 1, False),  # a 4,000-digit power
 ]
 KEY_FAULTS = [  # (text, min_nvars, outcome)
     (f"x2^{MAX_EXPONENT - 1}*x2^2", 1,
@@ -313,6 +316,15 @@ KEY_FAULTS = [  # (text, min_nvars, outcome)
     (f"x1^{MAX_EXPONENT - 2}*x1*x1^2", 1,
      ("ParseError", "accumulated exponent for x1 exceeds the supported bound", 1, len(f"x1^{MAX_EXPONENT - 2}*x1*") + 1)),
     ("3", 0, ("PolyError", "nvars must be positive")),
+    # monomial runs that _factor, their only check, refuses
+    ("x1*12", 1, ("ParseError", "expected '+' or '-', got '*'", 1, 3)),
+    ("x1^", 1, ("ParseError", "expected an exponent after '^'", 1, 4)),
+    ("x^2", 1, ("ParseError", "unexpected character 'x'", 1, 1)),
+    ("x1x2", 1, ("ParseError", "expected '+' or '-', got 'x2'", 1, 3)),
+    ("x1^2x3", 1, ("ParseError", "expected '+' or '-', got 'x3'", 1, 5)),
+    ("x1**x2", 1, ("ParseError", "expected '+' or '-', got '*'", 1, 3)),
+    ("2*x1*", 1, ("ParseError", "expected '+' or '-', got '*'", 1, 5)),
+    ("x1^2^3", 1, ("ParseError", "expected '+' or '-', got '^'", 1, 5)),
 ]
 
 
@@ -369,14 +381,20 @@ class TestAcceptedInputPass:
         self.assert_same_as_scanner(monkeypatch, text)
 
     def test_cached_factor_texts_are_short(self, monkeypatch):
-        # the factor cache outlives a call, so no long run of the input may become a key
+        # the factor cache outlives a call, so no long run of the input may become
+        # a key: _factor refuses every long text it is handed, and lru_cache
+        # stores no call that raised
         seen = []
         factor = parsing._factor
         monkeypatch.setattr(parsing, "_factor", lambda text: seen.append(text) or factor(text))
         for text in ["x1" + " " * 5000 + "^2", "x1 *" + " " * 5000 + "x2", f"x{ZEROS}1 + x2",
                      f"x1^{ZEROS}2*x2", f"x2*x1^{MAX_EXPONENT} - 3*x{MAX_VARIABLES}"]:
             parse_poly(text)
-        assert seen and max(map(len, seen)) <= 2 * parsing._BOUND_DIGITS + 2
+        long = [text for text in seen if len(text) > 2 * parsing._BOUND_DIGITS + 2]
+        assert long
+        for text in long:
+            with pytest.raises(ValueError):
+                factor.__wrapped__(text)
 
     def test_factor_cache_holds_little(self):
         # the factor cache outlives a call: fill it with the highest-index
@@ -421,11 +439,10 @@ class TestAcceptedInputPass:
 
     def test_term_regex_matches_as_the_greedy_pattern(self):
         # the same pieces with no possessive marks, the oracle
-        digits = rf"[0-9]{{1,{parsing._BOUND_DIGITS}}}"
-        mono = rf"x{digits}(?:\^{digits})?(?:\*x{digits}(?:\^{digits})?)*"
+        mono = r"x[0-9^*x]*"
         greedy = re.compile(rf"\s*(?:([-+])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*({mono}))?|({mono}))\s*")
         # the speed-up cannot be dropped silently
-        assert all(mark in parsing._TERM_RE.pattern for mark in (r"\s*+", "?+", ")*+", "[0-9]++", "}+"))
+        assert all(mark in parsing._TERM_RE.pattern for mark in (r"\s*+", "?+", "[0-9]++", "]*+"))
         alphabet = [" ", "\t", "\n", "\xa0", "x", "x1", "x2", "0", "1", "9", "007",
                     "1" * (parsing._BOUND_DIGITS + 2), "+", "-", "*", "/", "^"]
         rng = random.Random(74)
