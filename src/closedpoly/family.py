@@ -4,6 +4,10 @@ Given a decomposition f = F(h), the splitting of F(t) + mu over ℚ turns
 into a factorization of f + mu through shifts of h; roots outside ℚ stay
 bundled in a rootless monic residual.  The exceptional set of f is the
 image of the (user-supplied) exceptional set of h.
+
+The split runs on integers end to end: the roots are bracketed by integer
+bisection with one Horner evaluation per step, and the product identity is
+checked on integer numerators, with no `Fraction` polynomial built.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .decompose import DecompositionResult
 from .parsing import ascii_number, short_number
-from .poly import PolyError, UniPoly, check_scalar, integer_form
+from .poly import PolyError, UniPoly, check_scalar, fraction_parts, integer_form
 from .poly import compose_uni  # noqa: F401 -- unused, kept for the benchmark's binding (ROADMAP item 2)
 
 
@@ -44,18 +48,28 @@ def _brackets(g: list, bound: int) -> list:
     """Sorted integers in [-bound, bound] holding the floor and ceiling of each real
     root of g, if g and its derivatives have all real roots inside the bound (by
     Gauss-Lucas, true of any bound on the roots of g).  Between brackets of g^(k+1)
-    more than 1 apart, g^(k) is monotone, so one integer bisection finds its root."""
+    more than 1 apart, g^(k) is monotone, so one integer bisection finds its root.
+    g^(k) is evaluated once at each bracket and once per bisection step, and signs
+    are compared, not multiplied: the sign at lo holds while lo moves, and the
+    bisection stops at an integer root."""
     edges, binom = [-bound, bound], []
     for k in reversed(range(len(g))):
         binom = [1] + [b * (k + 1) // (j + 1) for j, b in enumerate(binom)]  # comb(k + j, k)
         c = [b * a for b, a in zip(binom, g[k:])]  # g^(k) / k!
-        for lo, hi in list(zip(edges, edges[1:])):
-            at_lo = _horner(c, lo)
-            while hi - lo > 1 and at_lo * _horner(c, hi) < 0:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if at_lo * _horner(c, mid) > 0 else (lo, mid)
-            edges += (lo, hi)
-        edges = sorted(set(edges))
+        values = [_horner(c, x) for x in edges]
+        found = []
+        for lo, hi, at_lo, at_hi in zip(edges, edges[1:], values, values[1:]):
+            if (at_lo < 0 < at_hi) or (at_hi < 0 < at_lo):
+                positive = at_lo > 0
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    at_mid = _horner(c, mid)
+                    if not at_mid:
+                        hi = mid
+                        break
+                    lo, hi = (mid, hi) if (at_mid > 0) == positive else (lo, mid)
+                found += (lo, hi)
+        edges = sorted(set(edges + found))
     return edges
 
 
@@ -100,8 +114,9 @@ def rational_roots(G: UniPoly) -> list:
 
 def factor_shift(result: DecompositionResult, mu) -> FamilyFactorization:
     """Split f + mu through the pair (h, F): f + mu = alpha * prod (h + lambda_i)^e_i * residual(h).
-    The identity F + mu = alpha * prod (t + lambda_i)^e_i * residual is checked in ℚ[t]; the ring
-    map t -> h carries it to ℚ[x], where f = F(h) is certified by the decomposition."""
+    The identity F + mu = alpha * prod (t + lambda_i)^e_i * residual is checked in ℚ[t], on the
+    returned alpha, shifts and residual; the ring map t -> h carries it to ℚ[x], where f = F(h)
+    is certified by the decomposition."""
     mu = check_scalar(mu, "mu")
     G = result.F + mu
     if G.is_constant():
@@ -109,12 +124,25 @@ def factor_shift(result: DecompositionResult, mu) -> FamilyFactorization:
     alpha = G.leading_coefficient()
     roots, residual = _split(G)
     shifts = [(-root, mult) for root, mult in reversed(roots)]  # so the shifts -root descend
-    product = residual * alpha
-    for lam, mult in shifts:
-        product = product * UniPoly._checked(1, {(0,): lam, (1,): Fraction(1)}) ** mult
-    if product != G:
+    if not _product_holds(G, alpha, shifts, residual):
         raise RuntimeError("product identity for f + mu failed to verify")
     return FamilyFactorization(mu=mu, alpha=alpha, shifts=tuple(shifts), residual=residual)
+
+
+def _product_holds(G: UniPoly, alpha: Fraction, shifts: list, residual: UniPoly) -> bool:
+    """G = alpha * prod (t + p/q)^e * residual, on integer numerators: with G = g / L_G,
+    residual = r / L_R and alpha = a / b, whether
+    b * prod q^e * L_R * g = a * L_G * prod (q t + p)^e * r."""
+    L_G, g = integer_form(G.coeffs)
+    L_R, product = integer_form(residual.coeffs)
+    a, b = fraction_parts(alpha)
+    scale_g, scale_product = b * L_R, a * L_G
+    for lam, mult in shifts:
+        p, q = fraction_parts(lam)
+        scale_g *= q**mult
+        for _ in range(mult):  # times q t + p
+            product = [p * x + q * y for x, y in zip(product + [0], [0] + product)]
+    return [scale_product * x for x in product] == [scale_g * x for x in g]
 
 
 def exceptional_image(F: UniPoly, E_h) -> set:

@@ -36,6 +36,8 @@ MAX_VARIABLES = 2**16
 
 Scalar = Union[int, Fraction]
 
+_ZERO = Fraction(0)  # the default of every missing-term lookup; Fraction is immutable
+
 
 class PolyError(ValueError):
     """Domain error in polynomial construction or arithmetic."""
@@ -181,12 +183,12 @@ class MultiPoly:
         return not any(map(any, self.terms))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(mono_unit(self.nvars), Fraction(0))
+        return self.terms.get(mono_unit(self.nvars), _ZERO)
 
     def coefficient(self, m: Monomial) -> Fraction:
         if len(m) != self.nvars:
             raise PolyError("monomial length mismatch")
-        return self.terms.get(tuple(m), Fraction(0))
+        return self.terms.get(tuple(m), _ZERO)
 
     def support(self) -> set:
         return set(self.terms)
@@ -270,17 +272,27 @@ class MultiPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
+        """self(point) over one common denominator: with x_i = p_i / q_i and top_i
+        the largest exponent of x_i, each integer numerator of `integer_form` is
+        multiplied by prod p_i^e_i q_i^(top_i - e_i), and one Fraction is built of
+        their sum over L prod q_i^top_i."""
         if len(point) != self.nvars:
             raise PolyError("evaluation point has wrong dimension")
         pt = [check_scalar(v, "point value") for v in point]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
-            for x, e in zip(pt, m):
-                if e:
-                    val *= x**e
-            total += val
-        return total
+        den, nums = integer_form(self.terms.values())
+        scales = []  # (i, {e: p_i^e q_i^(top_i - e)}) for each x_i in some term
+        for i, (x, column) in enumerate(zip(pt, zip(*self.terms))):
+            top = max(column)
+            if top:
+                p, q = fraction_parts(x)
+                scales.append((i, {e: p**e * q ** (top - e) for e in set(column)}))
+                den *= q**top
+        total = 0
+        for m, n in zip(self.terms, nums):
+            for i, scale in scales:
+                n *= scale[m[i]]
+            total += n
+        return Fraction(total, den)
 
     def partial(self, i: int) -> "MultiPoly":
         """Formal partial derivative with respect to x_i (1-based)."""
@@ -314,7 +326,7 @@ class UniPoly(MultiPoly):
         """Dense, lowest degree first, with no trailing zeros."""
         if not self.terms:
             return ()
-        return tuple(self.terms.get((i,), Fraction(0)) for i in range(self.degree() + 1))
+        return tuple(self.terms.get((i,), _ZERO) for i in range(self.degree() + 1))
 
     @classmethod
     def from_term(cls, nvars: int, m: Monomial, c: Scalar = 1) -> "UniPoly":

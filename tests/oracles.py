@@ -17,6 +17,8 @@ pivoting through `reference_pivot` by column index, against which
 arithmetic, against which `depend` is checked.
 The `dense_*` functions are univariate arithmetic and rendering on coefficient
 lists, lowest degree first, against which the sparse `UniPoly` is checked.
+`reference_evaluate` sums each term's value in `Fraction` arithmetic, against
+which `MultiPoly.evaluate`, on one common denominator, is checked.
 `reference_parse` reads valid text by itself, merges its dense monomials and
 then drops the zeros, against which `parsing.parse_poly`, which reads packed
 keys and drops none when it read no zero and merged no terms, is checked, term
@@ -274,6 +276,17 @@ def dense_evaluate(a, x) -> Fraction:
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def reference_evaluate(poly: MultiPoly, point) -> Fraction:
+    total = Fraction(0)
+    for m, c in poly.terms.items():
+        val = c
+        for x, e in zip(map(Fraction, point), m):
+            if e:
+                val *= x**e
+        total += val
+    return total
 
 
 def dense_render(a) -> str:

@@ -193,11 +193,32 @@ class TestFactorShift:
         with pytest.raises(PolyError, match="mu 0.1 is not an int or a Fraction"):
             factor_shift(result, 0.1)
 
-    def test_failed_identity_raises(self, result, monkeypatch):
+    @pytest.mark.parametrize("mu, perturb", [
+        (-2, lambda roots, residual: (roots, residual + 1)),
+        # F - 1 = t^2: the double root 0 claimed three times
+        (-1, lambda roots, residual: ([(roots[0][0], roots[0][1] + 1)] + roots[1:], residual)),
+        # F - 2 = (t - 1)(t + 1): the root 1 claimed as -1
+        (-2, lambda roots, residual: ([(-roots[0][0], roots[0][1])] + roots[1:], residual)),
+    ], ids=["residual-plus-one", "multiplicity-plus-one", "sign-flipped"])
+    def test_failed_identity_raises(self, result, monkeypatch, mu, perturb):
         real = closedpoly.family._split
-        monkeypatch.setattr(closedpoly.family, "_split", lambda G: (real(G)[0], real(G)[1] + 1))
+        monkeypatch.setattr(closedpoly.family, "_split", lambda G: perturb(*real(G)))
         with pytest.raises(RuntimeError, match=r"^product identity for f \+ mu failed to verify$"):
-            factor_shift(result, -2)
+            factor_shift(result, mu)
+
+    def test_one_evaluation_per_bisection_step(self, monkeypatch):
+        # t^2 - N: the brackets of g' are -bound, 0 and bound, and each root of g
+        # is bisected out of an interval of about 41 bits
+        N = 2**80 + 1  # between 2^80 and (2^40 + 1)^2, so not a square
+        bound = 2**41
+        calls = []
+        real = closedpoly.family._horner
+        monkeypatch.setattr(closedpoly.family, "_horner", lambda c, x: calls.append(x) or real(c, x))
+        edges = closedpoly.family._brackets([-N, 0, 1], bound)
+        root = isqrt(N)
+        assert edges == [-bound, -root - 1, -root, 0, root, root + 1, bound]
+        halvings = 2 * bound.bit_length()  # two intervals of width bound at the last level
+        assert len(calls) <= halvings + 3 * len(edges)
 
     def test_high_degree_with_small_roots_is_fast(self):
         # the Cauchy bound 1 + 2^300 would put the brackets at x ~ 2^300

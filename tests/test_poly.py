@@ -23,7 +23,7 @@ from closedpoly.poly import (
 )
 
 from conftest import P, random_poly
-from oracles import dense_add, dense_evaluate, dense_mul, dense_render, dense_trim
+from oracles import dense_add, dense_evaluate, dense_mul, dense_render, dense_trim, reference_evaluate
 
 
 class TestMul:
@@ -389,6 +389,28 @@ def test_constructor_rejects_malformed_input(build, match):
     int nvars reach the core; the parser cannot produce e.g. x1^1.5."""
     with pytest.raises(PolyError, match=match):
         build()
+
+
+def test_evaluate_against_fraction_reference():
+    rng = random.Random(53)
+    coordinates = [0, 0, 1, -1, 2, -7, Fraction(1, 2), Fraction(-5, 3), Fraction(22, 7), Fraction(-1, 9)]
+    seen = {"zero": 0, "constant": 0, "absent variable": 0}
+    for _ in range(400):
+        nvars = rng.randint(1, 4)
+        used = [rng.random() < 0.8 for _ in range(nvars)]
+        terms = {}
+        for _ in range(rng.choice([0, 1, 1, 2, 4, 8])):
+            m = tuple(rng.randint(0, 20) if u and rng.random() < 0.7 else 0 for u in used)
+            terms[m] = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        poly = MultiPoly(nvars, terms)
+        point = [rng.choice(coordinates) for _ in range(nvars)]
+        value = poly.evaluate(point)
+        assert value == reference_evaluate(poly, point), (poly, point)
+        assert type(value) is Fraction
+        seen["zero"] += poly.is_zero()
+        seen["constant"] += poly.is_constant() and not poly.is_zero()
+        seen["absent variable"] += not all(map(any, zip(*poly.terms))) and not poly.is_constant()
+    assert min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize(
