@@ -4,10 +4,13 @@ Subcommands: decompose, is-closed, newton, depend, family, stein, saturate.
 Polynomials are read from a file or stdin ("-"); output is a human-readable
 summary by default or one JSON object with --json.
 
-Every call is parsed by one complete parser, which gives each subcommand
-its options; it is built on the first call, not at import, and words all
-help, usage and error text.  A value-taking option followed by "-" and a
-digit takes that token as its value, so --mu -1/4 reads as --mu=-1/4.
+One complete parser gives each subcommand its options; it is built on the
+first call, not at import.  A call that starts with a subcommand's name is
+parsed in one pass by that subcommand's own parser, the one the complete
+parser hands it to; anything it leaves over, and every other call, is
+parsed by the complete parser, which words those usage and error lines.  A
+value-taking option followed by "-" and a digit takes that token as its
+value, so --mu -1/4 reads as --mu=-1/4.
 
 Exit codes: 0 success, 1 parse error, 2 domain error, 3 internal
 verification failure.
@@ -35,8 +38,8 @@ from .monoid import MonoidError, MonoidGens, is_saturated, saturation_generators
 from .newton import multiplicity, newton_summary, realizing_weights
 from .orders import GREVLEX, GRLEX, OrderSpec, leading_term
 from .parsing import (ParseError, ascii_number, check_printable, error_at, parse_poly, render_number,
-                      render_poly, render_uni)
-from .poly import MultiPoly
+                      render_parts, render_poly, render_uni)
+from .poly import MultiPoly, fraction_parts
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -201,7 +204,8 @@ def _cmd_depend(args) -> tuple:
 
 
 def _shift_str(lam: Fraction, mult: int) -> str:
-    base = f"(h + {render_number(lam)})" if lam >= 0 else f"(h - {render_number(-lam)})"
+    num, den = fraction_parts(lam)
+    base = f"(h + {render_parts(num, den)})" if num >= 0 else f"(h - {render_parts(-num, den)})"
     return base if mult == 1 else f"{base}^{mult}"
 
 
@@ -343,7 +347,9 @@ _COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Every subcommand with its options and handler; built by the first call and
-    shared by every later one, since parse_args leaves a parser as it found it."""
+    shared by every later one, since parse_args leaves a parser as it found it.
+    Its subcommands attribute maps each name to the parser it hands that
+    subcommand's arguments to."""
     parser = argparse.ArgumentParser(
         prog="closedpoly",
         description="Closed-polynomial decomposition and related checks over the rationals.",
@@ -355,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -378,7 +385,16 @@ def main(argv=None) -> int:
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
-    args = build_parser().parse_args(tokens)
+    # the complete parser hands a subcommand every token after its name, so a call
+    # that starts with one is parsed by that subcommand's parser alone.  What it
+    # leaves over, every other call, and a token "--=...", which the complete parser
+    # refuses as ambiguous (--help or --version) before it hands on, are parsed whole
+    parser = build_parser()
+    routed = at == 0 and command in parser.subcommands and not any(t.startswith("--=") for t in tokens)
+    if routed:
+        args, rest = parser.subcommands[command].parse_known_args(tokens[1:])
+    if not routed or rest:
+        args = parser.parse_args(tokens)
     try:
         payload, human = args.func(args)
         if args.json:

@@ -284,30 +284,37 @@ def _render_mono(m) -> str:
     return "*".join(parts)
 
 
+def render_parts(num: int, den: int) -> str:
+    """num/den, or num when den is 1, each written through Decimal, which,
+    unlike str, has no int-string limit."""
+    text = str(Decimal(num))
+    return text if den == 1 else f"{text}/{Decimal(den)}"
+
+
 def render_number(q: Fraction | int) -> str:
-    """str(q), its parts written through Decimal, which has no int-string limit."""
-    num, den = fraction_parts(q)
-    num = str(Decimal(num))
-    return num if den == 1 else num + "/" + str(Decimal(den))
+    """str(q), written from its integer parts by render_parts."""
+    return render_parts(*fraction_parts(q))
 
 
 def _join_signed(terms) -> str:
     """Join (coefficient, monomial text) pairs as "-a*m + m - c"; a coefficient
     of magnitude 1 is left out, and "" is the unit monomial; "0" when there
-    are no pairs."""
+    are no pairs.  Each coefficient is read once, as its integer parts, and
+    its sign, magnitude and text are decided on them."""
     pieces = []
     for c, mono in terms:
-        mag = abs(c)
+        num, den = fraction_parts(c)
+        mag = abs(num)
         if not mono:
-            body = render_number(mag)
-        elif mag == 1:
+            body = render_parts(mag, den)
+        elif mag == den == 1:
             body = mono
         else:
-            body = f"{render_number(mag)}*{mono}"
+            body = f"{render_parts(mag, den)}*{mono}"
         if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
+            pieces.append(body if num > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(pieces) or "0"
 
 

@@ -23,6 +23,10 @@ which `MultiPoly.evaluate`, on one common denominator, is checked.
 then drops the zeros, against which `parsing.parse_poly`, which reads packed
 keys and drops none when it read no zero and merged no terms, is checked, term
 order included.
+`reference_join_signed` joins rendered terms deciding each coefficient's sign,
+unit magnitude and text in `Fraction` arithmetic, against which
+`parsing._join_signed`, on integer parts, is checked through `render_poly`,
+`render_uni` and `render_number`.
 `reference_build_parser` is the command-line parser with every subcommand's
 options, written out by hand and bound to the same handlers, against which
 `cli.build_parser`, built from its table of options, is checked.
@@ -30,6 +34,7 @@ options, written out by hand and bound to the same handlers, against which
 
 import argparse
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -302,6 +307,33 @@ def dense_render(a) -> str:
         else:
             power = "t" if i == 1 else f"t^{i}"
             body = power if mag == 1 else f"{mag}*{power}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) or "0"
+
+
+def reference_number(q) -> str:
+    """str(q) for an int or Fraction, each part written through Decimal, which has
+    no int-string limit."""
+    q = Fraction(q)
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
+def reference_join_signed(terms) -> str:
+    """Join (coefficient, monomial text) pairs as "-a*m + m - c", with abs(c),
+    c == 1 and c > 0 on each Fraction; "" is the unit monomial, "0" no pairs."""
+    pieces = []
+    for c, mono in terms:
+        mag = abs(c)
+        if not mono:
+            body = reference_number(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{reference_number(mag)}*{mono}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

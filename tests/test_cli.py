@@ -14,7 +14,7 @@ import pytest
 
 import closedpoly.family
 import closedpoly.newton
-from closedpoly.cli import _COMMANDS, main
+from closedpoly.cli import _COMMANDS, build_parser, main
 from closedpoly.parsing import render_poly
 from closedpoly.poly import MultiPoly, compose_uni
 from conftest import P, random_outer, random_poly, run_cli_capped
@@ -847,7 +847,7 @@ PARSER_ARGVS = [
     ["--json", "decompose", "--poly", "-"], ["--", "decompose", "--poly", "-"],
     ["-", "decompose", "--poly", "-"], ["-3", "decompose", "--poly", "-"],
     None,
-    # every subcommand with all its options, answered by the one-subcommand parser
+    # every subcommand with all its options, parsed in one pass by its own parser
     ["decompose", "--poly", "-", "--order=grevlex", "--no-newton", "--json"],
     ["is-closed", "--order", "grevlex", "--poly", "-", "--json"],
     ["newton", "--poly", "g.txt", "--poly", "-", "--order=grlex", "--json"],
@@ -857,11 +857,17 @@ PARSER_ARGVS = [
     ["stein", "--data", "data.txt", "--mode", "f", "--d", "3", "--json"],
     ["saturate", "--gens", "1,0", "--gens=1,0;1,3", "--bound", "8", "--json"],
     ["saturate", "--gens", "1,0;1,3", "--bound", "-1"],
-    # help and refusals after a subcommand, answered by the full parser
+    # help and refusals after a subcommand: its parser's, or the full parser's for a leftover
     ["family", "--poly", "-", "--mu", "1", "--he"], ["stein", "--mode", "h", "-h"],
     ["family", "--poly", "-", "--mu"], ["family", "--poly", "-", "--mu", "1", "--json=1"],
     ["stein", "--data", "data.txt", "--mode", "g"], ["saturate", "--gens", "1,0", "--"],
     ["saturate", "--gens", "1,0", "--", "--json"], ["newton", "--poly", "-", "--version"],
+    # tokens left over, a top-level option's prefix, "--" and a repeated flag after the
+    # subcommand; "--=x", which the full parser refuses as ambiguous before it dispatches
+    ["decompose", "--poly", "-", "extra"], ["decompose", "--poly", "-", "--vers"],
+    ["decompose", "--", "--poly", "-"], ["decompose", "--poly", "-", "--json", "--json"],
+    ["depend", "--f", "-", "--g", "g.txt", "extra", "more"],
+    ["decompose", "--poly", "-", "--=x"], ["family", "--=x", "--poly", "-", "--mu", "1"],
 ]
 
 
@@ -876,6 +882,26 @@ def answer(capsys, monkeypatch, argv):
     return code, captured.out, captured.err
 
 
+def record_passes(monkeypatch) -> list:
+    """The parser of every argparse pass from now on (parse_args makes one too)."""
+    passes = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **keywords):
+        passes.append(self)
+        return real(self, *args, **keywords)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    return passes
+
+
+def whole_reference_parser() -> argparse.ArgumentParser:
+    """The reference parser with no subcommand map, so main parses every call whole."""
+    parser = reference_build_parser()
+    parser.subcommands = {}
+    return parser
+
+
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: repr(argv))
 def test_parser_matches_reference(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.setenv("COLUMNS", "80")
@@ -884,8 +910,31 @@ def test_parser_matches_reference(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "g.txt").write_text("x1^2 + x2\n")
     (tmp_path / "data.txt").write_text(STEIN_F)
     got = answer(capsys, monkeypatch, argv)
-    monkeypatch.setattr("closedpoly.cli.build_parser", reference_build_parser)
+    monkeypatch.setattr("closedpoly.cli.build_parser", whole_reference_parser)
+    passes = record_passes(monkeypatch)
     assert got == answer(capsys, monkeypatch, argv)
+    assert passes[0].prog == "closedpoly"  # the reference answer comes from a full parse
+
+
+def test_a_valid_call_makes_one_parse_pass(capsys, monkeypatch, poly_file):
+    argv = ("stein", "--data", poly_file(STEIN_F), "--mode", "f", "--d", "3", "--json")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    passes = record_passes(monkeypatch)
+    assert run(capsys, *argv) == first
+    assert [p.prog for p in passes] == ["closedpoly stein"]
+    assert passes[0] is build_parser().subcommands["stein"]  # the one the full parser hands on to
+
+
+def test_a_leftover_token_is_refused_by_the_full_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    passes = record_passes(monkeypatch)
+    code, out, err = answer(capsys, monkeypatch, ["decompose", "--poly", "-", "extra"])
+    assert (code, out) == ("SystemExit(2)", "")
+    assert err.startswith("usage: closedpoly [-h] [--version]\n")
+    assert err.endswith("\nclosedpoly: error: unrecognized arguments: extra\n")
+    # the subcommand's pass leaves "extra" over, then the full parse hands it on again
+    assert [p.prog for p in passes] == ["closedpoly decompose", "closedpoly", "closedpoly decompose"]
 
 
 def test_a_second_call_builds_no_parser(capsys, monkeypatch, poly_file):

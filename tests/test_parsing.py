@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 
 import closedpoly.parsing as parsing
-from closedpoly.orders import GREVLEX, OrderSpec
-from closedpoly.parsing import ParseError, parse_poly, render_poly, render_uni
+from closedpoly.orders import GREVLEX, OrderSpec, sort_key
+from closedpoly.parsing import ParseError, parse_poly, render_number, render_poly, render_uni
 from closedpoly.poly import MAX_EXPONENT, MAX_VARIABLES, MultiPoly, PolyError, UniPoly, compose_uni
 
 from conftest import P, random_outer, random_poly
-from oracles import reference_parse
+from oracles import reference_join_signed, reference_number, reference_parse
 
 
 class TestParse:
@@ -225,6 +225,49 @@ class TestRender:
         f = MultiPoly(1, {(1,): Fraction(big, 3), (0,): Fraction(-1, big)})
         assert render_poly(f) == f"{Decimal(big)}/3*x1 - 1/{Decimal(big)}"
         assert render_uni(UniPoly([big, 0, -big])) == f"-{Decimal(big)}*t^2 + {Decimal(big)}"
+
+
+def reference_render(f, order=None) -> str:
+    """render_poly(f, order), or render_uni(f) with no order, through reference_join_signed."""
+    if order is None:
+        return reference_join_signed((c, "" if i == 0 else "t" if i == 1 else f"t^{i}")
+                                     for (i,), c in sorted(f.terms.items(), reverse=True))
+    terms = sorted(f.terms.items(), key=lambda t: sort_key(t[0], order), reverse=True)
+    return reference_join_signed((c, "*".join(f"x{i}" if e == 1 else f"x{i}^{e}"
+                                              for i, e in enumerate(m, start=1) if e))
+                                 for m, c in terms)
+
+
+def test_rendering_matches_the_fraction_reference():
+    """Seeded coefficients of magnitude 1, negative, fractional and integer, the
+    zero polynomial, constants and 5,000-digit parts (past the int-string limit),
+    rendered as reference_join_signed renders them in Fraction arithmetic."""
+    rng = random.Random(54)
+    big = 10 ** 4999 + 7  # 5,000 digits
+
+    def coefficient():
+        return rng.choice([
+            lambda: rng.choice([1, -1]),
+            lambda: -rng.randint(2, 99),
+            lambda: rng.randint(2, 99),
+            lambda: Fraction(rng.randint(-99, 99) or 1, rng.randint(2, 9)),
+            lambda: Fraction(rng.choice([1, -1]) * big, rng.randint(1, 9)),
+            lambda: Fraction(rng.randint(-9, 9) or 1, big),
+        ])()
+
+    for trial in range(300):
+        nvars = rng.randint(1, 4)
+        size = trial % 6  # no term, a constant alone, or a few terms
+        monos = [(0,) * nvars] if size == 1 else [tuple(rng.randint(0, 3) for _ in range(nvars))
+                                                  for _ in range(size)]
+        f = MultiPoly(nvars, {m: coefficient() for m in monos})
+        for order in (OrderSpec(), OrderSpec(kind=GREVLEX)):
+            assert render_poly(f, order) == reference_render(f, order)
+        F = UniPoly([coefficient() if rng.random() < 0.7 else 0 for _ in range(size)])
+        assert render_uni(F) == reference_render(F)
+        for c in [*f.terms.values(), *F.terms.values(), rng.randint(-99, 99), -big, big]:
+            assert render_number(c) == reference_number(c)
+    assert render_poly(MultiPoly.zero(2)) == reference_render(MultiPoly.zero(2), OrderSpec()) == "0"
 
 
 class TestRoundTrip:
