@@ -112,8 +112,9 @@ class _Packing:
 
 class _Form:
     """f packed once for all divisor attempts: its keys in f's term order, lm's
-    key top (the ≻-largest), the next largest key second (0 if none), lm and
-    lc; B is built by the first attempt that solves (`numerators`)."""
+    key top (the ≻-largest), the next largest key second (0 if none), both
+    read from one sort of the keys, lm and lc; B is built by the first
+    attempt that solves (`numerators`)."""
 
     def __init__(self, f: MultiPoly, order: OrderSpec):
         check_graded(order)
@@ -121,9 +122,9 @@ class _Form:
         d = max(degrees) if degrees else f.total_degree()  # the zero polynomial raises there
         self.packing = packing = _Packing(f.nvars, d, order.kind)
         self.keys = keys = packing.pack(f.terms, degrees)
-        pick = max if packing.sign > 0 else min
-        self.top = top = pick(keys)
-        self.second = pick(filter(top.__ne__, keys), default=0)
+        ranked = sorted(keys, reverse=packing.sign > 0)  # ≻-largest first; the keys are distinct
+        self.top = top = ranked[0]
+        self.second = ranked[1] if len(ranked) > 1 else 0
         self.lm = packing.unpack(top)
         self.lc = f.terms[self.lm]
         self.coeffs = f.terms.values()

@@ -16,13 +16,18 @@ of x_i in bits 64(i-1) to 64i - 1, so the factors of a term add up to its
 key, repeats of a variable included.  ``parse_poly`` unpacks every key
 into its dense tuple with one ``Struct`` per call, then merges.
 
-Accepted input takes one pass of a compiled term regex, each match
-anchored where the last one ended.  Its quantifiers are possessive and
+Accepted input is read by one findall of a compiled term regex.  The
+text is accepted only if the matches tile it (their lengths add up to its
+length) and every term after the first has a sign; the matches are then
+those of a loop anchoring each one where the last ended.  A match may
+start at a blank only where a blank run starts, so a search that fails in
+a long run stays linear.  The regex's quantifiers are possessive and
 match as greedy ones would, as each is followed only by optional parts or
-by a character it cannot take.  The regex only lexes a monomial, as one
-run of x, digits, '^' and '*'; ``_factor``, whose cache is shared by
-calls, is the only check of each factor's text and gives its key.  At the
-first place that pass does not accept cleanly, the text goes to the token
+by a character it cannot take.  Each distinct (sign, numerator,
+denominator) text is made a ``Fraction`` once per call.  The regex only
+lexes a monomial, as one run of x, digits, '^' and '*'; ``_factor``,
+whose cache is shared by calls, is the only check of each factor's text
+and gives its key.  Text the pass does not accept goes to the token
 scanner, and so does text with a malformed factor, a zero exponent, an
 index past x64 or a variable whose powers in one term sum past the bound.
 The scanner first searches for a character no token can start with, so
@@ -42,7 +47,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
-from operator import or_
+from operator import add, or_
 from struct import Struct
 from typing import NamedTuple
 
@@ -71,6 +76,11 @@ _BOUND_DIGITS = len(str(max(MAX_EXPONENT, MAX_VARIABLES)))
 _MONO = r"x[0-9^*x]*+"
 _TERM_RE = re.compile(rf"\s*+(?:([-+])\s*+)?+(?:([0-9]++)(?:\s*+/\s*+([0-9]++))?+"
                       rf"(?:\s*+\*\s*+({_MONO}))?+|({_MONO}))\s*+")
+# _TERM_RE for findall, the whole term as group 1.  A match starts at a blank only
+# where a blank run starts: a search that fails would otherwise cross the rest of a
+# run from each of its offsets, quadratic in its length.  A term ends past its
+# blanks, so the next one starts at a non-blank, the first alternative
+_TERMS_RE = re.compile(rf"(?:(?!\s)|(?<!\s))({_TERM_RE.pattern})")
 # a factor _factor reads: at most _BOUND_DIGITS digits in each run, so at most
 # 2*_BOUND_DIGITS + 2 characters
 _FACTOR_RE = re.compile(rf"x([0-9]{{1,{_BOUND_DIGITS}}})(?:\^([0-9]{{1,{_BOUND_DIGITS}}}))?")
@@ -151,33 +161,35 @@ def _factor(text: str) -> int:
 
 def _accepted(text: str) -> tuple | None:
     """(keys, coefficients, zero, top) of text as _scan gives them, read by
-    the term regex; None at the first place it does not accept cleanly, and
-    _scan then reads text."""
+    one findall of the term regex; None unless its matches tile text and
+    every term after the first has a sign, and _scan then reads text.  Each
+    distinct (sign, numerator, denominator) text is made a Fraction once."""
     # a 64-bit field carries out only past 2^33 factors in a term, each at least 3 characters
     if len(text) >= 3 << 33:
         return None
-    keys, coeffs, pos, zero = [], [], 0, False
-    match, factor, add_key, add_coeff = _TERM_RE.match, _factor, keys.append, coeffs.append
     try:
-        while pos < len(text):
-            m = match(text, pos)
-            if not m or (coeffs and not m[1]):  # a gap, or a term without its sign
-                return None
-            sign, num, den, mono, bare = m.groups()
-            pos = m.end()
+        whole, signs, nums, dens, monos, bares = zip(*_TERMS_RE.findall(text))
+    except ValueError:  # no term
+        return None
+    if sum(map(len, whole)) != len(text) or "" in signs[1:]:  # a gap, or a term without its sign
+        return None
+    texts = list(zip(signs, nums, dens))
+    values, zero = dict.fromkeys(texts), False
+    try:
+        for key in values:
+            sign, num, den = key
             coeff = int(num) if num else 1
             if sign == "-":
                 coeff = -coeff
             zero = zero or not coeff
-            add_coeff(Fraction(coeff, int(den)) if den else Fraction(coeff))
-            mono = mono or bare
-            add_key(sum(map(factor, mono.split("*"))) if mono else 0)
+            values[key] = Fraction(coeff, int(den)) if den else Fraction(coeff)
+        keys = [sum(map(_factor, mono.split("*"))) if mono else 0 for mono in map(add, monos, bares)]
     except (ValueError, ZeroDivisionError):  # a bad factor, a number too long; a zero denominator
         return None
     seen = reduce(or_, keys, 0)
-    if not coeffs or seen & _OVER:  # no term, or a repeated variable's powers sum past the bound
+    if seen & _OVER:  # a repeated variable's powers sum past the bound
         return None
-    return keys, coeffs, zero, -(-seen.bit_length() // 64)
+    return keys, list(map(values.__getitem__, texts)), zero, -(-seen.bit_length() // 64)
 
 
 def _scan(text: str) -> tuple:

@@ -570,6 +570,29 @@ class TestPacking:
                 assert m == base
 
 
+
+class TestForm:
+    @pytest.mark.parametrize("order", [GL, GR], ids=["grlex", "grevlex"])
+    def test_top_and_second_are_the_two_largest_keys(self, order):
+        """Seeded f in 1-5 variables, one-term and two-term f among them: top
+        and second are the keys of the ≻-largest and second-largest monomials
+        by orders.sort_key (second 0 for a one-term f), and keys are f's in
+        its term order."""
+        rng = random.Random(55)
+        sizes = {1: 0, 2: 0, "more": 0}
+        for trial in range(600):
+            f = random_poly(rng, rng.randint(1, 5), 6, [1, 2, 9][trial % 3])
+            form = dec._Form(f, order)
+            ranked = sorted(f.terms, key=lambda m: orders.sort_key(m, order), reverse=True)
+            assert list(map(form.packing.unpack, form.keys)) == list(f.terms)
+            assert form.packing.unpack(form.top) == form.lm == ranked[0]
+            if len(ranked) == 1:
+                assert form.second == 0
+            else:
+                assert form.packing.unpack(form.second) == ranked[1]
+            sizes[len(ranked) if len(ranked) < 3 else "more"] += 1
+        assert min(sizes.values()) >= 100, sizes
+
 # d(lm) = 24 and g0 = 2, but x2^3*x3^3 is in V0, so d1 = 1; the attempt at
 # k = 2 would list the monomials below x1^12 in 9 variables, over the cap
 CAP_HAZARD = "x1^24 + 2*x1^12*x9 + x9^2 + x2^4 + x3^4 + x2^3*x3^3"

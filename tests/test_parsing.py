@@ -423,6 +423,39 @@ class TestAcceptedInputPass:
         assert time.perf_counter() - start < 1.0
         self.assert_same_as_scanner(monkeypatch, text)
 
+    @pytest.mark.parametrize("text", [
+        "x1 +" + " " * 200_000, "x1 -" + " " * 200_000 + "@ + x2",
+        "x1" + " " * 200_000 + "+" + " " * 200_000 + "@", "x1 + 2 *" + "\n" * 200_000 + "@ - x2",
+        "2" + " " * 200_000 + "/" + " " * 200_000, "x1 + 1" + " " * 200_000 + "/" + "\t" * 200_000 + "@",
+        "x1 +" + " " * 200_000 + "x2", "3" + " " * 200_000 + "/" + " " * 200_000 + "4*x1",
+    ], ids=["sign", "sign-garbage", "gap-garbage", "star-garbage", "slash", "slash-garbage",
+            "accepted-sign", "accepted-slash"])
+    def test_blank_runs_parse_in_linear_time(self, monkeypatch, text):
+        # the findall pass starts a match at a blank only where a blank run starts;
+        # without that, a failed search crosses a run from each of its offsets
+        start = time.perf_counter()
+        outcome(text)
+        assert time.perf_counter() - start < 1.0
+        self.assert_same_as_scanner(monkeypatch, text)
+
+    @pytest.mark.parametrize("text, distinct", [
+        ("3*x1 - 3*x2 + 3 - 3 + 3*x3^2", 3),  # an integer under both signs
+        ("3/2*x1 - 3/2*x2 + 3/2 - 3/2*x1*x2 + 3/2*x3", 3),  # a fraction under both signs
+        ("-3*x1 + 3/2*x2 - 3/2*x1^2 + 3*x2^2 - 3 + 3/2", 4),
+        ("x1 - x2 + x3 - x1*x2 + 1*x3^2", 4),  # a bare monomial's 1 and a written 1 are two texts
+        ("6/4*x1 + 3/2*x2 + 6/4*x3", 3),  # equal values, written apart
+        ("0*x1 + 0*x2 + x3", 3),  # repeated zeros
+        ("x1 - 0*x2 + 0*x3 - 0", 3),
+        ("2*x1 + 2*x1 - 2*x2 + 2*x1 - 2*x2 + x3", 4),  # repeated monomials that merge
+        ("1/2*x1*x2 + 1/2*x2*x1 - 1/2*x1 - 1/2*x1", 3),  # merged to x1*x2 and -x1
+    ])
+    def test_repeated_coefficients(self, monkeypatch, text, distinct):
+        # one Fraction per distinct (sign, numerator, denominator) text, shared by its
+        # terms; the first term's missing sign and a '+' are two texts
+        coeffs = parsing._accepted(text)[1]
+        assert len(set(map(id, coeffs))) == distinct
+        self.assert_same_as_scanner(monkeypatch, text)
+
     def test_cached_factor_texts_are_short(self, monkeypatch):
         # the factor cache outlives a call, so no long run of the input may become
         # a key: _factor refuses every long text it is handed, and lru_cache
@@ -484,15 +517,27 @@ class TestAcceptedInputPass:
         # the same pieces with no possessive marks, the oracle
         mono = r"x[0-9^*x]*"
         greedy = re.compile(rf"\s*(?:([-+])\s*)?(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*\s*({mono}))?|({mono}))\s*")
-        # the speed-up cannot be dropped silently
+        # the speed-up and the findall pass's blank-run guard cannot be dropped silently
         assert all(mark in parsing._TERM_RE.pattern for mark in (r"\s*+", "?+", "[0-9]++", "]*+"))
+        assert parsing._TERMS_RE.pattern == rf"(?:(?!\s)|(?<!\s))({parsing._TERM_RE.pattern})"
         alphabet = [" ", "\t", "\n", "\xa0", "x", "x1", "x2", "0", "1", "9", "007",
                     "1" * (parsing._BOUND_DIGITS + 2), "+", "-", "*", "/", "^"]
         rng = random.Random(74)
         texts = ["".join(rng.choices(alphabet, k=rng.randint(0, 16))) for _ in range(6000)]
         # rendered terms, with coefficients and several factors, mutated by the same tokens
         texts += [mutated(rng, render_poly(random_poly(rng, 3, 4, 3)), alphabet) for _ in range(1000)]
+        tiled = 0
         for text in texts:
             for pos in range(len(text) + 1):  # rejected text and offsets included
                 got, want = parsing._TERM_RE.match(text, pos), greedy.match(text, pos)
                 assert (got and (got.span(), got.groups())) == (want and (want.span(), want.groups())), (text, pos)
+            # the findall pass tiles text iff the anchored loop does, with the same groups in order
+            found, pos, terms = parsing._TERMS_RE.findall(text), 0, []
+            while pos < len(text) and (m := parsing._TERM_RE.match(text, pos)):
+                terms.append(tuple(group or "" for group in m.groups()))
+                pos = m.end()
+            assert (sum(len(term[0]) for term in found) == len(text)) == (pos == len(text)), text
+            if pos == len(text):
+                assert [term[1:] for term in found] == terms, text
+                tiled += bool(terms)
+        assert tiled > 1000, tiled
